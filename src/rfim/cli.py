@@ -246,7 +246,7 @@ def mix():
 @click.option("--trace", type=str, default=None, help="CSV of (step, magnetization, energy)")
 def mix_run(model_path, steps, seed, init, trace):
     m = _load_model(model_path)
-    one, zero = (1, -1) if m.convention == M.PM else (1, 0)
+    one, zero = M.SPIN_VALUES[m.convention]
     vals = np.full(m.n, one if init == "plus" else zero, dtype=np.int8)
     for v, s in m.pinning.items():
         vals[v] = s
@@ -266,7 +266,7 @@ def mix_run(model_path, steps, seed, init, trace):
 @click.option("--seed", type=int, default=0)
 def mix_couple(model_path, steps, seed):
     m = _load_model(model_path)
-    one, zero = (1, -1) if m.convention == M.PM else (1, 0)
+    one, zero = M.SPIN_VALUES[m.convention]
     lo = np.full(m.n, zero, dtype=np.int8)
     hi = np.full(m.n, one, dtype=np.int8)
     for v, s in m.pinning.items():

@@ -11,6 +11,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,12 +40,19 @@ class Graph:
             return 0
         return max(len(nbrs) for nbrs in self.adjacency)
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Positions of normalized ``(min, max)`` endpoint pairs in ``edges``."""
-        return {e: i for i, e in enumerate(self.edges)}
+    @cached_property
+    def _edge_positions(self) -> MappingProxyType:
+        return MappingProxyType({e: i for i, e in enumerate(self.edges)})
+
+    def edge_index(self) -> MappingProxyType:
+        """Positions of normalized ``(min, max)`` endpoint pairs in ``edges``.
+
+        Built once per graph; the mapping is read-only.
+        """
+        return self._edge_positions
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index()
+        return (min(u, v), max(u, v)) in self._edge_positions
 
 
 def _check_vertex(g_or_n, v: int) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -23,6 +24,9 @@ from .rng import FIELD, substream
 
 PM = "pm"
 ZERO_ONE = "01"
+
+# The ('one', 'zero') spin values of each convention.
+SPIN_VALUES = {PM: (1, -1), ZERO_ONE: (1, 0)}
 
 
 class SpinConfiguration:
@@ -243,7 +247,7 @@ class IsingModel:
         object.__setattr__(self, "couplings", c)
         object.__setattr__(self, "field", h)
         pin = {}
-        allowed = (-1, 1) if self.convention == PM else (0, 1)
+        allowed = SPIN_VALUES[self.convention]
         for v, s in self.pinning.items():
             v = int(v)
             if not 0 <= v < self.graph.num_vertices:
@@ -276,7 +280,31 @@ class IsingModel:
     def ferromagnetic(self) -> bool:
         return bool((self.couplings >= 0).all())
 
-    @property
+    @cached_property
+    def neighbour_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, max_degree)`` neighbour indices and couplings, built once per model.
+
+        Row v holds v's neighbours in ascending order and the couplings of the
+        joining edges.  A row shorter than the maximal degree is padded with
+        slots naming v itself with coupling 0, which add nothing to a local field.
+        """
+        n = self.n
+        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        arcs = np.lexsort((dst, src))  # grouped by source, neighbours ascending
+        src, dst = src[arcs], dst[arcs]
+        degree = np.bincount(src, minlength=n)
+        width = int(degree.max(initial=0))
+        slot = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
+        nbr = np.repeat(np.arange(n, dtype=np.int64), width).reshape(n, width)
+        nbr[src, slot] = dst
+        cpl = np.zeros((n, width))
+        cpl[src, slot] = np.tile(self.couplings, 2)[arcs]
+        nbr.flags.writeable = cpl.flags.writeable = False
+        return nbr, cpl
+
+    @cached_property
     def free_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if v not in self.pinning)
 

@@ -3,9 +3,11 @@
 The sampler fixes a prefix-connected vertex ordering, draws the first spin
 exactly from its single-site law, and then for each later vertex concatenates
 an independent single-site draw and runs k* = ceil(n^{C*}) heat-bath updates
-on the model induced by the current prefix (later vertices are absent, not
-pinned).  Stage 1 is exact; every other stage is a chain from a warm start.
-Disconnected graphs are handled per component and the outputs concatenated.
+on the model induced by the current prefix.  Later vertices are absent, not
+pinned: they hold 0 in the component's one state matrix, which adds nothing
+to a local field in either convention.  Stage 1 is exact; every other stage
+is a chain from a warm start.  Disconnected graphs are handled per component
+and the outputs concatenated.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import expit
 
 import jsonschema
 
@@ -26,6 +27,7 @@ from .errors import CapacityError, InputError, ValidationFailure
 from .graphs import connected_components, connected_ordering, random_regular_graph
 from .model import (
     PM,
+    SPIN_VALUES,
     FieldDistribution,
     IsingModel,
     SpinConfiguration,
@@ -34,10 +36,10 @@ from .model import (
     model_to_json_dict,
     sample_field,
 )
-from .dynamics import run_chains_batch
+from .dynamics import _heat_bath_run, _one_probability
 from .oracle import gibbs_table
 from .percolation import gap_certificate
-from .rng import SAMPLER, substream
+from .rng import COUPLING, SAMPLER, substream
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,6 @@ class RunReport:
     replicas: int = 1
 
 
-def _single_site_one_prob(model: IsingModel, v: int) -> float:
-    h = model.field[v]
-    return float(expit(2.0 * h)) if model.convention == PM else float(expit(h))
-
-
 def incremental_sample(model: IsingModel, config: SamplerConfig):
     """One configuration from the staged warm-start sampler, plus its report."""
     values, report = _incremental_batch(model, config, replicas=1)
@@ -93,7 +90,7 @@ def _incremental_batch(model: IsingModel, config: SamplerConfig, replicas: int):
         raise InputError("the incremental sampler expects an unpinned model")
     start = time.perf_counter()
     n = model.n
-    one, zero = (1.0, -1.0) if model.convention == PM else (1.0, 0.0)
+    one, zero = SPIN_VALUES[model.convention]
     out = np.zeros((replicas, n))
     stage_steps: list[int] = []
     full_order: list[int] = []
@@ -102,30 +99,21 @@ def _incremental_batch(model: IsingModel, config: SamplerConfig, replicas: int):
         sub = induced_model(model, comp)  # comp sorted ascending by construction
         order_local = connected_ordering(sub.graph, config.ordering_seed + ci)
         full_order.extend(comp[i] for i in order_local)
-        state = np.zeros((replicas, 0))
-        for stage in range(1, len(order_local) + 1):
-            prefix_local = list(order_local[:stage])
-            v_new = prefix_local[-1]
+        state = np.zeros((replicas, sub.n))  # vertices not yet staged hold 0
+        staged = np.zeros(sub.n, dtype=bool)
+        for stage, v_new in enumerate(order_local, start=1):
             rng = substream(config.seed, SAMPLER, ci, stage)
-            p_one = _single_site_one_prob(sub, v_new)
-            draws = np.where(rng.random(replicas) <= p_one, one, zero)
-            state = np.concatenate([state, draws[:, None]], axis=1)
+            p_one = _one_probability(sub.convention, sub.field[v_new])
+            state[:, v_new] = np.where(rng.random(replicas) <= p_one, one, zero)
+            staged[v_new] = True
             if stage == 1:
                 stage_steps.append(0)  # the first spin is an exact sample
                 continue
-            prefix_model = induced_model(sub, prefix_local)
-            # induced_model sorts vertices; map the growing state accordingly
-            sorted_prefix = sorted(prefix_local)
-            perm = [prefix_local.index(v) for v in sorted_prefix]
             k = config.k_star(n if config.k_star_mode == "full" else stage)
-            final, _ = run_chains_batch(
-                prefix_model, state[:, perm], k, config.seed,
-                stream_path=(SAMPLER, ci, stage))
-            inv = [sorted_prefix.index(v) for v in prefix_local]
-            state = final[:, inv]
+            _heat_bath_run(sub, state, np.flatnonzero(staged), k,
+                           substream(config.seed, COUPLING, SAMPLER, ci, stage))
             stage_steps.append(k)
-        for pos, v_local in enumerate(order_local):
-            out[:, comp[v_local]] = state[:, pos]
+        out[:, comp] = state
     report = RunReport(
         stage_steps=tuple(stage_steps),
         total_updates=int(sum(stage_steps)),

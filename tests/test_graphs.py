@@ -223,3 +223,13 @@ def test_ball_at_diameter_covers_component(g):
     dists = [graph_distance(g, 0, v) for v in connected_components(g)[0]]
     comp = set(connected_components(g)[0])
     assert ball(g, 0, max(dists)) == comp
+
+
+@pytest.mark.parametrize("g", [torus_grid(6, 7), random_regular_graph(30, 5, 3)])
+def test_has_edge_agrees_with_edges(g):
+    edges = set(g.edges)
+    for u in range(g.num_vertices):
+        for v in range(g.num_vertices):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    assert all(g.edges[i] == e for e, i in g.edge_index().items())
+
