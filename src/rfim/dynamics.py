@@ -88,7 +88,7 @@ def _scalar_update(model: IsingModel):
 def conditional_one_probability(model: IsingModel, values: np.ndarray, v: int) -> float:
     """Heat-bath probability that vertex v takes its 'one' value given the rest; O(degree)."""
     nbr, cpl = model.neighbour_table
-    s = np.einsum("d,d->", np.asarray(values, dtype=np.float64)[nbr[v]], cpl[v])
+    s = np.einsum("d,d->", np.asarray(values)[nbr[v]].astype(np.float64), cpl[v])
     return float(_one_probability(model.convention, s + model.field[v]))
 
 
