@@ -232,4 +232,3 @@ def test_has_edge_agrees_with_edges(g):
         for v in range(g.num_vertices):
             assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
     assert all(g.edges[i] == e for e, i in g.edge_index().items())
-
