@@ -1,4 +1,4 @@
-"""Golden digests of the dynamics and sampler layers for fixed seeds.
+"""Golden digests of the oracle, dynamics, localization and sampler layers for fixed seeds.
 
 Each case runs one public routine on a fixed model with fixed seeds and
 hashes its output with SHA-256.  Spins and counts are hashed exactly; other
@@ -30,22 +30,40 @@ from rfim import (
     IsingModel,
     SamplerConfig,
     SpinConfiguration,
+    at_variance_constant,
     build_graph,
+    cor2_matrix,
+    disagreement_experiment,
+    exact_revealed_posterior,
+    gibbs_table,
+    glauber_gap,
+    grand_coupled_update,
     grid_graph,
     incremental_sample_batch,
+    marginals,
+    mean_and_covariance,
+    mlsi_lower_estimate,
     monotone_coupled_batch,
     monotone_coupled_run,
     path_graph,
+    percolate,
+    posterior_model,
     random_regular_graph,
     run_chain,
     run_chains_batch,
     sample_field,
     sample_noising_trace,
     sl_boost,
+    sup_cor2_over_pinnings,
+    theta_star,
     to_zero_one,
     torus_grid,
+    verify_posterior_by_simulation,
 )
 from rfim.dynamics import empirical_tv_curve
+from rfim.localization import align_posterior_to_base
+from rfim.oracle import transition_matrix
+from rfim.slwsm import averaged_boosted_table
 
 
 def _model(graph, beta, seed, convention="pm", pinning=None):
@@ -77,6 +95,8 @@ def _plain(x):
         return sorted(_plain(i) for i in x)
     if isinstance(x, (list, tuple)):
         return [_plain(i) for i in x]
+    if isinstance(x, str):
+        return x
     if x is None or isinstance(x, (bool, np.bool_)):
         return x if x is None else bool(x)
     if isinstance(x, (int, np.integer)):
@@ -189,10 +209,131 @@ def sl_boost_glauber():
     return [(b.sigma_star, b.y) for b in boosts]
 
 
+def grand_coupled_pm_pinned():
+    g = grid_graph(3, 3)
+    models = [_model(g, 0.4, 17), _model(g, 0.4, 18, pinning={4: 1}),
+              _model(g, 0.3, 19, pinning={0: -1, 8: 1})]
+    states = [{2: 1}, {6: -1, 4: 1}, {0: -1}]  # a state may repeat a pinned value
+    configs, disagree, log = grand_coupled_update(models, states, seed=19,
+                                                  order=[4, 0, 8, 1, 7, 2, 6, 3, 5])
+    return configs, disagree, log
+
+
+def grand_coupled_01():
+    g = path_graph(6)
+    models = [_model(g, 0.5, 20, "01"), _model(g, 0.5, 20, "01", {0: 1, 5: 0})]
+    return grand_coupled_update(models, [{}, {3: 1}], seed=20)
+
+
+def _disagreement(order):
+    g = grid_graph(3, 4)
+    field = sample_field(FieldDistribution.gaussian(0.6), g.num_vertices, 21)
+    m01 = to_zero_one(IsingModel.uniform(g, 0.3, field.values))
+    res = disagreement_experiment(m01, g.edges[5], 0.6 * theta_star(0.3), {11: 0}, field.values,
+                                  k=0.3, p0=0.2, seed=22, order=order)
+    return res.disagreement_set, res.cluster, res.contained, res.order
+
+
+def disagreement_bfs():
+    return _disagreement("bfs")
+
+
+def disagreement_cluster():
+    return _disagreement("cluster")
+
+
+def percolate_torus():
+    g = torus_grid(6, 6)
+    real = percolate(g, sample_field(FieldDistribution.gaussian(1.0), g.num_vertices, 23),
+                     k=0.4, p0=0.3, seed=24)
+    return real.open_set, real.provenance, real.seed
+
+
+def posterior_buckets_grid():
+    m01 = _model(grid_graph(3, 4), 0.3, 25, "01")
+    report = verify_posterior_by_simulation(m01, 0.2, 20_000, seed=26, min_hits=100)
+    return report.buckets, report.max_tv, report.traces
+
+
+def posterior_alignment():
+    m01 = _model(grid_graph(3, 3), 0.35, 27, "01", {8: 0})
+    t, revealed = 0.4, [0, 3]
+    post = gibbs_table(posterior_model(m01, t, revealed))
+    return (align_posterior_to_base(post, gibbs_table(m01)),
+            exact_revealed_posterior(m01, t, revealed))
+
+
+def _table(table):
+    return table.probs, table.log_partition, table.free
+
+
+def gibbs_table_pm():
+    return _table(gibbs_table(_model(random_regular_graph(10, 3, 28), 0.4, 29)))
+
+
+def gibbs_table_01():
+    return _table(gibbs_table(_model(torus_grid(3, 3), 0.3, 30, "01")))
+
+
+def gibbs_table_pinned():
+    return _table(gibbs_table(_model(grid_graph(3, 3), 0.5, 31, "pm", {1: 1, 4: -1})))
+
+
+def spectra_pm():
+    m = _model(random_regular_graph(8, 3, 32), 0.3, 33)
+    return (glauber_gap(m).gap, at_variance_constant(m),
+            mlsi_lower_estimate(m, restarts=4, seed=34, iterations=30))
+
+
+def spectra_01_pinned():
+    m = _model(grid_graph(2, 4), 0.4, 35, "01", {0: 1, 6: 0})
+    return (glauber_gap(m).gap, at_variance_constant(m),
+            mlsi_lower_estimate(m, restarts=4, seed=36, iterations=30))
+
+
+def transition_matrix_pinned():
+    return transition_matrix(_model(path_graph(5), 0.6, 37, "pm", {2: 1}))
+
+
+def cor2_grid():
+    m01 = _model(grid_graph(2, 3), 0.4, 38, "01")
+    report = sup_cor2_over_pinnings(m01, [0.0, 0.5])
+    return (cor2_matrix(gibbs_table(m01)), report.max_row_sum, report.max_col_sum,
+            report.max_opnorm, report.per_edge_row_max, report.per_edge_col_max,
+            report.argmax_row, report.argmax_col, report.argmax_opnorm,
+            report.interpolation_ok, report.matrices_checked, report.mode)
+
+
+def moments_pinned():
+    table = gibbs_table(_model(random_regular_graph(8, 3, 39), 0.4, 40, "pm", {3: -1}))
+    return mean_and_covariance(table), marginals(table)
+
+
+def boosted_average():
+    mean, stderr, _ = averaged_boosted_table(_model(grid_graph(2, 3), 0.4, 41), 0.8, 200, 42)
+    return mean, stderr
+
+
+def noising_traces_oracle():
+    m = _model(grid_graph(3, 3), 0.4, 43, "01", {4: 1})
+    traces = [sample_noising_trace(m, 44, trace_index=i) for i in range(4)]
+    return [(tr.x_sample, tr.edge_uniforms) for tr in traces]
+
+
+def sl_boost_oracle():
+    m = _model(grid_graph(3, 3), 0.4, 45, "pm", {0: -1})
+    boosts = [sl_boost(m, 0.7, 46, index=i) for i in range(4)]
+    return [(b.sigma_star, b.y) for b in boosts]
+
+
 CASES = {f.__name__: f for f in (
     run_chain_pm, run_chain_01_pinned, batch_pm, batch_01, batch_pm_pinned,
     coupled_run_pm, coupled_run_01_pinned, coupled_batch_pm, coupled_batch_01_pinned,
     sampler_grid, sampler_disconnected_01, tv_curve, noising_traces_glauber, sl_boost_glauber,
+    grand_coupled_pm_pinned, grand_coupled_01, disagreement_bfs, disagreement_cluster,
+    percolate_torus, posterior_buckets_grid, posterior_alignment, gibbs_table_pm,
+    gibbs_table_01, gibbs_table_pinned, spectra_pm, spectra_01_pinned, transition_matrix_pinned,
+    cor2_grid, moments_pinned, boosted_average, noising_traces_oracle, sl_boost_oracle,
 )}
 
 GOLDEN = {
@@ -210,6 +351,24 @@ GOLDEN = {
     "tv_curve": "c933643e31f2fc05450a68141ae5a6dc6b6845ded8e4bf1c0b7ee83efd4de6df",
     "noising_traces_glauber": "13349104f2b94f9c3090021b33e72dbef73149bc1e00246e86e6cbe46395f1db",
     "sl_boost_glauber": "2438d9c93ab350a9a6de3b2f31389521d89a56330df6242e276162097477c0cb",
+    "grand_coupled_pm_pinned": "885a3633272d2d3aad355eb29015cf639caf4f092cb2963a9bcdd84e556f40a3",
+    "grand_coupled_01": "6eadaf104eaaf09c2b40e4c5df91ec1a030ce69fbb54f7935db35d8a4df7b00a",
+    "disagreement_bfs": "863ead5f823d1c40d3efec5a95d9f0c1bf875008e89af3720b0299c41d97fd27",
+    "disagreement_cluster": "8b44c0a2ce7678d86af7db80eea898ee6b11d188df8bb18f1205993e93ffc528",
+    "percolate_torus": "a4e82d568b5510eb93666e00d1e0e7d95f2f7da24c5c90496c8ce7dd5d97faa3",
+    "posterior_buckets_grid": "93b9d82211c312638d877ac5d225c8d90c172e7e829e933209f26b5acfd4076e",
+    "posterior_alignment": "8058207d0a929145d73d1c66dd5b62cb06d37dc2fd062c40b4b3066ad3b4f6c9",
+    "gibbs_table_pm": "4267400967957c934220c2659fe62e8c3213fa2237e08458b44d08afa8375f92",
+    "gibbs_table_01": "5014daf9c6ae35c4f5164fa0db3db5f007060afdfa0bef886324d536c8f1f73a",
+    "gibbs_table_pinned": "9c0d6e3e239d1739512894dfaca3f3cdb1990cb8c4b7a77519fa631fde68e8ca",
+    "spectra_pm": "81f1031cfc837c188632634b85d554b8705959e33d7139a523545ec495b276cd",
+    "spectra_01_pinned": "1fa129868237f33d66a4aeac4a9ccab55303e273e5787ca85dfd14d1cbeca1d8",
+    "transition_matrix_pinned": "0a21c4ed3f088027526c35876c00634515605c6425610f9ef1a5158e281834b9",
+    "cor2_grid": "275fb203b1ed36f6f123c35331f285e112ce0e18ae8644110d5aaf46555a3bc0",
+    "moments_pinned": "50924d605562f46fe49d30201636138079e2a5ab490c307099848dc6208b8f9d",
+    "boosted_average": "9a5df597a3c8e912c7f0381b7ac774e05476240b97c359de43dfb3aa000b4166",
+    "noising_traces_oracle": "6e87c9c06f9aad9924a3de08df163b58b232c4967a84b65cdbf08eaa6b31db97",
+    "sl_boost_oracle": "56692ead8f0e0f3d176649df096f9bad89ef836b7978bd2d61a7876412fbce15",
 }
 
 
