@@ -55,7 +55,7 @@ def _load_graph(path: str) -> G.Graph:
     return G.graph_from_edgelist_text(text)
 
 
-def _parse_field(kind: str, param: float, n: int) -> M.FieldDistribution:
+def _parse_field(kind: str, param: float) -> M.FieldDistribution:
     if kind == "gaussian":
         return M.FieldDistribution.gaussian(param)
     if kind == "uniform":
@@ -142,7 +142,7 @@ def model():
 @click.option("-o", "--output", type=str, default=None)
 def model_make(graph_path, beta, field_kind, field_param, seed, convention, output):
     g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param, g.num_vertices)
+    dist = _parse_field(field_kind, field_param)
     field = M.sample_field(dist, g.num_vertices, seed)
     m = M.IsingModel.uniform(g, beta, field.values, convention=M.PM)
     if convention == M.ZERO_ONE:
@@ -409,7 +409,7 @@ def certify_mlsi(n, beta, delta, alpha_star, m_bound):
 @click.option("--thetas", default=None, help="defaults to the theta* grid")
 def certify_tails(graph_path, beta, p0, k, field_kind, field_param, trials, seed, m_grid, thetas):
     g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param, g.num_vertices)
+    dist = _parse_field(field_kind, field_param)
     if thetas is None:
         grid = L.default_theta_grid(M.theta_star(beta))[:-1]
     else:
@@ -445,7 +445,7 @@ def certify_norm(matrix_path):
 @click.option("--seed", type=int, default=0)
 def certify_percolate(graph_path, field_kind, field_param, field_seed, k, p0, seed):
     g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param, g.num_vertices)
+    dist = _parse_field(field_kind, field_param)
     field = M.sample_field(dist, g.num_vertices, field_seed)
     real = P.percolate(g, field, k, p0, seed)
     _emit({"open": sorted(real.open_set),
@@ -485,7 +485,7 @@ def sl_boost_cmd(model_path, t, seed, output):
 @click.option("--csv", "csv_path", default=None)
 def sl_wsm(graph_path, beta, field_kind, field_param, radii, trials, seed, vertices, csv_path):
     g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param, g.num_vertices)
+    dist = _parse_field(field_kind, field_param)
     verts = [int(x) for x in vertices.split(",")] if vertices else None
     rep = S.estimate_wsm(g, beta, dist, [int(x) for x in radii.split(",")], trials, seed,
                          vertices=verts)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import CapacityError, InputError
-from .model import PM, SPIN_VALUES, IsingModel, SpinConfiguration
-from .oracle import GibbsTable, bit_column, gibbs_table
+from .errors import InputError
+from .model import PM, SPIN_VALUES, IsingModel, SpinConfiguration, array_energy
+from .oracle import GibbsTable, empirical_tv, gibbs_table
 from .rng import CHAIN, COUPLING, substream
 
 
@@ -169,7 +169,7 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
 
     def observables(step):
         vals = np.array(values, dtype=np.float64)
-        return (step, float(vals.sum()), _energy(model, vals))
+        return (step, float(vals.sum()), array_energy(model, vals))
 
     if record_every:
         trajectory.append(observables(0))
@@ -180,13 +180,6 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
     final = ChainState(SpinConfiguration(np.array(values, dtype=np.int8), model.convention),
                        steps, rng)
     return (final, trajectory) if record_every else (final, None)
-
-
-def _energy(model: IsingModel, values: np.ndarray) -> float:
-    e = float(model.field @ values)
-    for (u, v), c in zip(model.graph.edges, model.couplings):
-        e += c * values[u] * values[v]
-    return e
 
 
 def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, seed: int,
@@ -333,24 +326,22 @@ def grand_coupled_update(models, states, seed: int | None = None, order=None,
         raise InputError("uniforms must hold one value per vertex")
     one, zero = SPIN_VALUES[conv]
 
-    # per-chain row masks over that chain's free-config table
+    # per-chain spin rows of every table config, and the rows consistent so far
+    rows = [tab.rows() for tab in tables]
     masks = []
     values = []
-    for m, tab, st in zip(models, tables, states):
-        size = 1 << tab.num_free
-        mask = np.ones(size, dtype=bool)
-        vals = {}
-        pos = {v: j for j, v in enumerate(tab.free)}
-        for v, s in m.pinning.items():
-            vals[v] = s
+    for m, r, st in zip(models, rows, states):
+        mask = np.ones(len(r), dtype=bool)
+        vals = dict(m.pinning)
         for v, s in st.items():
             v, s = int(v), int(s)
             if v in m.pinning:
                 if m.pinning[v] != s:
                     raise InputError(f"state conflicts with pinning at vertex {v}")
                 continue
-            bitcol = bit_column(size, pos[v]).astype(bool)
-            mask &= bitcol if s == one else ~bitcol
+            if s not in (one, zero):
+                raise InputError(f"state value {s} at vertex {v} is not a spin")
+            mask &= r[:, v] == s
             vals[v] = s
         masks.append(mask)
         values.append(vals)
@@ -360,20 +351,15 @@ def grand_coupled_update(models, states, seed: int | None = None, order=None,
         v = int(v)
         u = float(uniforms[v])
         outcome = []
-        for ci, (m, tab) in enumerate(zip(models, tables)):
-            if v in values[ci]:
-                outcome.append(values[ci][v])
-                continue
-            size = 1 << tab.num_free
-            pos = {w: j for j, w in enumerate(tab.free)}
-            bitcol = bit_column(size, pos[v]).astype(bool)
-            w_mask = masks[ci]
-            total = float(tab.probs[w_mask].sum())
-            p_one = float(tab.probs[w_mask & bitcol].sum()) / total
-            s = one if u <= p_one else zero
-            values[ci][v] = s
-            masks[ci] = w_mask & (bitcol if s == one else ~bitcol)
-            outcome.append(s)
+        for ci, tab in enumerate(tables):
+            if v not in values[ci]:
+                w_mask = masks[ci]
+                is_one = rows[ci][:, v] == one
+                p_one = float(tab.probs[w_mask & is_one].sum()) / float(tab.probs[w_mask].sum())
+                s = one if u <= p_one else zero
+                values[ci][v] = s
+                masks[ci] = w_mask & (is_one if s == one else ~is_one)
+            outcome.append(values[ci][v])
         log.append((v, u, tuple(outcome)))
 
     configs = [
@@ -399,25 +385,12 @@ def empirical_tv_curve(model: IsingModel, init: SpinConfiguration, step_grid,
     same size, 0.5 * sum sqrt(2 p (1-p) / (pi R)).
     """
     table = gibbs_table(model)
-    f = table.num_free
-    if f > 20:
-        raise CapacityError("empirical TV needs a model small enough to bin exactly")
     init_vals = np.tile(init.values().astype(np.float64), (replicas, 1))
     grid = sorted(set(int(s) for s in step_grid))
     _, snapshots = run_chains_batch(model, init_vals, max(grid), seed, snapshot_steps=grid)
-    weights = 2 ** np.arange(f)
-    free_list = list(table.free)
     noise = 0.5 * float(np.sqrt(2 * table.probs * (1 - table.probs) / (np.pi * replicas)).sum())
-    rows = []
-    for step in grid:
-        vals = snapshots[step][:, free_list]
-        bits = (vals == 1).astype(np.int64)
-        idx = bits @ weights
-        counts = np.bincount(idx, minlength=1 << f)
-        emp = counts / replicas
-        tv = 0.5 * float(np.abs(emp - table.probs).sum())
-        rows.append({"step": step, "tv": tv, "noise_floor": noise})
-    return rows
+    return [{"step": step, "tv": empirical_tv(table, snapshots[step]), "noise_floor": noise}
+            for step in grid]
 
 
 def mixing_time_bound(gap: float, eta: float, eps: float, c: float = 1.0) -> float:

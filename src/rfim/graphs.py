@@ -54,6 +54,13 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_positions
 
+    @cached_property
+    def endpoints(self) -> np.ndarray:
+        """``(E, 2)`` int64 array of ``edges``, built once per graph; read-only."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
 
 def _check_vertex(g_or_n, v: int) -> None:
     n = g_or_n.num_vertices if isinstance(g_or_n, Graph) else g_or_n

@@ -67,10 +67,8 @@ def sample_noising_trace(model01: IsingModel, seed: int, sampler: str = "oracle"
     if sampler == "oracle":
         if table is None:
             table = gibbs_table(model01)
-        idx = int(rng.choice(len(table.probs), p=table.probs))
-        assignment = table.assignment(idx)
-        x = SpinConfiguration(
-            np.array([assignment[v] for v in range(model01.n)], dtype=np.int8), ZERO_ONE)
+        x = SpinConfiguration(table.rows(rng.choice(len(table.probs), p=table.probs))[0],
+                              ZERO_ONE)
     elif sampler == "glauber":
         if not burn_steps:
             raise InputError("glauber sampler needs burn_steps")
@@ -139,9 +137,7 @@ def exact_revealed_posterior(model01: IsingModel, t: float, revealed) -> np.ndar
 def align_posterior_to_base(post: GibbsTable, base: GibbsTable) -> np.ndarray:
     """Embed a posterior table into the base table's indexing (zeros off-support)."""
     out = np.zeros(len(base.probs))
-    for i, p in enumerate(post.probs):
-        a = post.assignment(i)
-        out[base.index_of([a[v] for v in range(base.model.n)])] = p
+    out[base.indices(post.rows())] = post.probs
     return out
 
 
@@ -177,14 +173,17 @@ def verify_posterior_by_simulation(model01: IsingModel, t: float, traces: int, s
     num_edges = z.shape[1]
     u = rng.random((traces, num_edges))
     revealed = z[idx] & (u <= t)
-    keys = revealed @ (1 << np.arange(num_edges, dtype=np.int64))
+    # Group traces by revealed set.  Packing the reversed rows orders the groups
+    # as the revealed sets read as binary numbers with edge 0 the lowest bit.
+    keys, group, hits = np.unique(np.packbits(revealed[:, ::-1], axis=1), axis=0,
+                                  return_inverse=True, return_counts=True)
+    by_group = np.argsort(group.ravel(), kind="stable")
+    starts = np.cumsum(hits) - hits
     buckets = []
     max_tv = 0.0
-    for key in np.unique(keys):
-        members = idx[keys == key]
-        if len(members) < min_hits:
-            continue
-        s = frozenset(int(e) for e in range(num_edges) if (int(key) >> e) & 1)
+    for g in np.flatnonzero(hits >= min_hits):
+        members = idx[by_group[starts[g]:starts[g] + hits[g]]]
+        s = frozenset(np.flatnonzero(np.unpackbits(keys[g], count=num_edges)[::-1]).tolist())
         emp = np.bincount(members, minlength=len(table.probs)) / len(members)
         post = gibbs_table(posterior_model(model01, t, s))
         target = align_posterior_to_base(post, table)

@@ -289,7 +289,7 @@ class IsingModel:
         slots naming v itself with coupling 0, which add nothing to a local field.
         """
         n = self.n
-        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2)
+        ends = self.graph.endpoints
         src = np.concatenate([ends[:, 0], ends[:, 1]])
         dst = np.concatenate([ends[:, 1], ends[:, 0]])
         arcs = np.lexsort((dst, src))  # grouped by source, neighbours ascending
@@ -338,10 +338,15 @@ def hamiltonian(model: IsingModel, sigma: SpinConfiguration) -> float:
     for v, s in model.pinning.items():
         if vals[v] != s:
             raise InputError(f"configuration conflicts with pinning at vertex {v}")
-    e = 0.0
-    for (u, v), c in zip(model.graph.edges, model.couplings):
-        e += c * vals[u] * vals[v]
-    return float(e + model.field @ vals)
+    return array_energy(model, vals)
+
+
+def array_energy(model: IsingModel, values: np.ndarray) -> float:
+    """H of a full float spin vector, unchecked: the field term, then each edge
+    term in edge order, summed left to right."""
+    ends = model.graph.endpoints
+    terms = model.couplings * values[ends[:, 0]] * values[ends[:, 1]]
+    return float(np.add.accumulate(np.concatenate(([model.field @ values], terms)))[-1])
 
 
 def to_zero_one(model: IsingModel) -> IsingModel:

@@ -3,8 +3,13 @@
 Gibbs tables are full probability vectors over the free-vertex configurations
 of a model, indexed so that bit j of a config index carries the spin of the
 j-th free vertex in ascending vertex order (bit 0 is the least significant).
-Everything here is deterministic and exact up to float arithmetic; sizes are
-guarded by hard caps.  Tables are immutable once built and safe to share.
+``GibbsTable.rows`` and ``GibbsTable.indices`` are the one place outside the
+enumeration itself that reads or writes this format: every other layer maps
+between config indices and full spin vectors through them.  The spectral
+routines share one single-flip enumeration, ``_single_flips``, and each
+builds its own weights on it.  Everything here is deterministic and exact up
+to float arithmetic; sizes are guarded by hard caps.  Tables are immutable
+once built and safe to share.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from scipy import linalg
 from scipy.special import logsumexp
 
 from .errors import CapacityError, InputError, ValidationFailure
-from .model import PM, ZERO_ONE, IsingModel
+from .model import PM, SPIN_VALUES, ZERO_ONE, IsingModel
 from .rng import PROBE, substream
 
 GIBBS_CAP = 24
@@ -46,38 +51,42 @@ class GibbsTable:
     def num_free(self) -> int:
         return len(self.free)
 
-    def spin_values(self, bits: np.ndarray) -> np.ndarray:
-        if self.model.convention == PM:
-            return 2.0 * bits - 1.0
-        return bits.astype(np.float64)
+    def rows(self, indices=None) -> np.ndarray:
+        """Full spin vectors, shape (k, n) int8, of config ``indices`` (default: all).
+
+        Pinned vertices carry their pinned value; built one free vertex at a time.
+        """
+        idx = np.arange(len(self.probs)) if indices is None else np.asarray(indices).reshape(-1)
+        spins = np.array(SPIN_VALUES[self.model.convention][::-1], dtype=np.int8)  # by bit
+        out = np.empty((len(idx), self.model.n), dtype=np.int8)
+        for v, s in self.model.pinning.items():
+            out[:, v] = s
+        for j, v in enumerate(self.free):
+            out[:, v] = spins.take((idx >> j) & 1)
+        return out
+
+    def indices(self, values) -> np.ndarray:
+        """Config index of each full spin vector (a row of ``values``).
+
+        Raises InputError when a row conflicts with the pinning.
+        """
+        vals = np.asarray(values)
+        vals = vals.reshape(-1, vals.shape[-1])
+        for v, s in self.model.pinning.items():
+            if (vals[:, v] != s).any():
+                raise InputError(f"value at vertex {v} conflicts with pinning")
+        idx = np.zeros(len(vals), dtype=np.int64)
+        for j, v in enumerate(self.free):
+            idx |= (vals[:, v] == 1).astype(np.int64) << j  # +1 in pm, 1 in 01
+        return idx
 
     def assignment(self, index: int) -> dict[int, int]:
         """Full vertex -> spin map for configuration ``index`` (pinning included)."""
-        out = dict(self.model.pinning)
-        for j, v in enumerate(self.free):
-            bit = (index >> j) & 1
-            out[v] = (2 * bit - 1) if self.model.convention == PM else bit
-        return out
+        return dict(enumerate(self.rows(index)[0].tolist()))
 
     def as_full_dict(self) -> dict[tuple[int, ...], float]:
         """Map full spin tuples (over all vertices) to probabilities."""
-        out = {}
-        for i, p in enumerate(self.probs):
-            a = self.assignment(i)
-            out[tuple(a[v] for v in range(self.model.n))] = float(p)
-        return out
-
-    def index_of(self, values) -> int:
-        """Config index of a full spin vector (must respect the pinning)."""
-        vals = np.asarray(values)
-        idx = 0
-        for j, v in enumerate(self.free):
-            if vals[v] == 1:  # +1 in pm, 1 in 01
-                idx |= 1 << j
-        for v, s in self.model.pinning.items():
-            if vals[v] != s:
-                raise InputError(f"value at vertex {v} conflicts with pinning")
-        return idx
+        return {tuple(r): float(p) for r, p in zip(self.rows().tolist(), self.probs)}
 
 
 def bit_column(num_configs: int, j: int) -> np.ndarray:
@@ -138,8 +147,7 @@ def marginals(table: GibbsTable) -> np.ndarray:
 def mean_and_covariance(table: GibbsTable) -> tuple[np.ndarray, np.ndarray]:
     """Exact first and second central moments over the free vertices."""
     f = table.num_free
-    size = 1 << f
-    cols = [table.spin_values(bit_column(size, j)) for j in range(f)]
+    cols = table.rows()[:, list(table.free)].T.astype(np.float64, order="C")
     mean = np.array([float(table.probs @ c) for c in cols])
     cov = np.empty((f, f))
     for i in range(f):
@@ -157,19 +165,22 @@ def tv_distance(t1: GibbsTable, t2: GibbsTable) -> float:
     return 0.5 * float(np.abs(t1.probs - t2.probs).sum())
 
 
+def empirical_tv(table: GibbsTable, values: np.ndarray) -> float:
+    """TV between the empirical law of the rows of ``values`` (samples, n) and the table."""
+    if table.num_free > 20:
+        raise CapacityError("empirical TV needs a model small enough to bin exactly")
+    emp = np.bincount(table.indices(values), minlength=len(table.probs)) / len(values)
+    return 0.5 * float(np.abs(emp - table.probs).sum())
+
+
 def _edge_event_columns(table: GibbsTable) -> np.ndarray:
     """Indicator of {sigma_u = sigma_v = 1} per edge, over free configs; shape (configs, E)."""
     model = table.model
     if model.convention != ZERO_ONE:
         raise InputError("edge events need the 01 convention")
-    size = 1 << table.num_free
-    pos = {v: j for j, v in enumerate(table.free)}
-    cols = np.empty((size, model.graph.num_edges))
-    for e, (u, v) in enumerate(model.graph.edges):
-        cu = bit_column(size, pos[u]) if u in pos else float(model.pinning[u])
-        cv = bit_column(size, pos[v]) if v in pos else float(model.pinning[v])
-        cols[:, e] = np.asarray(cu) * np.asarray(cv)
-    return cols
+    ends = model.graph.endpoints
+    rows = table.rows()
+    return (rows[:, ends[:, 0]] * rows[:, ends[:, 1]]).astype(np.float64, order="C")
 
 
 def cor2_matrix(table: GibbsTable) -> np.ndarray:
@@ -204,30 +215,48 @@ class SpectralReport:
     notes: str = ""
 
 
+def _single_flips(model: IsingModel, cap: int):
+    """The single-flip structure every spectral routine builds on.
+
+    Returns (energies, probabilities, log Z, partners) where row j of the
+    ``(f, configs)`` array ``partners`` is ``idx ^ (1 << j)``: each config
+    with free bit j flipped.  Raises CapacityError above ``cap`` free
+    vertices and InputError when there are none.
+    """
+    energy, free = _free_energies(model)
+    f = len(free)
+    if f > cap:
+        raise CapacityError(f"{f} free vertices exceeds the cap {cap}")
+    if f == 0:
+        raise InputError("model has no free vertices")
+    log_z = logsumexp(energy)
+    idx = np.arange(1 << f)
+    partners = idx[None, :] ^ (1 << np.arange(f))[:, None]
+    return energy, np.exp(energy - log_z), log_z, partners
+
+
+def _transition(energy: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """Heat-bath transition matrix over the single flips ``partners``."""
+    f, size = partners.shape
+    p_mat = np.zeros((size, size))
+    idx = np.arange(size)
+    for partner in partners:
+        # move prob = mu(partner)/(mu(here)+mu(partner)), stable logistic form
+        with np.errstate(over="ignore"):
+            move = 1.0 / (1.0 + np.exp(energy - energy[partner]))
+        p_mat[idx, partner] += move / f
+    p_mat[idx, idx] = 1.0 - p_mat.sum(axis=1)
+    return p_mat
+
+
 def transition_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """Dense heat-bath transition matrix and stationary probabilities.
 
     A step picks one of the f free vertices uniformly and resamples it from
     its conditional law given the rest; rows sum to one.
     """
-    energy, free = _free_energies(model)
-    f = len(free)
-    if f > SPECTRAL_CAP:
-        raise CapacityError(f"{f} free vertices exceeds the spectral cap {SPECTRAL_CAP}")
-    if f == 0:
-        raise InputError("model has no free vertices")
-    size = 1 << f
-    probs = np.exp(energy - logsumexp(energy))
-    p_mat = np.zeros((size, size))
-    idx = np.arange(size)
-    for j in range(f):
-        partner = idx ^ (1 << j)
-        # move prob = mu(partner)/(mu(here)+mu(partner)), stable logistic form
-        with np.errstate(over="ignore"):
-            move = 1.0 / (1.0 + np.exp(energy - energy[partner]))
-        p_mat[idx, partner] += move / f
-    p_mat[idx, idx] = 1.0 - p_mat.sum(axis=1)
-    return p_mat, probs
+    energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
+    return _transition(energy, partners), probs
 
 
 def _dirichlet_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
@@ -237,17 +266,11 @@ def _dirichlet_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     mu(x)mu(y)/(mu(x)+mu(y)) (phi(x)-phi(y))^2, built directly from the
     weights rather than from the transition matrix.
     """
-    energy, free = _free_energies(model)
-    f = len(free)
-    if f == 0:
-        raise InputError("model has no free vertices")
-    size = 1 << f
-    log_z = logsumexp(energy)
-    probs = np.exp(energy - log_z)
+    energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
+    f, size = partners.shape
     a = np.zeros((size, size))
     idx = np.arange(size)
-    for j in range(f):
-        partner = idx ^ (1 << j)
+    for partner in partners:
         log_w = energy + energy[partner] - np.logaddexp(energy, energy[partner]) - log_z
         w = np.exp(log_w) / f
         a[idx, partner] -= w
@@ -297,18 +320,11 @@ def at_variance_constant(model: IsingModel) -> float:
     conditional-expectation projection, assembled independently of the
     transition-matrix code path.
     """
-    energy, free = _free_energies(model)
-    f = len(free)
-    if f > SPECTRAL_CAP:
-        raise CapacityError(f"{f} free vertices exceeds the spectral cap {SPECTRAL_CAP}")
-    if f == 0:
-        raise InputError("model has no free vertices")
-    size = 1 << f
-    probs = np.exp(energy - logsumexp(energy))
+    energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
+    size = partners.shape[1]
     idx = np.arange(size)
     q = np.zeros((size, size))
-    for j in range(f):
-        partner = idx ^ (1 << j)
+    for partner in partners:
         with np.errstate(over="ignore"):
             keep = 1.0 / (1.0 + np.exp(energy[partner] - energy))
         # D * E_j is symmetric: off-diagonal mu_x mu_y / (mu_x + mu_y)
@@ -342,14 +358,10 @@ def mlsi_lower_estimate(model: IsingModel, restarts: int, seed: int,
     complement and only ever overestimates the true constant.  A probe, not a
     certificate.
     """
-    energy, free = _free_energies(model)
-    f = len(free)
-    if f > MLSI_CAP:
-        raise CapacityError(f"{f} free vertices exceeds the MLSI probe cap {MLSI_CAP}")
-    p_mat, probs = transition_matrix(model)
+    energy, probs, _, partners = _single_flips(model, MLSI_CAP)
+    p_mat = _transition(energy, partners)
     rng = substream(seed, PROBE)
-    size = 1 << f
-    g = rng.normal(0.0, 1.0, size=(size, restarts))
+    g = rng.normal(0.0, 1.0, size=(len(probs), restarts))
     fvals = np.exp(g)
     fvals /= probs @ fvals  # normalize E_mu f = 1
     best = 0.0
@@ -446,9 +458,7 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     z = _edge_event_columns(table)  # (configs, E)
     m_counts = z.sum(axis=1)
     num_edges = z.shape[1]
-
-    # per-vertex bits for pinning-consistency masks
-    bits = np.stack([bit_column(size, j) for j in range(n)], axis=1)  # (configs, n)
+    spins = table.rows()  # (configs, n) 0/1 spins for pinning-consistency masks
 
     best = {
         "row": (-np.inf, None),
@@ -469,17 +479,14 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
             codes = pinning_codes[start:start + chunk]
             digits = (codes[:, None] // 3 ** np.arange(n)[None, :]) % 3  # (B, n)
             mask = np.ones((len(codes), size), dtype=bool)
-            for v in range(n):
-                d = digits[:, v]
-                col = bits[:, v].astype(bool)
-                mask &= (d[:, None] == 0) | ((d[:, None] == 1) & ~col[None, :]) \
-                    | ((d[:, None] == 2) & col[None, :])
+            for v in range(n):  # digit 0 leaves v free, digit d >= 1 pins it to d - 1
+                d = digits[:, v, None]
+                mask &= (d == 0) | (d - 1 == spins[None, :, v])
             w = mask * w_all[None, :]
             totals = w.sum(axis=1, keepdims=True)
             w = w / totals
             p = w @ z  # (B, E)
             joint = np.einsum("bc,ce,cf->bef", w, z, z)
-            cor = np.zeros_like(joint)
             pos = p > 0
             safe_p = np.where(pos, p, 1.0)
             cor = joint / safe_p[:, :, None] - p[:, None, :]

@@ -35,6 +35,7 @@ from .model import (
     xi_star_value,
 )
 from .dynamics import grand_coupled_update
+from .localization import bounded_field_k_constant
 from .oracle import PINNING_SWEEP_CAP, gibbs_table, sup_cor2_over_pinnings
 from .rng import PERCOLATION, substream
 
@@ -424,7 +425,7 @@ def mlsi_certificate(n: int, beta: float, delta: int, alpha_star: float,
                      m_bound: float) -> MlsiCertificate:
     if n < 1 or beta <= 0 or delta <= 0 or alpha_star <= 0 or m_bound < 0:
         raise InputError("bad certificate inputs")
-    k_const = float(np.exp(2.0 * np.logaddexp(0.0, 2.0 * (beta * delta + m_bound))))
+    k_const = bounded_field_k_constant(delta, m_bound, beta)
     log_rho = -math.log(3.0 * n) - 4.0 * beta * (
         (k_const + 1.0) * 4.0 * delta * math.log(max(n, 1)) / alpha_star + 1.0)
     with np.errstate(over="ignore", under="ignore"):

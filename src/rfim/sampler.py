@@ -23,7 +23,7 @@ import numpy as np
 
 import jsonschema
 
-from .errors import CapacityError, InputError, ValidationFailure
+from .errors import InputError, ValidationFailure
 from .graphs import connected_components, connected_ordering, random_regular_graph
 from .model import (
     PM,
@@ -37,7 +37,7 @@ from .model import (
     sample_field,
 )
 from .dynamics import _heat_bath_run, _one_probability
-from .oracle import gibbs_table
+from .oracle import empirical_tv, gibbs_table
 from .percolation import gap_certificate
 from .rng import COUPLING, SAMPLER, substream
 
@@ -126,14 +126,7 @@ def _incremental_batch(model: IsingModel, config: SamplerConfig, replicas: int):
 
 def empirical_tv_to_oracle(model: IsingModel, values: np.ndarray) -> float:
     """TV between an empirical sample matrix (replicas, n) and the exact table."""
-    table = gibbs_table(model)
-    f = table.num_free
-    if f > 20:
-        raise CapacityError("model too large for exact validation")
-    bits = (values[:, list(table.free)] == 1).astype(np.int64)
-    idx = bits @ (1 << np.arange(f))
-    emp = np.bincount(idx, minlength=1 << f) / len(values)
-    return 0.5 * float(np.abs(emp - table.probs).sum())
+    return empirical_tv(gibbs_table(model), values)
 
 
 def validated_incremental_sample(model: IsingModel, config: SamplerConfig, replicas: int,

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from .errors import CapacityError, InputError
 from .graphs import Graph, ball, boundary, distances_from
 from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, induced_model, sample_field
-from .oracle import GibbsTable, bit_column, gibbs_table, marginals, mean_and_covariance
+from .oracle import GibbsTable, gibbs_table, marginals, mean_and_covariance
 from .rng import SL, substream
 
 
@@ -48,9 +48,7 @@ def sl_boost(model: IsingModel, t: float, seed: int, sampler: str = "oracle",
     if sampler == "oracle":
         if table is None:
             table = gibbs_table(model)
-        idx = int(rng.choice(len(table.probs), p=table.probs))
-        a = table.assignment(idx)
-        star = np.array([a[v] for v in range(model.n)], dtype=np.int8)
+        star = table.rows(rng.choice(len(table.probs), p=table.probs))[0]
     elif sampler == "glauber":
         from .dynamics import run_chain
 
@@ -82,10 +80,9 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     f = table.num_free
     if f > 16:
         raise CapacityError("batch boosting needs a small model")
-    size = 1 << f
-    vals = np.stack([table.spin_values(bit_column(size, j)) for j in range(f)], axis=1)
+    vals = table.rows()[:, list(table.free)].astype(np.float64, order="C")
     rng = substream(seed, SL)
-    idx = rng.choice(size, p=table.probs, size=count)
+    idx = rng.choice(len(table.probs), p=table.probs, size=count)
     star = vals[idx]  # (count, f) free-vertex spins of sigma*
     noise = math.sqrt(t) * rng.normal(size=(count, f))
     y = t * star + noise
@@ -405,12 +402,11 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
 
 def magnetization_function(table: GibbsTable) -> np.ndarray:
     """Sum of free-vertex spins per config, as a test function vector."""
-    f = table.num_free
-    size = 1 << f
-    return sum(table.spin_values(bit_column(size, j)) for j in range(f))
+    return table.rows()[:, list(table.free)].sum(axis=1, dtype=np.float64)
 
 
 def single_site_function(table: GibbsTable, v: int) -> np.ndarray:
     """Spin at one free vertex per config, as a test function vector."""
-    j = table.free.index(v)
-    return table.spin_values(bit_column(1 << table.num_free, j))
+    if v not in table.free:
+        raise InputError(f"vertex {v} is not free")
+    return table.rows()[:, v].astype(np.float64)

@@ -201,6 +201,12 @@ def test_grand_coupling_needs_common_space():
         grand_coupled_update([a, b], [{}, {}], seed=0)
 
 
+def test_grand_coupling_rejects_a_non_spin_state():
+    m = random_field_model(path_graph(3), 0.2, seed=1)
+    with pytest.raises(InputError):
+        grand_coupled_update([m], [{1: 0}], seed=0)
+
+
 def test_tv_curve_step_zero_point_mass(p3_symmetric):
     table = gibbs_table(p3_symmetric)
     init = SpinConfiguration([1, 1, 1], "pm")

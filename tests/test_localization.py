@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -129,6 +130,27 @@ def test_verify_posterior_two_buckets_on_edge():
     report = verify_posterior_by_simulation(m01, 0.7, 50_000, seed=9, min_hits=500)
     assert {s for s, _, _ in report.buckets} == {frozenset(), frozenset({0})}
     assert report.max_tv <= 0.02
+
+
+def test_posterior_buckets_past_64_edges():
+    # K12 has 66 edges; strong positive fields make X all-ones nearly surely, so
+    # at t = 0.99 about half the traces reveal every edge.  Buckets must match a
+    # grouping of the same draws by revealed set, edges 63-65 included.
+    m01 = to_zero_one(uniform_model(complete_graph(12), 0.05, np.full(12, 3.0)))
+    traces, t, seed = 2000, 0.99, 4
+    report = verify_posterior_by_simulation(m01, t, traces, seed, min_hits=20)
+    table = gibbs_table(m01)
+    from rfim.oracle import _edge_event_columns
+
+    rng = substream(seed, TRACE)
+    idx = rng.choice(len(table.probs), p=table.probs, size=traces)
+    z = _edge_event_columns(table).astype(bool)
+    revealed = z[idx] & (rng.random((traces, z.shape[1])) <= t)
+    counts = Counter(frozenset(np.flatnonzero(r).tolist()) for r in revealed)
+    want = {s: hits for s, hits in counts.items() if hits >= 20}
+    assert {s: hits for s, hits, _ in report.buckets} == want
+    largest = max(report.buckets, key=lambda b: b[1])
+    assert largest[0] == frozenset(range(66))
 
 
 def test_theta_star_posterior_is_product():

@@ -228,6 +228,19 @@ def test_gap_capacity():
         glauber_gap(uniform_model(path_graph(14), 0.2, np.zeros(14)))
 
 
+def test_spectral_caps():
+    over_spectral = uniform_model(path_graph(13), 0.2, np.zeros(13))
+    for routine in (transition_matrix, at_variance_constant):
+        with pytest.raises(CapacityError):
+            routine(over_spectral)
+    with pytest.raises(CapacityError):
+        mlsi_lower_estimate(uniform_model(path_graph(11), 0.2, np.zeros(11)), 2, seed=0)
+    fully_pinned = uniform_model(path_graph(2), 0.2, np.zeros(2)).with_pinning({0: 1, 1: -1})
+    for routine in (transition_matrix, at_variance_constant):
+        with pytest.raises(InputError):
+            routine(fully_pinned)
+
+
 def test_at_variance_product_measure():
     m = random_field_model(build_graph(3, []), 0.0, seed=6)
     assert at_variance_constant(m) == pytest.approx(1.0, abs=1e-9)
