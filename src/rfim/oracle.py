@@ -57,7 +57,7 @@ class GibbsTable:
         Pinned vertices carry their pinned value; built one free vertex at a time.
         """
         idx = np.arange(len(self.probs)) if indices is None else np.asarray(indices).reshape(-1)
-        spins = np.array(SPIN_VALUES[self.model.convention][::-1], dtype=np.int8)  # by bit
+        spins = np.array(SPIN_VALUES[self.model.convention][::-1], dtype=np.int8)  # [zero, one]
         out = np.empty((len(idx), self.model.n), dtype=np.int8)
         for v, s in self.model.pinning.items():
             out[:, v] = s
