@@ -33,7 +33,9 @@ from rfim import (
     at_variance_constant,
     build_graph,
     cor2_matrix,
+    cycle_graph,
     disagreement_experiment,
+    estimate_wsm,
     exact_revealed_posterior,
     gibbs_table,
     glauber_gap,
@@ -49,6 +51,7 @@ from rfim import (
     percolate,
     posterior_model,
     random_regular_graph,
+    row_sum_tail_report,
     run_chain,
     run_chains_batch,
     sample_field,
@@ -58,12 +61,15 @@ from rfim import (
     theta_star,
     to_zero_one,
     torus_grid,
+    trace_moment_probe,
     verify_posterior_by_simulation,
+    vertex_tilt_table,
+    weak_poincare_probe,
 )
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
 from rfim.oracle import transition_matrix
-from rfim.slwsm import averaged_boosted_table
+from rfim.slwsm import averaged_boosted_table, magnetization_function
 
 
 def _model(graph, beta, seed, convention="pm", pinning=None):
@@ -326,6 +332,36 @@ def sl_boost_oracle():
     return [(b.sigma_star, b.y) for b in boosts]
 
 
+def wsm_torus():
+    report = estimate_wsm(torus_grid(6, 6), 0.4, FieldDistribution.gaussian(0.6), (1, 2), 3,
+                          47, vertices=(0, 14, 35))
+    return report.mean_delta, report.stderr, report.fitted_c
+
+
+def trace_moments_grid():
+    report = trace_moment_probe(_model(grid_graph(2, 3), 0.4, 48), 2, (0.0, 0.5, 1.0), 50, 49)
+    return report.rows, report.sup_mean, report.c0_fit
+
+
+def weak_poincare_magnetization():
+    m = _model(grid_graph(2, 3), 0.4, 50)
+    phi = magnetization_function(gibbs_table(m))
+    report = weak_poincare_probe(m, 0.5, 0.5, [("magnetization", phi)], 200, 51)
+    return report.c0, report.p_exponent, [(r.name, r.lhs_variance, r.rhs_bound, r.ok)
+                                          for r in report.rows]
+
+
+def row_sum_tail_cycle():
+    report = row_sum_tail_report(cycle_graph(5), 0.3, (0.0, 0.4), FieldDistribution.gaussian(0.6),
+                                 k=0.3, p0=0.2, trials=2, seed=52, m_grid=(0.25, 0.5))
+    return ([(r.m, r.bound, r.row_exceed_freq, r.col_exceed_freq) for r in report.rows],
+            report.trials, report.mode, report.delta, report.interpolation_all_ok)
+
+
+def vertex_tilt():
+    return _table(vertex_tilt_table(_model(grid_graph(3, 3), 0.35, 53, "01", {2: 1}), 0.6))
+
+
 CASES = {f.__name__: f for f in (
     run_chain_pm, run_chain_01_pinned, batch_pm, batch_01, batch_pm_pinned,
     coupled_run_pm, coupled_run_01_pinned, coupled_batch_pm, coupled_batch_01_pinned,
@@ -334,6 +370,7 @@ CASES = {f.__name__: f for f in (
     percolate_torus, posterior_buckets_grid, posterior_alignment, gibbs_table_pm,
     gibbs_table_01, gibbs_table_pinned, spectra_pm, spectra_01_pinned, transition_matrix_pinned,
     cor2_grid, moments_pinned, boosted_average, noising_traces_oracle, sl_boost_oracle,
+    wsm_torus, trace_moments_grid, weak_poincare_magnetization, row_sum_tail_cycle, vertex_tilt,
 )}
 
 GOLDEN = {
@@ -369,6 +406,11 @@ GOLDEN = {
     "boosted_average": "9a5df597a3c8e912c7f0381b7ac774e05476240b97c359de43dfb3aa000b4166",
     "noising_traces_oracle": "6e87c9c06f9aad9924a3de08df163b58b232c4967a84b65cdbf08eaa6b31db97",
     "sl_boost_oracle": "56692ead8f0e0f3d176649df096f9bad89ef836b7978bd2d61a7876412fbce15",
+    "wsm_torus": "e55685e3f0df628db5e9e0e029336d772cbc130f56504fff0f7ec2429c75880e",
+    "trace_moments_grid": "d56c9918d4ff1aa90a216591c9ce3f44035cefac04abad525f156702a33b1880",
+    "weak_poincare_magnetization": "ba5c5abfca6fb82af57bdedf55d3d11f1718b0bb7bf3d9b5a0f73e8346084a49",
+    "row_sum_tail_cycle": "8434bd177005025d19e111bad9aaa355284584e4b4d5e7fbaddb093c9c126798",
+    "vertex_tilt": "08d0c4c972b7ecd26de085296393b1b6597e13d7f846aa853dbf5e2c03c180c1",
 }
 
 
