@@ -465,11 +465,10 @@ def check_field_assumption(dist: FieldDistribution, p0: float, k: float) -> tupl
 # Submodels and JSON
 # ---------------------------------------------------------------------------
 
-def induced_model(model: IsingModel, vertices, extra_pinning: dict | None = None) -> IsingModel:
+def induced_model(model: IsingModel, vertices) -> IsingModel:
     """Model induced on a vertex subset, relabeled to 0..k-1 (sorted order).
 
-    Keeps couplings/field/pinning of the retained vertices; ``extra_pinning``
-    (in original labels) overrides the inherited pinning.  Edges leaving the
+    Keeps couplings/field/pinning of the retained vertices; edges leaving the
     subset are dropped.
     """
     keep = sorted(int(v) for v in set(vertices))
@@ -485,10 +484,6 @@ def induced_model(model: IsingModel, vertices, extra_pinning: dict | None = None
             couplings.append(c)
     g = build_graph(len(keep), edges)
     pin = {relabel[v]: s for v, s in model.pinning.items() if v in relabel}
-    for v, s in (extra_pinning or {}).items():
-        v = int(v)
-        if v in relabel:
-            pin[relabel[v]] = int(s)
     return IsingModel(
         graph=g,
         couplings=np.asarray(couplings, dtype=np.float64),

@@ -3,13 +3,14 @@
 Gibbs tables are full probability vectors over the free-vertex configurations
 of a model, indexed so that bit j of a config index carries the spin of the
 j-th free vertex in ascending vertex order (bit 0 is the least significant).
-``GibbsTable.rows`` and ``GibbsTable.indices`` are the one place outside the
-enumeration itself that reads or writes this format: every other layer maps
-between config indices and full spin vectors through them.  The spectral
-routines share one single-flip enumeration, ``_single_flips``, and each
-builds its own weights on it.  Everything here is deterministic and exact up
-to float arithmetic; sizes are guarded by hard caps.  Tables are immutable
-once built and safe to share.
+``GibbsTable.rows`` and ``GibbsTable.indices`` are the one place outside this
+module that reads or writes this format: every other layer maps between
+config indices and full spin vectors through them.  ``_free_energies``
+enumerates a model once, doubling at each free vertex, and ``_table`` alone
+turns energies into probabilities and log Z.  The spectral routines share one
+single-flip enumeration, ``_single_flips``, and each builds its own weights.
+Everything here is deterministic and exact up to float arithmetic; sizes are
+guarded by hard caps.  Tables are immutable once built and safe to share.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy import linalg
 from scipy.special import logsumexp
 
 from .errors import CapacityError, InputError, ValidationFailure
-from .model import PM, SPIN_VALUES, ZERO_ONE, IsingModel
+from .model import SPIN_VALUES, ZERO_ONE, IsingModel
 from .rng import PROBE, substream
 
 GIBBS_CAP = 24
@@ -89,47 +90,52 @@ class GibbsTable:
         return {tuple(r): float(p) for r, p in zip(self.rows().tolist(), self.probs)}
 
 
-def bit_column(num_configs: int, j: int) -> np.ndarray:
-    """Bit j of every config index in 0..num_configs-1, as float 0/1."""
-    return ((np.arange(num_configs) >> j) & 1).astype(np.float64)
-
-
-def _free_energies(model: IsingModel) -> tuple[np.ndarray, tuple[int, ...]]:
+def _free_energies(model: IsingModel) -> np.ndarray:
     """Hamiltonian of every free-vertex configuration, pinned spins folded in.
 
-    Terms involving only pinned spins (their fields, fully pinned edges) are
-    additive constants and are dropped: probabilities are unchanged and
-    analytically equal conditional measures stay bit-identical.
+    Doubles over the free vertices in ascending order: the j-th free vertex v
+    splits the 2^j energies so far into "v at zero" and "v at one" halves, each
+    plus v's spin times its local field, read from the neighbour table: h_v,
+    c * s per pinned neighbour and c * x_w per earlier free neighbour w, where
+    x_w is bit pos(w) of the prefix.  Terms involving only pinned spins are
+    never read, so analytically equal conditional measures stay bit-identical.
     """
     free = model.free_vertices
-    f = len(free)
-    if f > GIBBS_CAP:
-        raise CapacityError(f"{f} free vertices exceeds the enumeration cap {GIBBS_CAP}")
-    size = 1 << f
+    if len(free) > GIBBS_CAP:
+        raise CapacityError(f"{len(free)} free vertices exceeds the enumeration cap {GIBBS_CAP}")
+    spins = np.array(SPIN_VALUES[model.convention][::-1], dtype=np.float64)  # [zero, one]
     pos = {v: j for j, v in enumerate(free)}
+    nbr, cpl = model.neighbour_table
+    energy = np.zeros(1)
+    for j, v in enumerate(free):
+        base = float(model.field[v])
+        earlier = []
+        for w, c in zip(nbr[v].tolist(), cpl[v].tolist()):
+            if w in model.pinning:
+                base += c * model.pinning[w]
+            elif pos[w] < j:  # padding slots name v itself
+                earlier.append((pos[w], c))
+        local = np.full(1 << j, base)
+        for k, c in earlier:
+            runs = local.reshape(-1, 2, 1 << k)  # runs of 2^k prefixes with bit k at 0, 1
+            runs += c * spins[:, None]
+        doubled = np.multiply.outer(spins, local)  # v at zero, then v at one
+        doubled += energy
+        energy = doubled.reshape(-1)
+    return energy
 
-    def column(v: int) -> np.ndarray | float:
-        if v in pos:
-            bits = bit_column(size, pos[v])
-            return 2.0 * bits - 1.0 if model.convention == PM else bits
-        return float(model.pinning[v])
 
-    energy = np.zeros(size)
-    for (u, v), c in zip(model.graph.edges, model.couplings):
-        if u in pos or v in pos:
-            energy += c * np.asarray(column(u)) * np.asarray(column(v))
-    for v in free:
-        h = model.field[v]
-        if h != 0.0:
-            energy += h * np.asarray(column(v))
-    return energy, free
+def _table(model: IsingModel, energy: np.ndarray) -> GibbsTable:
+    """The one normalisation site: probabilities proportional to exp(energy), via log-sum-exp."""
+    log_z = float(logsumexp(energy))
+    probs = energy - log_z
+    np.exp(probs, out=probs)
+    return GibbsTable(model=model, probs=probs, log_partition=log_z, free=model.free_vertices)
 
 
 def gibbs_table(model: IsingModel) -> GibbsTable:
     """Normalized probabilities proportional to exp(H), via log-sum-exp."""
-    energy, free = _free_energies(model)
-    log_z = float(logsumexp(energy))
-    return GibbsTable(model=model, probs=np.exp(energy - log_z), log_partition=log_z, free=free)
+    return _table(model, _free_energies(model))
 
 
 def conditional_table(model: IsingModel, extra_pinning: dict) -> GibbsTable:
@@ -139,9 +145,8 @@ def conditional_table(model: IsingModel, extra_pinning: dict) -> GibbsTable:
 
 def marginals(table: GibbsTable) -> np.ndarray:
     """P(spin of free vertex j is the 'one' value), per free vertex."""
-    f = table.num_free
-    size = 1 << f
-    return np.array([float(table.probs @ bit_column(size, j)) for j in range(f)])
+    probs = table.probs
+    return np.array([probs.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(table.num_free)])
 
 
 def mean_and_covariance(table: GibbsTable) -> tuple[np.ndarray, np.ndarray]:
@@ -223,16 +228,16 @@ def _single_flips(model: IsingModel, cap: int):
     with free bit j flipped.  Raises CapacityError above ``cap`` free
     vertices and InputError when there are none.
     """
-    energy, free = _free_energies(model)
-    f = len(free)
+    f = len(model.free_vertices)
     if f > cap:
         raise CapacityError(f"{f} free vertices exceeds the cap {cap}")
     if f == 0:
         raise InputError("model has no free vertices")
-    log_z = logsumexp(energy)
+    energy = _free_energies(model)
+    table = _table(model, energy)
     idx = np.arange(1 << f)
     partners = idx[None, :] ^ (1 << np.arange(f))[:, None]
-    return energy, np.exp(energy - log_z), log_z, partners
+    return energy, table.probs, table.log_partition, partners
 
 
 def _transition(energy: np.ndarray, partners: np.ndarray) -> np.ndarray:
@@ -452,9 +457,9 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     else:
         pinning_codes = np.asarray(pinning_codes, dtype=np.int64)
         mode = "sampled"
-    energy, _ = _free_energies(model01)
+    energy = _free_energies(model01)
     size = 1 << n
-    table = gibbs_table(model01)
+    table = _table(model01, energy)
     z = _edge_event_columns(table)  # (configs, E)
     m_counts = z.sum(axis=1)
     num_edges = z.shape[1]

@@ -219,10 +219,10 @@ def revelation_order(g: Graph, e, mode: str = "bfs",
         if cluster is None:
             raise InputError("cluster mode needs the percolation cluster")
         order = _bfs_order_from_edge(g, e, allowed=cluster)
-        remaining = [v for v in range(g.num_vertices) if v not in set(order)]
-        ring = sorted(v for v in remaining if any(w in cluster for w in g.adjacency[v]))
+        revealed = set(order)
+        ring = sorted(v for v in range(g.num_vertices)
+                      if v not in revealed and any(w in cluster for w in g.adjacency[v]))
         order.extend(ring)
-        rest = [v for v in remaining if v not in set(ring)]
         seen = set(order)
         queue = deque(order)
         while queue:
@@ -232,14 +232,10 @@ def revelation_order(g: Graph, e, mode: str = "bfs",
                     seen.add(x)
                     order.append(x)
                     queue.append(x)
-        for v in rest:  # unreachable leftovers, if any
-            if v not in seen:
-                order.append(v)
-                seen.add(v)
     else:
         raise InputError(f"unknown revelation order {mode!r}")
-    missing = [v for v in range(g.num_vertices) if v not in set(order)]
-    return tuple(order + missing)
+    placed = set(order)  # unreachable leftovers, if any, go last in ascending order
+    return tuple(order + [v for v in range(g.num_vertices) if v not in placed])
 
 
 def disagreement_experiment(model01: IsingModel, e, theta: float, extra_pinning: dict,

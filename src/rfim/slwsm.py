@@ -122,12 +122,13 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
         return 0.0
     region = sorted(b | ring)
     pos = region.index(u)
+    sub = induced_model(model, region)
+    local_ring = [region.index(v) for v in ring]
     deltas = []
     for sign in (1, -1):
-        sub = induced_model(model, region, extra_pinning={v: sign for v in ring})
-        table = gibbs_table(sub)
-        j = sub.free_vertices.index(pos)
-        deltas.append(marginals(table)[j])
+        pinned = sub.with_pinning({v: sign for v in local_ring})
+        j = pinned.free_vertices.index(pos)
+        deltas.append(marginals(gibbs_table(pinned))[j])
     return float(abs(deltas[0] - deltas[1]))
 
 

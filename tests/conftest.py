@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rfim import FieldDistribution, IsingModel, complete_graph, path_graph, sample_field
+
+# Property tests enumerate Gibbs tables and run chains, whose time varies with
+# the drawn model, so no per-example deadline applies.
+settings.register_profile("rfim", deadline=None)
+settings.load_profile("rfim")
 
 
 def uniform_model(graph, beta, field_values, convention="pm"):

@@ -203,21 +203,21 @@ def small_graphs(draw):
     return build_graph(n, chosen)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_graphs(), st.integers(min_value=0, max_value=4))
 def test_ball_monotone_in_radius(g, r):
     v = 0
     assert ball(g, v, r) <= ball(g, v, r + 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_graphs(), st.integers(min_value=0, max_value=7))
 def test_boundary_disjoint_from_set(g, size):
     a = set(range(min(size, g.num_vertices)))
     assert boundary(g, a).isdisjoint(a)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_graphs())
 def test_ball_at_diameter_covers_component(g):
     dists = [graph_distance(g, 0, v) for v in connected_components(g)[0]]

@@ -20,7 +20,7 @@ def random_states(m, replicas, seed):
     return values
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(models())
 def test_neighbour_table_matches_edges(m):
     nbr, cpl = m.neighbour_table
@@ -42,7 +42,7 @@ def edge_scan_field(m, values, v):
     return s
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(models(), st.integers(0, 2**31 - 1))
 def test_kernel_matches_conditional_probability(m, seed):
     replicas = 16
@@ -67,7 +67,7 @@ def test_kernel_matches_conditional_probability(m, seed):
         assert np.array_equal(final[r], want)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(models(), st.integers(0, 2**31 - 1))
 def test_pinned_sites_never_change(m, seed):
     values = random_states(m, 8, seed)
@@ -82,7 +82,7 @@ def test_pinned_sites_never_change(m, seed):
     assert [state.config.values()[v] for v in pinned] == want
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(models(ferromagnetic=True), st.integers(0, 2**31 - 1))
 def test_coupled_batch_keeps_order_at_every_step(m, seed):
     runs, steps = 8, 6 * m.n

@@ -28,7 +28,6 @@ from rfim import (
     vertex_tilt_table,
 )
 from rfim.localization import align_posterior_to_base, default_theta_grid
-from rfim.oracle import bit_column
 from rfim.rng import TRACE, substream
 
 from conftest import random_field_model, uniform_model
@@ -158,11 +157,8 @@ def test_theta_star_posterior_is_product():
     m01 = to_zero_one(random_field_model(complete_graph(4), beta, seed=31))
     post = gibbs_table(posterior_model(m01, theta_star(beta), [2]))
     marg = marginals(post)
-    size = 1 << post.num_free
-    product = np.ones(size)
-    for j in range(post.num_free):
-        bit = bit_column(size, j)
-        product *= np.where(bit == 1, marg[j], 1 - marg[j])
+    ones = post.rows()[:, list(post.free)] == 1
+    product = np.where(ones, marg, 1 - marg).prod(axis=1)
     assert np.abs(post.probs - product).max() <= 1e-12
 
 

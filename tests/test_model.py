@@ -193,7 +193,7 @@ def test_spin_configuration_roundtrip():
         SpinConfiguration([2, 0], "pm")
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=40))
 def test_spin_configuration_pack_unpack(values):
     cfg = SpinConfiguration(values, "pm")
@@ -202,7 +202,7 @@ def test_spin_configuration_pack_unpack(values):
 
 def test_induced_model_relabels():
     m = random_field_model(path_graph(5), 0.5, seed=3)
-    sub = induced_model(m, [1, 2, 3], extra_pinning={3: 1})
+    sub = induced_model(m.with_pinning({3: 1}), [1, 2, 3])
     assert sub.n == 3
     assert sub.graph.edges == ((0, 1), (1, 2))
     assert sub.pinning == {2: 1}

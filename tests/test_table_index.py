@@ -17,7 +17,7 @@ from rfim.model import SPIN_VALUES, ZERO_ONE
 from strategies import models
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(models())
 def test_rows_and_indices_invert_each_other(m):
     table = gibbs_table(m)
@@ -35,7 +35,7 @@ def test_rows_and_indices_invert_each_other(m):
     assert table.assignment(len(every) - 1) == dict(enumerate(rows[-1].tolist()))
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(models().filter(lambda m: m.pinning), st.data())
 def test_indices_rejects_a_pinning_conflict(m, data):
     table = gibbs_table(m)
@@ -48,7 +48,7 @@ def test_indices_rejects_a_pinning_conflict(m, data):
         table.indices(rows)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(models(), st.one_of(st.just(0.0), st.floats(0.01, 0.95)), st.data())
 def test_aligned_posterior_model_equals_bayes_posterior(m, t, data):
     m01 = to_zero_one(m) if m.convention != ZERO_ONE else m
