@@ -362,6 +362,23 @@ def vertex_tilt():
     return _table(vertex_tilt_table(_model(grid_graph(3, 3), 0.35, 53, "01", {2: 1}), 0.6))
 
 
+def gap_pm_n10():
+    return glauber_gap(_model(random_regular_graph(10, 3, 54), 0.5, 55)).gap
+
+
+def gap_01_pinned_f9():
+    return glauber_gap(_model(random_regular_graph(10, 3, 56), 0.6, 57, "01", {3: 1})).gap
+
+
+def cor2_sweep_chunked():
+    m01 = _model(random_regular_graph(6, 3, 58), 0.4, 59, "01")
+    report = sup_cor2_over_pinnings(m01, [0.0, 0.3], chunk=100)  # 3^6 = 729 codes, 8 chunks
+    return (report.max_row_sum, report.max_col_sum, report.max_opnorm,
+            report.per_edge_row_max, report.per_edge_col_max, report.argmax_row,
+            report.argmax_col, report.argmax_opnorm, report.interpolation_ok,
+            report.matrices_checked)
+
+
 CASES = {f.__name__: f for f in (
     run_chain_pm, run_chain_01_pinned, batch_pm, batch_01, batch_pm_pinned,
     coupled_run_pm, coupled_run_01_pinned, coupled_batch_pm, coupled_batch_01_pinned,
@@ -371,6 +388,7 @@ CASES = {f.__name__: f for f in (
     gibbs_table_01, gibbs_table_pinned, spectra_pm, spectra_01_pinned, transition_matrix_pinned,
     cor2_grid, moments_pinned, boosted_average, noising_traces_oracle, sl_boost_oracle,
     wsm_torus, trace_moments_grid, weak_poincare_magnetization, row_sum_tail_cycle, vertex_tilt,
+    gap_pm_n10, gap_01_pinned_f9, cor2_sweep_chunked,
 )}
 
 GOLDEN = {
@@ -411,6 +429,9 @@ GOLDEN = {
     "weak_poincare_magnetization": "ba5c5abfca6fb82af57bdedf55d3d11f1718b0bb7bf3d9b5a0f73e8346084a49",
     "row_sum_tail_cycle": "8434bd177005025d19e111bad9aaa355284584e4b4d5e7fbaddb093c9c126798",
     "vertex_tilt": "08d0c4c972b7ecd26de085296393b1b6597e13d7f846aa853dbf5e2c03c180c1",
+    "gap_pm_n10": "2c2a5fa4f030d4c653aaa0af2b704bb1fed876817a1bd3dd3d4c59019d07ff00",
+    "gap_01_pinned_f9": "53bd9d7cab5148ceacb077bdc8bb80cc612287764f126eb26e3005f2092f18da",
+    "cor2_sweep_chunked": "150cd2a8179c0a67723810c18639d688fed48a1f82106aedb7c0f0193e63c2ab",
 }
 
 
