@@ -121,11 +121,23 @@ def graph_distance(g: Graph, u: int, v: int) -> int:
 
 
 def ball(g: Graph, v: int, r: int) -> frozenset[int]:
-    """All vertices at graph distance <= r from v (closed ball, by BFS)."""
+    """All vertices at graph distance <= r from v (closed ball, by a BFS stopped at depth r)."""
     if r < 0:
         raise InputError("radius must be nonnegative")
-    dist = distances_from(g, v)
-    return frozenset(int(i) for i in np.nonzero((dist >= 0) & (dist <= r))[0])
+    _check_vertex(g, v)
+    seen = {int(v)}
+    frontier = [int(v)]
+    for _ in range(r):
+        layer = []
+        for w in frontier:
+            for x in g.adjacency[w]:
+                if x not in seen:
+                    seen.add(x)
+                    layer.append(x)
+        if not layer:
+            break
+        frontier = layer
+    return frozenset(seen)
 
 
 def boundary(g: Graph, a) -> frozenset[int]:

@@ -9,8 +9,14 @@ config indices and full spin vectors through them.  ``_free_energies``
 enumerates a model once, doubling at each free vertex, and ``_table`` alone
 turns energies into probabilities and log Z.  The spectral routines share one
 single-flip enumeration, ``_single_flips``, and each builds its own weights.
-Everything here is deterministic and exact up to float arithmetic; sizes are
-guarded by hard caps.  Tables are immutable once built and safe to share.
+The single-flip operators are CSR matrices with f+1 nonzeros per row.
+``glauber_gap`` reads the gap two independent ways, both by ARPACK (``eigsh``)
+from the fixed start ``_start_vector``: from the symmetrized transition
+matrix, and from the Dirichlet form against the variance; with at most 4
+configurations both run dense solvers on the same matrices instead.
+``at_variance_constant`` stays dense.  Everything here is deterministic and
+exact up to float arithmetic; sizes are guarded by hard caps.  Tables are
+immutable once built and safe to share.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
+from scipy.sparse import linalg as splinalg
 from scipy.special import logsumexp
 
 from .errors import CapacityError, InputError, ValidationFailure
@@ -240,18 +247,23 @@ def _single_flips(model: IsingModel, cap: int):
     return energy, table.probs, table.log_partition, partners
 
 
-def _transition(energy: np.ndarray, partners: np.ndarray) -> np.ndarray:
-    """Heat-bath transition matrix over the single flips ``partners``."""
-    f, size = partners.shape
-    p_mat = np.zeros((size, size))
+def _single_flip_csr(partners: np.ndarray, off: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
+    """CSR matrix with ``off[j, x]`` at (x, partners[j, x]) and ``diag[x]`` at (x, x)."""
+    size = partners.shape[1]
     idx = np.arange(size)
-    for partner in partners:
-        # move prob = mu(partner)/(mu(here)+mu(partner)), stable logistic form
-        with np.errstate(over="ignore"):
-            move = 1.0 / (1.0 + np.exp(energy - energy[partner]))
-        p_mat[idx, partner] += move / f
-    p_mat[idx, idx] = 1.0 - p_mat.sum(axis=1)
-    return p_mat
+    rows = np.broadcast_to(idx, (len(partners) + 1, size)).ravel()
+    cols = np.vstack([partners, idx]).ravel()
+    return sparse.csr_array((np.vstack([off, diag]).ravel(), (rows, cols)), shape=(size, size))
+
+
+def _transition(energy: np.ndarray, partners: np.ndarray) -> sparse.csr_array:
+    """Heat-bath transition matrix over the single flips ``partners``, as CSR."""
+    f = len(partners)
+    # move prob = mu(partner)/(mu(here)+mu(partner)), stable logistic form
+    with np.errstate(over="ignore"):
+        move = 1.0 / (1.0 + np.exp(energy - energy[partners]))
+    move /= f
+    return _single_flip_csr(partners, move, 1.0 - move.sum(axis=0))
 
 
 def transition_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
@@ -261,53 +273,86 @@ def transition_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     its conditional law given the rest; rows sum to one.
     """
     energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
-    return _transition(energy, partners), probs
+    return _transition(energy, partners).toarray(), probs
 
 
-def _dirichlet_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """PSD matrix A with phi^T A phi equal to the Glauber Dirichlet form.
+def _dirichlet_matrix(model: IsingModel) -> tuple[sparse.csr_array, np.ndarray]:
+    """PSD matrix A, as CSR, with phi^T A phi equal to the Glauber Dirichlet form.
 
     The form is (1/(2f)) * sum over ordered single-flip pairs of
     mu(x)mu(y)/(mu(x)+mu(y)) (phi(x)-phi(y))^2, built directly from the
     weights rather than from the transition matrix.
     """
     energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
-    f, size = partners.shape
-    a = np.zeros((size, size))
-    idx = np.arange(size)
-    for partner in partners:
-        log_w = energy + energy[partner] - np.logaddexp(energy, energy[partner]) - log_z
-        w = np.exp(log_w) / f
-        a[idx, partner] -= w
-        a[idx, idx] += w
-    return a, probs
+    log_w = energy + energy[partners] - np.logaddexp(energy, energy[partners]) - log_z
+    w = np.exp(log_w) / len(partners)
+    return _single_flip_csr(partners, -w, w.sum(axis=0)), probs
+
+
+def _start_vector(size: int) -> np.ndarray:
+    """Fixed Gaussian start for the iterative eigensolvers, so their bits repeat.
+
+    ARPACK's own start is random; a Gaussian has, almost surely, a component
+    along every eigenvector, which a structured vector such as all-ones can
+    lack by symmetry.
+    """
+    return substream(0, PROBE, size).standard_normal(size)
 
 
 def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralReport:
     """Spectral gap computed two independent ways and cross-checked.
 
-    (a) 1 minus the second-largest eigenvalue of the transition matrix
-    (symmetrized by the reversibility similarity transform), and (b) the
-    second-smallest eigenvalue of the generalized problem A v = lambda D v,
-    i.e. the Rayleigh quotient of the Dirichlet form against the variance.
-    Raises ValidationFailure if they disagree beyond 1e-9; pass
+    (a) 1 minus the second-largest eigenvalue of the CSR transition matrix P,
+    symmetrized by the reversibility similarity transform to S, by ARPACK
+    (``eigsh``, k=2, largest algebraic), read off as the Rayleigh quotient of
+    I - S at that eigenvalue's Ritz vector.  (b) The smallest value of the
+    Dirichlet form against the variance over non-constant functions, i.e. the
+    lowest eigenvalue of D^-1/2 A D^-1/2 (A from ``_dirichlet_matrix``,
+    D = diag(mu)) orthogonal to sqrt(mu), by ARPACK (k=1, smallest algebraic)
+    with sqrt(mu) lifted to eigenvalue 2, read off as the quotient at the
+    Ritz vector.  The routes share no matrix.  Single-vector LOBPCG, the
+    obvious second solver, stalls on the clustered spectra that strong fields
+    give (at fields of +-5 and f=10, ten eigenvalues within 2e-4 of the gap) and then misses the 1e-9
+    cross-check.  Both solvers start from the fixed ``_start_vector``, so
+    repeated calls return the same bits.  With at most 4 configurations both
+    routes run dense ``eigvalsh`` on the same two matrices.  Raises
+    ValidationFailure if the routes disagree beyond 1e-9; pass
     ``cross_validate=False`` to skip route (b) in bulk certificate scans.
     """
-    p_mat, probs = transition_matrix(model)
-    sqrt_p = np.sqrt(probs)
-    sym = p_mat * (sqrt_p[:, None] / sqrt_p[None, :])
+    energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
+    size = len(probs)
+    root = np.sqrt(probs)
+    sym = sparse.diags_array(root) @ _transition(energy, partners) @ sparse.diags_array(1.0 / root)
     sym = 0.5 * (sym + sym.T)
-    eigs = np.linalg.eigvalsh(sym)
-    gap_eigen = float(1.0 - eigs[-2]) if len(eigs) > 1 else 1.0
+    iterative = size > 4
+    if iterative:
+        vals, vecs = splinalg.eigsh(sym, k=2, which="LA", v0=_start_vector(size))
+        ritz = vecs[:, vals.argmin()]  # unit norm; the quotient avoids cancelling in 1 - lambda_2
+        gap_eigen = float(ritz @ (ritz - sym @ ritz))
+    else:
+        gap_eigen = float(1.0 - np.linalg.eigvalsh(sym.toarray())[-2])
 
     if not cross_validate:
         return SpectralReport(gap=gap_eigen, notes=f"eigenvalue={gap_eigen:.15g}")
 
     a, probs2 = _dirichlet_matrix(model)
-    gen = linalg.eigh(a, np.diag(probs2), eigvals_only=True)
-    gap_rayleigh = float(gen[1]) if len(gen) > 1 else 1.0
+    # In psi = sqrt(mu) phi the variance of a centred phi is |psi|^2.
+    root2 = np.sqrt(probs2)
+    inv_root = sparse.diags_array(1.0 / root2)
+    form = inv_root @ a @ inv_root
+    if iterative:
+        def lifted(x):  # the spectrum lies in [0, 1], so the gap becomes the lowest eigenvalue
+            x = x.ravel()
+            return form @ x + 2.0 * root2 * (root2 @ x)
 
-    if abs(gap_eigen - gap_rayleigh) > 1e-9:
+        op = splinalg.LinearOperator(form.shape, matvec=lifted, dtype=np.float64)
+        _, vecs = splinalg.eigsh(op, k=1, which="SA", v0=_start_vector(size))
+        psi = vecs[:, 0]
+        gap_rayleigh = float(psi @ (form @ psi))
+    else:
+        gap_rayleigh = float(np.linalg.eigvalsh(form.toarray())[1])
+
+    if not abs(gap_eigen - gap_rayleigh) <= 1e-9:  # NaN fails too
         raise ValidationFailure(
             f"gap routes disagree: eigenvalue {gap_eigen!r} vs Rayleigh {gap_rayleigh!r}"
         )
@@ -463,6 +508,7 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     z = _edge_event_columns(table)  # (configs, E)
     m_counts = z.sum(axis=1)
     num_edges = z.shape[1]
+    pairs = (z[:, :, None] * z[:, None, :]).reshape(size, -1)  # (configs, E^2) edge-pair events
     spins = table.rows()  # (configs, n) 0/1 spins for pinning-consistency masks
 
     best = {
@@ -491,7 +537,7 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
             totals = w.sum(axis=1, keepdims=True)
             w = w / totals
             p = w @ z  # (B, E)
-            joint = np.einsum("bc,ce,cf->bef", w, z, z)
+            joint = (w @ pairs).reshape(len(codes), num_edges, num_edges)
             pos = p > 0
             safe_p = np.where(pos, p, 1.0)
             cor = joint / safe_p[:, :, None] - p[:, None, :]

@@ -10,10 +10,11 @@ MAX_DEGREE = 5
 
 
 @st.composite
-def models(draw, ferromagnetic=False):
-    """A random graph with degrees at most MAX_DEGREE, random couplings and field,
-    a random convention and a random pinning that leaves a vertex free."""
-    n = draw(st.integers(1, 12))
+def models(draw, ferromagnetic=False, max_n=12):
+    """A random graph on at most ``max_n`` vertices with degrees at most MAX_DEGREE,
+    random couplings and field, a random convention and a random pinning that
+    leaves a vertex free."""
+    n = draw(st.integers(1, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
     degree = [0] * n

@@ -22,6 +22,7 @@ from rfim import (
 )
 from rfim.graphs import (
     connected_components,
+    distances_from,
     eccentricity,
     graph_from_edgelist_text,
     graph_from_json_dict,
@@ -208,6 +209,14 @@ def small_graphs(draw):
 def test_ball_monotone_in_radius(g, r):
     v = 0
     assert ball(g, v, r) <= ball(g, v, r + 1)
+
+
+@settings(max_examples=40)
+@given(small_graphs(), st.integers(min_value=0, max_value=8), st.data())
+def test_ball_is_the_distance_filter(g, r, data):
+    v = data.draw(st.integers(0, g.num_vertices - 1))
+    dist = distances_from(g, v)
+    assert ball(g, v, r) == {int(x) for x in np.nonzero((dist >= 0) & (dist <= r))[0]}
 
 
 @settings(max_examples=60)

@@ -12,10 +12,12 @@ from rfim import (
     GibbsTable,
     InputError,
     IsingModel,
+    ValidationFailure,
     at_variance_constant,
     build_graph,
     complete_graph,
     conditional_table,
+    cycle_graph,
     cor2_matrix,
     gibbs_table,
     glauber_gap,
@@ -29,6 +31,7 @@ from rfim import (
     to_zero_one,
     tv_distance,
 )
+from rfim import oracle
 from rfim.model import array_energy
 from rfim.oracle import (
     _entropy,
@@ -230,6 +233,47 @@ def test_gap_dual_route_agreement(p2_symmetric):
 def test_gap_capacity():
     with pytest.raises(CapacityError):
         glauber_gap(uniform_model(path_graph(14), 0.2, np.zeros(14)))
+
+
+def _dense_gap(m):
+    """1 - lambda_2 of the symmetrized dense transition matrix."""
+    p_mat, probs = transition_matrix(m)
+    root = np.sqrt(probs)
+    sym = p_mat * (root[:, None] / root[None, :])
+    return 1.0 - np.linalg.eigvalsh(0.5 * (sym + sym.T))[-2]
+
+
+@settings(max_examples=30)
+@given(models(max_n=8))
+def test_gap_matches_dense_eigenvalues(m):
+    assert abs(glauber_gap(m).gap - _dense_gap(m)) <= 1e-12
+
+
+def test_gap_repeats_bit_for_bit():
+    m = random_field_model(random_regular_graph(10, 3, 7), 0.5, seed=8)
+    first, second = glauber_gap(m), glauber_gap(m)
+    assert first.gap == second.gap
+    assert first.notes == second.notes
+
+
+def test_gap_cross_check_is_live(monkeypatch):
+    dirichlet = oracle._dirichlet_matrix
+
+    def scaled(model):
+        a, probs = dirichlet(model)
+        return a * 1.01, probs
+
+    monkeypatch.setattr(oracle, "_dirichlet_matrix", scaled)
+    with pytest.raises(ValidationFailure):
+        glauber_gap(random_field_model(random_regular_graph(8, 3, 9), 0.4, seed=10))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", range(1, 11))
+def test_gap_solvers_do_not_warn(f):
+    g = cycle_graph(f) if f >= 3 else path_graph(f)
+    report = glauber_gap(random_field_model(g, 0.6, seed=f))
+    assert 0.0 < report.gap <= 1.0
 
 
 def test_spectral_caps():
