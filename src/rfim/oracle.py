@@ -310,14 +310,14 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     lowest eigenvalue of D^-1/2 A D^-1/2 (A from ``_dirichlet_matrix``,
     D = diag(mu)) orthogonal to sqrt(mu), by ARPACK (k=1, smallest algebraic)
     with sqrt(mu) lifted to eigenvalue 2, read off as the quotient at the
-    Ritz vector.  The routes share no matrix.  Single-vector LOBPCG, the
-    obvious second solver, stalls on the clustered spectra that strong fields
-    give (at fields of +-5 and f=10, ten eigenvalues within 2e-4 of the gap) and then misses the 1e-9
-    cross-check.  Both solvers start from the fixed ``_start_vector``, so
-    repeated calls return the same bits.  With at most 4 configurations both
-    routes run dense ``eigvalsh`` on the same two matrices.  Raises
-    ValidationFailure if the routes disagree beyond 1e-9; pass
-    ``cross_validate=False`` to skip route (b) in bulk certificate scans.
+    Ritz vector.  The routes share no matrix.  (Single-vector LOBPCG stalls
+    on the clustered spectra of strong fields, f eigenvalues within 2e-4 of
+    the gap at fields of +-5, and then misses the cross-check.)  Both solvers
+    start from the fixed ``_start_vector``, so repeated calls return the same
+    bits.  With at most 4 configurations both routes run dense ``eigvalsh``
+    on the same two matrices.  Raises ValidationFailure if the routes
+    disagree beyond 1e-9 (or either is NaN); pass ``cross_validate=False``
+    to skip route (b) in bulk certificate scans.
     """
     energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
     size = len(probs)
@@ -352,7 +352,7 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     else:
         gap_rayleigh = float(np.linalg.eigvalsh(form.toarray())[1])
 
-    if not abs(gap_eigen - gap_rayleigh) <= 1e-9:  # NaN fails too
+    if not abs(gap_eigen - gap_rayleigh) <= 1e-9:
         raise ValidationFailure(
             f"gap routes disagree: eigenvalue {gap_eigen!r} vs Rayleigh {gap_rayleigh!r}"
         )

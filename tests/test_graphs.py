@@ -31,6 +31,8 @@ from rfim.graphs import (
     is_connected,
 )
 
+from strategies import models
+
 
 def test_build_graph_single_vertex():
     g = build_graph(1, [])
@@ -212,7 +214,7 @@ def test_ball_monotone_in_radius(g, r):
 
 
 @settings(max_examples=40)
-@given(small_graphs(), st.integers(min_value=0, max_value=8), st.data())
+@given(models().map(lambda m: m.graph), st.integers(min_value=0, max_value=6), st.data())
 def test_ball_is_the_distance_filter(g, r, data):
     v = data.draw(st.integers(0, g.num_vertices - 1))
     dist = distances_from(g, v)
