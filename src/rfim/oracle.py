@@ -12,9 +12,11 @@ single-flip enumeration, ``_single_flips``, and each builds its own weights.
 The single-flip operators are CSR matrices with f+1 nonzeros per row.
 ``glauber_gap`` reads the gap two independent ways, both by ARPACK (``eigsh``)
 from the fixed start ``_start_vector``: from the symmetrized transition
-matrix, and from the Dirichlet form against the variance; with at most 4
-configurations both run dense solvers on the same matrices instead.
-``at_variance_constant`` stays dense.  Everything here is deterministic and
+matrix, and from the Dirichlet form against the variance; up to 128
+configurations both run dense solvers on the same matrices instead.  Its
+report also carries the approximate-tensorization constant, which for
+heat-bath Glauber is exactly 1/(f * gap), so no routine here builds a dense
+2^f x 2^f matrix above that size.  Everything here is deterministic and
 exact up to float arithmetic; sizes are guarded by hard caps.  Tables are
 immutable once built and safe to share.
 """
@@ -25,7 +27,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 from scipy.sparse import linalg as splinalg
 from scipy.special import logsumexp
 
@@ -34,7 +36,7 @@ from .model import SPIN_VALUES, ZERO_ONE, IsingModel
 from .rng import PROBE, substream
 
 GIBBS_CAP = 24
-SPECTRAL_CAP = 12
+SPECTRAL_CAP = 16
 MLSI_CAP = 10
 PINNING_SWEEP_CAP = 10
 
@@ -223,7 +225,6 @@ class SpectralReport:
 
     gap: float
     at_variance_constant: float | None = None
-    mlsi_lower_estimate: float | None = None
     notes: str = ""
 
 
@@ -266,27 +267,16 @@ def _transition(energy: np.ndarray, partners: np.ndarray) -> sparse.csr_array:
     return _single_flip_csr(partners, move, 1.0 - move.sum(axis=0))
 
 
-def transition_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Dense heat-bath transition matrix and stationary probabilities.
-
-    A step picks one of the f free vertices uniformly and resamples it from
-    its conditional law given the rest; rows sum to one.
-    """
-    energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
-    return _transition(energy, partners).toarray(), probs
-
-
-def _dirichlet_matrix(model: IsingModel) -> tuple[sparse.csr_array, np.ndarray]:
+def _dirichlet_matrix(energy: np.ndarray, log_z: float, partners: np.ndarray) -> sparse.csr_array:
     """PSD matrix A, as CSR, with phi^T A phi equal to the Glauber Dirichlet form.
 
     The form is (1/(2f)) * sum over ordered single-flip pairs of
     mu(x)mu(y)/(mu(x)+mu(y)) (phi(x)-phi(y))^2, built directly from the
     weights rather than from the transition matrix.
     """
-    energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
     log_w = energy + energy[partners] - np.logaddexp(energy, energy[partners]) - log_z
     w = np.exp(log_w) / len(partners)
-    return _single_flip_csr(partners, -w, w.sum(axis=0)), probs
+    return _single_flip_csr(partners, -w, w.sum(axis=0))
 
 
 def _start_vector(size: int) -> np.ndarray:
@@ -313,82 +303,68 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     Ritz vector.  The routes share no matrix.  (Single-vector LOBPCG stalls
     on the clustered spectra of strong fields, f eigenvalues within 2e-4 of
     the gap at fields of +-5, and then misses the cross-check.)  Both solvers
-    start from the fixed ``_start_vector``, so repeated calls return the same
-    bits.  With at most 4 configurations both routes run dense ``eigvalsh``
-    on the same two matrices.  Raises ValidationFailure if the routes
-    disagree beyond 1e-9 (or either is NaN); pass ``cross_validate=False``
-    to skip route (b) in bulk certificate scans.
+    start from the fixed ``_start_vector`` with 3f Lanczos vectors, so
+    repeated calls return the same bits and such clusters do not stall the
+    restarts.  Up to 128 configurations, where dense is faster, both routes
+    run dense ``eigvalsh`` on the same two matrices.  Raises
+    ValidationFailure if the routes disagree beyond 1e-9 (or either is NaN);
+    pass ``cross_validate=False`` to skip route (b) in bulk certificate scans.
+
+    The report also carries the approximate-tensorization constant
+    sup_phi Var(phi) / sum_i E[Var(phi | X_{-i})].  Each heat-bath resampling
+    E_i is a mu-orthogonal projection, so the Dirichlet form is
+    (1/f) sum_i E[Var_i phi] and the constant is exactly 1/(f * gap); it is
+    None when the computed gap is not positive.
     """
-    energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
-    size = len(probs)
+    energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
+    f, size = partners.shape
     root = np.sqrt(probs)
     sym = sparse.diags_array(root) @ _transition(energy, partners) @ sparse.diags_array(1.0 / root)
     sym = 0.5 * (sym + sym.T)
-    iterative = size > 4
+    iterative = size > 128
     if iterative:
-        vals, vecs = splinalg.eigsh(sym, k=2, which="LA", v0=_start_vector(size))
+        vals, vecs = splinalg.eigsh(sym, k=2, which="LA", ncv=3 * f, v0=_start_vector(size))
         ritz = vecs[:, vals.argmin()]  # unit norm; the quotient avoids cancelling in 1 - lambda_2
-        gap_eigen = float(ritz @ (ritz - sym @ ritz))
+        gap = float(ritz @ (ritz - sym @ ritz))
     else:
-        gap_eigen = float(1.0 - np.linalg.eigvalsh(sym.toarray())[-2])
-
+        gap = float(1.0 - np.linalg.eigvalsh(sym.toarray())[-2])
+    at = 1.0 / (f * gap) if gap > 0 else None
+    notes = f"eigenvalue={gap:.15g}"
     if not cross_validate:
-        return SpectralReport(gap=gap_eigen, notes=f"eigenvalue={gap_eigen:.15g}")
+        return SpectralReport(gap=gap, at_variance_constant=at, notes=notes)
 
-    a, probs2 = _dirichlet_matrix(model)
     # In psi = sqrt(mu) phi the variance of a centred phi is |psi|^2.
-    root2 = np.sqrt(probs2)
-    inv_root = sparse.diags_array(1.0 / root2)
-    form = inv_root @ a @ inv_root
+    inv_root = sparse.diags_array(1.0 / root)
+    form = inv_root @ _dirichlet_matrix(energy, log_z, partners) @ inv_root
     if iterative:
         def lifted(x):  # the spectrum lies in [0, 1], so the gap becomes the lowest eigenvalue
             x = x.ravel()
-            return form @ x + 2.0 * root2 * (root2 @ x)
+            return form @ x + 2.0 * root * (root @ x)
 
         op = splinalg.LinearOperator(form.shape, matvec=lifted, dtype=np.float64)
-        _, vecs = splinalg.eigsh(op, k=1, which="SA", v0=_start_vector(size))
+        _, vecs = splinalg.eigsh(op, k=1, which="SA", ncv=3 * f, v0=_start_vector(size))
         psi = vecs[:, 0]
         gap_rayleigh = float(psi @ (form @ psi))
     else:
         gap_rayleigh = float(np.linalg.eigvalsh(form.toarray())[1])
 
-    if not abs(gap_eigen - gap_rayleigh) <= 1e-9:
+    if not abs(gap - gap_rayleigh) <= 1e-9:
         raise ValidationFailure(
-            f"gap routes disagree: eigenvalue {gap_eigen!r} vs Rayleigh {gap_rayleigh!r}"
+            f"gap routes disagree: eigenvalue {gap!r} vs Rayleigh {gap_rayleigh!r}"
         )
-    return SpectralReport(
-        gap=gap_eigen,
-        notes=f"eigenvalue={gap_eigen:.15g} rayleigh={gap_rayleigh:.15g}",
-    )
+    return SpectralReport(gap=gap, at_variance_constant=at,
+                          notes=f"{notes} rayleigh={gap_rayleigh:.15g}")
 
 
 def at_variance_constant(model: IsingModel) -> float:
-    """sup over phi of Var(phi) / sum_i E[Var(phi | X_{-i})].
+    """sup over phi of Var(phi) / sum_i E[Var(phi | X_{-i})], read from ``glauber_gap``.
 
-    Solved as a generalized symmetric eigenproblem: each conditional-variance
-    term is the quadratic form of D(I - E_i) with E_i the single-coordinate
-    conditional-expectation projection, assembled independently of the
-    transition-matrix code path.
+    Raises ValidationFailure when the gap is numerically not positive.
     """
-    energy, probs, _, partners = _single_flips(model, SPECTRAL_CAP)
-    size = partners.shape[1]
-    idx = np.arange(size)
-    q = np.zeros((size, size))
-    for partner in partners:
-        with np.errstate(over="ignore"):
-            keep = 1.0 / (1.0 + np.exp(energy[partner] - energy))
-        # D * E_j is symmetric: off-diagonal mu_x mu_y / (mu_x + mu_y)
-        q[idx, idx] += probs * (1.0 - keep)
-        q[idx, partner] -= probs * (1.0 - keep)
-    sqrt_p = np.sqrt(probs)
-    t = q / sqrt_p[:, None] / sqrt_p[None, :]
-    basis = linalg.null_space(sqrt_p[None, :])
-    m = basis.T @ t @ basis
-    m = 0.5 * (m + m.T)
-    smallest = float(np.linalg.eigvalsh(m)[0])
-    if smallest <= 0:
-        raise ValidationFailure("conditional-variance form is numerically singular")
-    return 1.0 / smallest
+    at = glauber_gap(model).at_variance_constant
+    if at is None:
+        raise ValidationFailure("the gap is numerically not positive")
+    return at
 
 
 def _entropy(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -416,13 +392,15 @@ def mlsi_lower_estimate(model: IsingModel, restarts: int, seed: int,
     fvals /= probs @ fvals  # normalize E_mu f = 1
     best = 0.0
     eta = step
-    for it in range(iterations):
+    for it in range(iterations + 1):  # the last pass only scores the final iterate
         pf = p_mat @ fvals
         ent_f = _entropy(fvals, probs)
         ent_pf = _entropy(pf, probs)
         ok = ent_f > 1e-13
         ratio = np.where(ok, ent_pf / np.where(ok, ent_f, 1.0), 0.0)
         best = max(best, float(ratio.max(initial=0.0)))
+        if it == iterations:
+            break
         # gradient of Ent[Pf]/Ent[f] in f, then multiplicative (log-space) step
         mean_f = probs @ fvals
         grad_ent_f = probs[:, None] * (np.log(np.where(fvals > 0, fvals, 1.0)) - np.log(mean_f)[None, :])
@@ -437,12 +415,6 @@ def mlsi_lower_estimate(model: IsingModel, restarts: int, seed: int,
         fvals /= probs @ fvals
         if (it + 1) % 20 == 0:
             eta *= 0.5
-    pf = p_mat @ fvals
-    ent_f = _entropy(fvals, probs)
-    ent_pf = _entropy(pf, probs)
-    ok = ent_f > 1e-13
-    ratio = np.where(ok, ent_pf / np.where(ok, ent_f, 1.0), 0.0)
-    best = max(best, float(ratio.max(initial=0.0)))
     return 1.0 - best
 
 

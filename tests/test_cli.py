@@ -62,7 +62,9 @@ def test_oracle_commands(tmp_path, capsys):
     assert np.allclose(binary["probs"], table["probs"])
     assert binary["free_vertices"] == table["free_vertices"]
     assert run_cli("oracle", "gap", "--model", mpath) == 0
-    assert json.loads(capsys.readouterr().out)["gap"] > 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gap"] > 0
+    assert report["at_variance_constant"] == 1.0 / (3 * report["gap"])
 
 
 def test_oracle_capacity_exit_code(tmp_path):

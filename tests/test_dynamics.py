@@ -22,10 +22,10 @@ from rfim import (
     run_chains_batch,
 )
 from rfim.dynamics import ChainState, conditional_one_probability, empirical_tv_curve, mixing_time_bound
-from rfim.oracle import transition_matrix
 from rfim.rng import CHAIN, substream
 
 from conftest import random_field_model, uniform_model
+from dense_reference import transition_matrix
 
 
 def test_update_probability_symmetric():

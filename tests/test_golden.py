@@ -68,8 +68,9 @@ from rfim import (
 )
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
-from rfim.oracle import transition_matrix
 from rfim.slwsm import averaged_boosted_table, magnetization_function
+
+from dense_reference import transition_matrix
 
 
 def _model(graph, beta, seed, convention="pm", pinning=None):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rfim import (
     CapacityError,
@@ -39,9 +39,9 @@ from rfim.oracle import (
     table_from_binary,
     table_to_binary,
     table_to_json_dict,
-    transition_matrix,
 )
 
+import dense_reference
 from conftest import random_field_model, uniform_model
 from strategies import models
 
@@ -232,12 +232,30 @@ def test_gap_dual_route_agreement(p2_symmetric):
 
 def test_gap_capacity():
     with pytest.raises(CapacityError):
-        glauber_gap(uniform_model(path_graph(14), 0.2, np.zeros(14)))
+        glauber_gap(uniform_model(path_graph(17), 0.2, np.zeros(17)))
+
+
+def test_gap_past_the_dense_reference_cap():
+    m = random_field_model(random_regular_graph(13, 4, 5), 0.5, seed=6)
+    report = glauber_gap(m)
+    assert "rayleigh=" in report.notes
+    assert 0.0 < report.gap <= 1.0
+    assert report.at_variance_constant == 1.0 / (13 * report.gap)
+
+
+def test_gap_routes_agree_on_clustered_spectrum():
+    # strong two-point fields put many eigenvalues next to the gap, which
+    # stalled ARPACK's restarts with its default 20 Lanczos vectors
+    g = random_regular_graph(12, 3, 7073)
+    m = IsingModel.uniform(g, 1.5, sample_field(FieldDistribution.two_point(5.0), 12, 9073).values)
+    report = glauber_gap(m)
+    eig, ray = (float(part.split("=")[1]) for part in report.notes.split())
+    assert abs(eig - ray) <= 1e-9
 
 
 def _dense_gap(m):
     """1 - lambda_2 of the symmetrized dense transition matrix."""
-    p_mat, probs = transition_matrix(m)
+    p_mat, probs = dense_reference.transition_matrix(m)
     root = np.sqrt(probs)
     sym = p_mat * (root[:, None] / root[None, :])
     return 1.0 - np.linalg.eigvalsh(0.5 * (sym + sym.T))[-2]
@@ -259,13 +277,13 @@ def test_gap_repeats_bit_for_bit():
 def test_gap_cross_check_is_live(monkeypatch):
     dirichlet = oracle._dirichlet_matrix
 
-    def scaled(model):
-        a, probs = dirichlet(model)
-        return a * 1.01, probs
+    def scaled(energy, log_z, partners):
+        return dirichlet(energy, log_z, partners) * 1.01
 
     monkeypatch.setattr(oracle, "_dirichlet_matrix", scaled)
-    with pytest.raises(ValidationFailure):
-        glauber_gap(random_field_model(random_regular_graph(8, 3, 9), 0.4, seed=10))
+    for n in (6, 8):  # 64 configurations run dense, 256 run ARPACK
+        with pytest.raises(ValidationFailure):
+            glauber_gap(random_field_model(random_regular_graph(n, 3, 9), 0.4, seed=10))
 
 
 @pytest.mark.filterwarnings("error")
@@ -277,14 +295,12 @@ def test_gap_solvers_do_not_warn(f):
 
 
 def test_spectral_caps():
-    over_spectral = uniform_model(path_graph(13), 0.2, np.zeros(13))
-    for routine in (transition_matrix, at_variance_constant):
-        with pytest.raises(CapacityError):
-            routine(over_spectral)
+    with pytest.raises(CapacityError):
+        at_variance_constant(uniform_model(path_graph(17), 0.2, np.zeros(17)))
     with pytest.raises(CapacityError):
         mlsi_lower_estimate(uniform_model(path_graph(11), 0.2, np.zeros(11)), 2, seed=0)
     fully_pinned = uniform_model(path_graph(2), 0.2, np.zeros(2)).with_pinning({0: 1, 1: -1})
-    for routine in (transition_matrix, at_variance_constant):
+    for routine in (glauber_gap, at_variance_constant):
         with pytest.raises(InputError):
             routine(fully_pinned)
 
@@ -296,7 +312,7 @@ def test_at_variance_product_measure():
 
 def test_at_variance_matches_gap(p2_symmetric):
     gap = glauber_gap(p2_symmetric).gap
-    at = at_variance_constant(p2_symmetric)
+    at = dense_reference.at_variance_constant(p2_symmetric)
     assert at == pytest.approx(1.0 / (2.0 * gap), abs=1e-9)
 
 
@@ -316,15 +332,26 @@ def test_at_gap_identity_random_models():
         m = IsingModel(graph=g, couplings=rng.uniform(-0.7, 0.9, g.num_edges),
                        field=rng.normal(0, 1, n))
         f = len(m.free_vertices)
-        product = at_variance_constant(m) * f * glauber_gap(m).gap
+        product = dense_reference.at_variance_constant(m) * f * glauber_gap(m).gap
         assert product == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=30)
+@given(models(max_n=8))
+def test_at_variance_matches_dense_reference(m):
+    # Both sides invert an eigenvalue found to about 1e-16 absolute, so they
+    # agree in relative terms only while the gap stays well above that.
+    report = glauber_gap(m)
+    assume(report.gap > 1e-6)
+    assert report.at_variance_constant == pytest.approx(dense_reference.at_variance_constant(m),
+                                                        rel=1e-9)
 
 
 def test_mlsi_single_vertex_matches_scan():
     m = uniform_model(build_graph(1, []), 0.0, [0.0])
     est = mlsi_lower_estimate(m, restarts=50, seed=1)
     # 1-D exhaustive scan over f = (x, 1): Pf is constant so Ent[Pf] = 0
-    p, mu = transition_matrix(m)
+    p, mu = dense_reference.transition_matrix(m)
     worst = 0.0
     for x in np.linspace(0.01, 20.0, 500):
         f = np.array([[x], [1.0]])
