@@ -314,7 +314,9 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     sup_phi Var(phi) / sum_i E[Var(phi | X_{-i})].  Each heat-bath resampling
     E_i is a mu-orthogonal projection, so the Dirichlet form is
     (1/f) sum_i E[Var_i phi] and the constant is exactly 1/(f * gap); it is
-    None when the computed gap is not positive.
+    None when the computed gap is not positive, or when the cross-checked
+    routes differ by more than 1e-6 relative: a gap near the absolute floor
+    passes the check while its inverse is off by orders of magnitude.
     """
     energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
     f, size = partners.shape
@@ -352,19 +354,23 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
         raise ValidationFailure(
             f"gap routes disagree: eigenvalue {gap!r} vs Rayleigh {gap_rayleigh!r}"
         )
-    return SpectralReport(gap=gap, at_variance_constant=at,
-                          notes=f"{notes} rayleigh={gap_rayleigh:.15g}")
+    notes = f"{notes} rayleigh={gap_rayleigh:.15g}"
+    if at is not None and abs(gap - gap_rayleigh) > 1e-6 * gap:
+        at = None
+        notes += " at_variance_constant=None: the routes differ by more than 1e-6 relative"
+    return SpectralReport(gap=gap, at_variance_constant=at, notes=notes)
 
 
 def at_variance_constant(model: IsingModel) -> float:
     """sup over phi of Var(phi) / sum_i E[Var(phi | X_{-i})], read from ``glauber_gap``.
 
-    Raises ValidationFailure when the gap is numerically not positive.
+    Raises ValidationFailure when the report carries none: the gap is
+    numerically not positive or not resolved to 1e-6 relative.
     """
-    at = glauber_gap(model).at_variance_constant
-    if at is None:
-        raise ValidationFailure("the gap is numerically not positive")
-    return at
+    report = glauber_gap(model)
+    if report.at_variance_constant is None:
+        raise ValidationFailure(f"the gap does not resolve the AT constant: {report.notes}")
+    return report.at_variance_constant
 
 
 def _entropy(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -451,100 +457,196 @@ def _pinning_from_code(code: int, n: int) -> dict[int, int]:
     return pin
 
 
+def _ternary_sums(columns: np.ndarray, lead: int):
+    """Sums of the rows of ``columns`` over the configurations consistent with each code.
+
+    ``columns`` has shape (2,) * lead + (2^m, c): axis j < lead is the spin
+    of the (j+1)-th highest vertex and each row of the trailing block is a
+    configuration of the m lowest ones, bit v for vertex v.  Each vertex axis
+    goes through the 3 x 2 matrix [[1, 1], [1, 0], [0, 1]] (free, pinned-0,
+    pinned-1), highest vertex first: Yates's algorithm for the ternary zeta
+    transform, O(3^m c) per block.  The leading axes are split by recursion
+    into 3^lead blocks of 3^m codes, yielded in code order: read in C order,
+    the digits come out as ``_pinning_from_code`` reads them, so row r of a
+    block is the code whose m low base-3 digits spell r.
+    """
+    if lead:
+        for part in (columns[0] + columns[1], columns[0], columns[1]):
+            yield from _ternary_sums(part, lead - 1)
+        return
+    sums = columns[None]
+    while sums.shape[1] > 1:  # (codes so far, configurations of the rest, c)
+        pre, size, c = sums.shape
+        halves = sums.reshape(pre, 2, size // 2, c)
+        out = np.empty((pre, 3, size // 2, c))
+        np.add(halves[:, 0], halves[:, 1], out=out[:, 0])
+        out[:, 1:] = halves
+        sums = out.reshape(3 * pre, size // 2, c)
+    yield sums[:, 0]
+
+
+def _masked_sums(columns: np.ndarray, weights: np.ndarray, spins: np.ndarray, codes: np.ndarray,
+                 chunk: int):
+    """The same sums, of ``weights`` times the rows of ``columns``, for explicit ``codes``.
+
+    Each chunk of codes builds a (chunk, 2^n) consistency mask and takes one matmul.
+    """
+    n = spins.shape[1]
+    for start in range(0, len(codes), chunk):
+        digits = (codes[start:start + chunk, None] // 3 ** np.arange(n)[None, :]) % 3  # (B, n)
+        mask = np.ones((len(digits), len(spins)), dtype=bool)
+        for v in range(n):  # digit 0 leaves v free, digit d >= 1 pins it to d - 1
+            d = digits[:, v, None]
+            mask &= (d == 0) | (d - 1 == spins[None, :, v])
+        yield (mask * weights) @ columns
+
+
+def _cor_from_sums(sums: np.ndarray, num_edges: int) -> np.ndarray:
+    """(B, E, E) Cor2 matrices from per-code sums [S0, S1, S2] of the weighted [1, z, z (x) z].
+
+    Entry (i, j) is mu(j | i) - mu(j) = S2_ij / S1_i - S1_j / S0; rows with
+    S1_i = 0 are zero.
+    """
+    s0 = sums[:, :1]
+    s1 = sums[:, 1:1 + num_edges]
+    s2 = sums[:, 1 + num_edges:].reshape(len(sums), num_edges, num_edges)
+    pos = s1 > 0
+    cor = s2 / np.where(pos, s1, 1.0)[:, :, None] - (s1 / s0)[:, None, :]
+    cor[~pos] = 0.0
+    return cor
+
+
+def _opnorms(cor: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the batch."""
+    if not cor.shape[1]:
+        return np.zeros(len(cor))
+    return np.linalg.svd(cor, compute_uv=False)[:, 0]
+
+
+def _live_opnorms(cor: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``_opnorms`` from each matrix's ``live`` rows and columns alone.
+
+    Deleting a row and a column that are both zero leaves the nonzero
+    singular values unchanged, so the codes are grouped by their number k of
+    live edges and each group runs one batched SVD on k x k blocks.
+    """
+    counts = live.sum(axis=1)
+    out = np.zeros(len(cor))
+    for k in np.unique(counts[counts > 0]).tolist():
+        sel = np.flatnonzero(counts == k)
+        idx = np.nonzero(live[sel])[1].reshape(len(sel), k)
+        block = cor[sel[:, None, None], idx[:, :, None], idx[:, None, :]]
+        out[sel] = np.abs(block[:, 0, 0]) if k == 1 else _opnorms(block)
+    return out
+
+
 def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
                            chunk: int = 2048) -> Cor2SweepReport:
     """Maximize Cor2 row sums, column sums and operator norm over all pinnings.
 
-    Pinnings are enumerated as ternary codes over the vertices (free /
-    pinned-0 / pinned-1) in lexicographic order, exhaustively by default;
-    pass explicit ``pinning_codes`` for a sampled sweep.  Ties in the argmax
-    go to the earliest (theta, code) cell visited.  Also verifies the
-    operator-norm interpolation bound for every enumerated matrix.
+    Pinnings are ternary codes over the vertices (``_pinning_from_code``),
+    all 3^n of them by default; pass explicit ``pinning_codes`` for a sampled
+    sweep.  At each theta of the grid the configurations weigh
+    exp(H) (1-theta)^{#(1,1)-edges}, and a code's Cor2 matrix is read off the
+    sums S0, S1, S2 of the weighted columns [1, z, z (x) z] (z the edge
+    events) over the configurations consistent with it (``_cor_from_sums``).
+
+    Exhaustive mode takes the sums of all codes by the ternary zeta transform
+    ``_ternary_sums``, O(3^n (1 + E + E^2)) per theta, in blocks of at most
+    ``chunk`` codes, and runs the SVD on live rows and columns only: an edge
+    with an endpoint pinned to 0, or both pinned to 1, has a zero row and
+    column.  Explicit codes keep the route by consistency masks,
+    O(codes 2^n E^2) per theta, with a full SVD; run on ``np.arange(3**n)``
+    it is the independent check on the transform.
+
+    Each statistic is kept per (theta, code) cell.  The report holds its
+    maximum, and as argmax the earliest cell (theta in grid order, then code
+    order) within 1e-12 relative of it, so that exact ties, which pinnings
+    cut off from an edge make common, do not move with rounding.  Also
+    verifies the operator-norm interpolation bound on every matrix.  Inputs
+    are checked before any enumeration.
     """
     if model01.convention != ZERO_ONE:
         raise InputError("the sweep expects a 01-convention model")
     if model01.pinning:
         raise InputError("the sweep expects a fully free model")
+    thetas = [float(t) for t in theta_grid]
+    if not thetas or not all(0.0 <= t < 1.0 for t in thetas):
+        raise InputError("the theta grid must be non-empty, with values in [0, 1)")
+    if chunk < 1:
+        raise InputError("chunk must be at least 1")
     n = model01.n
-    mode = "exact"
-    if pinning_codes is None:
+    exhaustive = pinning_codes is None
+    if exhaustive:
         if n > PINNING_SWEEP_CAP:
             raise CapacityError(f"{n} vertices exceeds the 3^n sweep cap {PINNING_SWEEP_CAP}")
-        pinning_codes = np.arange(3**n, dtype=np.int64)
+        num_codes = 3**n
+        digits = 0  # trailing digits per block: at most chunk codes
+        while digits < n and 3 ** (digits + 1) <= chunk:
+            digits += 1
     else:
-        pinning_codes = np.asarray(pinning_codes, dtype=np.int64)
-        mode = "sampled"
+        codes = np.asarray(pinning_codes, dtype=np.int64)
+        if codes.ndim != 1 or not len(codes) or codes.min() < 0 or codes.max() >= 3**n:
+            raise InputError("pinning codes must be a non-empty list of integers in [0, 3^n)")
+        num_codes = len(codes)
     energy = _free_energies(model01)
-    size = 1 << n
     table = _table(model01, energy)
     z = _edge_event_columns(table)  # (configs, E)
+    size, num_edges = z.shape
     m_counts = z.sum(axis=1)
-    num_edges = z.shape[1]
-    pairs = (z[:, :, None] * z[:, None, :]).reshape(size, -1)  # (configs, E^2) edge-pair events
-    spins = table.rows()  # (configs, n) 0/1 spins for pinning-consistency masks
+    columns = np.hstack([np.ones((size, 1)), z, (z[:, :, None] * z[:, None, :]).reshape(size, -1)])
 
-    best = {
-        "row": (-np.inf, None),
-        "col": (-np.inf, None),
-        "op": (-np.inf, None),
-    }
+    stats = np.empty((3, len(thetas), num_codes))  # max row sum, max col sum, opnorm per cell
     per_edge_row = np.zeros(num_edges)
     per_edge_col = np.zeros(num_edges)
     interpolation_ok = True
-    checked = 0
-
-    for theta in theta_grid:
-        if not 0.0 <= theta < 1.0:
-            raise InputError("theta grid values must lie in [0, 1)")
+    for t, theta in enumerate(thetas):
         log_w = energy + m_counts * np.log1p(-theta)
-        w_all = np.exp(log_w - log_w.max())
-        for start in range(0, len(pinning_codes), chunk):
-            codes = pinning_codes[start:start + chunk]
-            digits = (codes[:, None] // 3 ** np.arange(n)[None, :]) % 3  # (B, n)
-            mask = np.ones((len(codes), size), dtype=bool)
-            for v in range(n):  # digit 0 leaves v free, digit d >= 1 pins it to d - 1
-                d = digits[:, v, None]
-                mask &= (d == 0) | (d - 1 == spins[None, :, v])
-            w = mask * w_all[None, :]
-            totals = w.sum(axis=1, keepdims=True)
-            w = w / totals
-            p = w @ z  # (B, E)
-            joint = (w @ pairs).reshape(len(codes), num_edges, num_edges)
-            pos = p > 0
-            safe_p = np.where(pos, p, 1.0)
-            cor = joint / safe_p[:, :, None] - p[:, None, :]
-            cor[~pos] = 0.0
+        w = np.exp(log_w - log_w.max())
+        if exhaustive:
+            lead = n - digits
+            weighted = (columns * w[:, None]).reshape((2,) * lead + (1 << digits, -1))
+            blocks = _ternary_sums(weighted, lead)
+        else:
+            blocks = _masked_sums(columns, w, table.rows(), codes, chunk)
+        start = 0
+        for sums in blocks:
+            cor = _cor_from_sums(sums, num_edges)
             abs_cor = np.abs(cor)
             row_sums = abs_cor.sum(axis=2)  # (B, E)
             col_sums = abs_cor.sum(axis=1)  # (B, E)
-            opnorms = np.linalg.svd(cor, compute_uv=False)[:, 0] if num_edges else np.zeros(len(codes))
-            per_edge_row = np.maximum(per_edge_row, row_sums.max(axis=0))
-            per_edge_col = np.maximum(per_edge_col, col_sums.max(axis=0))
-            row_bound = row_sums.max(axis=1)
-            col_bound = col_sums.max(axis=1)
+            if exhaustive:
+                opnorms = _live_opnorms(cor, (row_sums > 0) | (col_sums > 0))
+            else:
+                opnorms = _opnorms(cor)
+            per_edge_row = np.maximum(per_edge_row, row_sums.max(axis=0, initial=0.0))
+            per_edge_col = np.maximum(per_edge_col, col_sums.max(axis=0, initial=0.0))
+            row_bound = row_sums.max(axis=1, initial=0.0)
+            col_bound = col_sums.max(axis=1, initial=0.0)
             if not (opnorms <= np.sqrt(row_bound * col_bound) * (1 + 1e-9) + 1e-12).all():
                 interpolation_ok = False
-            checked += len(codes)
+            stats[:, t, start:start + len(cor)] = row_bound, col_bound, opnorms
+            start += len(cor)
 
-            for key, stat in (("row", row_bound), ("col", col_bound), ("op", opnorms)):
-                i = int(stat.argmax())
-                if stat[i] > best[key][0]:
-                    best[key] = (float(stat[i]),
-                                 {"theta": float(theta),
-                                  "pinning": _pinning_from_code(int(codes[i]), n)})
+    def best(stat):
+        top = float(stat.max())
+        t, i = divmod(int(np.argmax(stat >= top * (1 - 1e-12))), num_codes)
+        code = i if exhaustive else int(codes[i])
+        return top, {"theta": thetas[t], "pinning": _pinning_from_code(code, n)}
 
+    argmax_row, argmax_col, argmax_op = (best(stat) for stat in stats)
     return Cor2SweepReport(
-        max_row_sum=best["row"][0],
-        max_col_sum=best["col"][0],
-        max_opnorm=best["op"][0],
+        max_row_sum=argmax_row[0],
+        max_col_sum=argmax_col[0],
+        max_opnorm=argmax_op[0],
         per_edge_row_max=per_edge_row,
         per_edge_col_max=per_edge_col,
-        argmax_row=best["row"],
-        argmax_col=best["col"],
-        argmax_opnorm=best["op"],
+        argmax_row=argmax_row,
+        argmax_col=argmax_col,
+        argmax_opnorm=argmax_op,
         interpolation_ok=interpolation_ok,
-        matrices_checked=checked,
-        mode=mode,
+        matrices_checked=len(thetas) * num_codes,
+        mode="exact" if exhaustive else "sampled",
     )
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from rfim.cli import main
 from rfim.graphs import path_graph
-from rfim.model import model_to_json_dict
-from rfim.oracle import table_from_binary
+from rfim.model import model_to_json_dict, to_zero_one
+from rfim.oracle import sup_cor2_over_pinnings, table_from_binary
 
 from conftest import random_field_model
 
@@ -67,6 +67,23 @@ def test_oracle_commands(tmp_path, capsys):
     assert report["at_variance_constant"] == 1.0 / (3 * report["gap"])
 
 
+def test_oracle_sweep(tmp_path, capsys):
+    m01 = to_zero_one(random_field_model(path_graph(4), 0.5, seed=5))
+    mpath = write_model(tmp_path, m01)
+    assert run_cli("oracle", "sweep", "--model", mpath, "--thetas", "0,0.3") == 0
+    payload = json.loads(capsys.readouterr().out)
+    direct = sup_cor2_over_pinnings(m01, [0.0, 0.3])
+    assert payload["matrices_checked"] == 2 * 3**4
+    assert payload["mode"] == "exact"
+    assert payload["interpolation_ok"]
+    for key in ("argmax_row", "argmax_col", "argmax_opnorm"):
+        value, cell = payload[key]
+        assert value == getattr(direct, key)[0]
+        pinning = {int(v): s for v, s in cell["pinning"].items()}
+        assert pinning and cell["theta"] == 0.3
+        assert pinning == getattr(direct, key)[1]["pinning"]
+
+
 def test_oracle_capacity_exit_code(tmp_path):
     m = random_field_model(path_graph(26), 0.1, seed=1)
     mpath = write_model(tmp_path, m)
@@ -89,8 +106,6 @@ def test_mix_and_localize(tmp_path, capsys):
     capsys.readouterr()
 
     m01path = tmp_path / "m01.json"
-    from rfim.model import to_zero_one
-
     m01path.write_text(json.dumps(model_to_json_dict(to_zero_one(m))))
     assert run_cli("localize", "trace", "--model", str(m01path), "--t", "0.4",
                    "--seed", "1") == 0

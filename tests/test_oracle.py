@@ -19,6 +19,7 @@ from rfim import (
     conditional_table,
     cycle_graph,
     cor2_matrix,
+    edge_tilt,
     gibbs_table,
     glauber_gap,
     marginals,
@@ -305,6 +306,21 @@ def test_at_variance_product_measure():
     assert at_variance_constant(m) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_at_variance_needs_a_resolved_gap():
+    # On K7 with no field the gap sinks towards the absolute floor of the
+    # cross-check as J grows; its inverse is kept only while the routes agree
+    # to 1e-6 relative.
+    kept = glauber_gap(uniform_model(complete_graph(7), 1.0, np.zeros(7)))
+    assert kept.at_variance_constant == 1.0 / (7 * kept.gap)
+    unresolved = uniform_model(complete_graph(7), 2.0, np.zeros(7))
+    report = glauber_gap(unresolved)
+    assert report.gap > 0.0
+    assert report.at_variance_constant is None
+    assert "differ by more than 1e-6 relative" in report.notes
+    with pytest.raises(ValidationFailure):
+        at_variance_constant(unresolved)
+
+
 def test_at_variance_matches_gap(p2_symmetric):
     gap = glauber_gap(p2_symmetric).gap
     at = dense_reference.at_variance_constant(p2_symmetric)
@@ -398,6 +414,51 @@ def test_sweep_interpolation_holds(k3_fielded):
     assert report.interpolation_ok
     assert report.max_opnorm <= math.sqrt(report.max_row_sum * report.max_col_sum) + 1e-9
     assert report.matrices_checked == 5 * 3**3
+
+
+def test_sweep_checks_inputs_before_enumerating(monkeypatch):
+    m01 = to_zero_one(uniform_model(path_graph(3), 0.4, [0.2, -0.1, 0.3]))
+
+    def enumerate_anyway(model):
+        raise AssertionError("enumerated before checking the inputs")
+
+    monkeypatch.setattr(oracle, "_free_energies", enumerate_anyway)
+    for grid, kwargs in (([0.2, 1.0], {}), ([], {}), ([-0.1], {}), ([0.2], {"chunk": 0}),
+                         ([0.2], {"pinning_codes": []}), ([0.2], {"pinning_codes": [27]}),
+                         ([0.2], {"pinning_codes": [-1]})):
+        with pytest.raises(InputError):
+            sup_cor2_over_pinnings(m01, grid, **kwargs)
+
+
+def _free_zero_one(m):
+    """The drawn model without its pinning, in the 01 convention."""
+    m = replace(m, pinning={})
+    return m if m.convention == "01" else to_zero_one(m)
+
+
+@settings(max_examples=40)
+@given(models(max_n=7).map(_free_zero_one),
+       st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2), st.integers(1, 3000), st.data())
+def test_sweep_routes_agree(m01, grid, chunk, data):
+    # Exhaustive mode sums by the ternary transform and runs the SVD on live
+    # edges; explicit codes sum by masks and run the full SVD.
+    exact = sup_cor2_over_pinnings(m01, grid, chunk=chunk)
+    masked = sup_cor2_over_pinnings(m01, grid, pinning_codes=np.arange(3**m01.n), chunk=chunk)
+    for key in ("max_row_sum", "max_col_sum", "max_opnorm"):
+        assert getattr(exact, key) == pytest.approx(getattr(masked, key), rel=1e-12, abs=1e-12)
+    for key in ("per_edge_row_max", "per_edge_col_max"):
+        assert np.allclose(getattr(exact, key), getattr(masked, key), rtol=1e-12, atol=1e-12)
+    for key in ("argmax_row", "argmax_col", "argmax_opnorm"):
+        assert getattr(exact, key)[1] == getattr(masked, key)[1]
+    assert exact.interpolation_ok == masked.interpolation_ok
+    assert exact.matrices_checked == masked.matrices_checked == len(grid) * 3**m01.n
+    # One code at a time, the mask route reads each edge's row sum off cor2_matrix.
+    theta = grid[0]
+    for code in data.draw(st.lists(st.integers(0, 3**m01.n - 1), min_size=1, max_size=3)):
+        one = sup_cor2_over_pinnings(m01, [theta], pinning_codes=[code])
+        pinned = edge_tilt(m01, theta, oracle._pinning_from_code(code, m01.n))
+        want = np.abs(cor2_matrix(gibbs_table(pinned))).sum(axis=1)
+        assert np.allclose(one.per_edge_row_max, want, rtol=1e-9, atol=1e-12)
 
 
 def test_fkg_monotone_conditional_means():
