@@ -63,7 +63,6 @@ from .dynamics import (
     ChainState,
     CouplingTrace,
     empirical_tv_curve,
-    glauber_step,
     grand_coupled_update,
     mixing_time_bound,
     monotone_coupled_batch,

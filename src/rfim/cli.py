@@ -237,6 +237,11 @@ def mix():
     """Glauber dynamics runs, couplings and TV curves."""
 
 
+def _start(m, value):
+    """Start state: every free vertex at ``value``, pinned vertices at their pins."""
+    return M.SpinConfiguration(m.full_values(value), m.convention)
+
+
 @mix.command("run")
 @click.option("--model", "model_path", required=True)
 @click.option("--steps", type=int, required=True)
@@ -246,11 +251,8 @@ def mix():
 def mix_run(model_path, steps, seed, init, trace):
     m = _load_model(model_path)
     one, zero = M.SPIN_VALUES[m.convention]
-    vals = np.full(m.n, one if init == "plus" else zero, dtype=np.int8)
-    for v, s in m.pinning.items():
-        vals[v] = s
     state, trajectory = D.run_chain(
-        m, M.SpinConfiguration(vals, m.convention), steps, seed,
+        m, _start(m, one if init == "plus" else zero), steps, seed,
         record_every=max(1, steps // 100) if trace else None)
     if trace:
         lines = ["step,magnetization,energy"]
@@ -266,13 +268,7 @@ def mix_run(model_path, steps, seed, init, trace):
 def mix_couple(model_path, steps, seed):
     m = _load_model(model_path)
     one, zero = M.SPIN_VALUES[m.convention]
-    lo = np.full(m.n, zero, dtype=np.int8)
-    hi = np.full(m.n, one, dtype=np.int8)
-    for v, s in m.pinning.items():
-        lo[v] = hi[v] = s
-    trace = D.monotone_coupled_run(
-        m, M.SpinConfiguration(lo, m.convention), M.SpinConfiguration(hi, m.convention),
-        steps, seed)
+    trace = D.monotone_coupled_run(m, _start(m, zero), _start(m, one), steps, seed)
     _emit({
         "coalescence_step": trace.coalescence_step,
         "disagreements": sorted(trace.disagreement_set),
@@ -286,12 +282,8 @@ def mix_couple(model_path, steps, seed):
 @click.option("--seed", type=int, default=0)
 def mix_tvcurve(model_path, steps, replicas, seed):
     m = _load_model(model_path)
-    one = 1
-    vals = np.full(m.n, one, dtype=np.int8)
-    for v, s in m.pinning.items():
-        vals[v] = s
     grid = [int(x) for x in steps.split(",")]
-    rows = D.empirical_tv_curve(m, M.SpinConfiguration(vals, m.convention), grid, replicas, seed)
+    rows = D.empirical_tv_curve(m, _start(m, 1), grid, replicas, seed)
     _emit(rows, None)
 
 

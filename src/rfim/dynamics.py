@@ -85,13 +85,6 @@ def _scalar_update(model: IsingModel):
     return update
 
 
-def conditional_one_probability(model: IsingModel, values: np.ndarray, v: int) -> float:
-    """Heat-bath probability that vertex v takes its 'one' value given the rest; O(degree)."""
-    nbr, cpl = model.neighbour_table
-    s = np.einsum("d,d->", np.asarray(values)[nbr[v]].astype(np.float64), cpl[v])
-    return float(_one_probability(model.convention, s + model.field[v]))
-
-
 def _local_fields(model: IsingModel, values: np.ndarray, base: np.ndarray,
                   v: np.ndarray) -> np.ndarray:
     """Local field at vertex v[r] of every replica r, gathered through the flat
@@ -131,22 +124,6 @@ def _heat_bath_run(model: IsingModel, values: np.ndarray, free: np.ndarray, step
     return snapshots
 
 
-def glauber_step(model: IsingModel, state: ChainState) -> ChainState:
-    """One heat-bath update; draws (vertex, uniform) from the state's stream."""
-    free = _free_vertices(model)
-    values = state.config.values().astype(np.float64)
-    v = int(free[state.rng.integers(len(free))])
-    p_one = conditional_one_probability(model, values, v)
-    u = float(state.rng.random())
-    one, zero = SPIN_VALUES[model.convention]
-    values[v] = one if u <= p_one else zero
-    return ChainState(
-        config=SpinConfiguration(values.astype(np.int8), model.convention),
-        step=state.step + 1,
-        rng=state.rng,
-    )
-
-
 def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
               record_every: int | None = None, chain_index: int = 0):
     """Run one chain for ``steps`` updates; deterministic given the seed.
@@ -180,6 +157,28 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
     final = ChainState(SpinConfiguration(np.array(values, dtype=np.int8), model.convention),
                        steps, rng)
     return (final, trajectory) if record_every else (final, None)
+
+
+def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, index: int,
+          burn_steps: int | None, table: GibbsTable | None) -> np.ndarray:
+    """One configuration of ``model`` as a spin vector.
+
+    "oracle" draws it exactly from ``table`` (enumerated when None) with
+    ``rng``.  "glauber" runs chain ``index`` of ``seed`` for ``burn_steps``
+    updates from the all-'zero' start and leaves ``rng`` untouched.
+    """
+    if sampler == "oracle":
+        if table is None:
+            table = gibbs_table(model)
+        return table.rows(rng.choice(len(table.probs), p=table.probs))[0]
+    if sampler == "glauber":
+        if not burn_steps:
+            raise InputError("glauber sampler needs burn_steps")
+        zero = SPIN_VALUES[model.convention][1]
+        start = SpinConfiguration(model.full_values(zero), model.convention)
+        state, _ = run_chain(model, start, burn_steps, seed, chain_index=index)
+        return state.config.values()
+    raise InputError(f"unknown sampler {sampler!r}")
 
 
 def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, seed: int,

@@ -120,24 +120,45 @@ def graph_distance(g: Graph, u: int, v: int) -> int:
     return int(d)
 
 
+def bfs(g: Graph, sources, allowed=None, depth: int | None = None) -> list[int]:
+    """Breadth-first visit order from ``sources``.
+
+    The sources come first, in the order given (repeats dropped), then every
+    vertex reached, first in first out, neighbours in ascending index.  Past
+    the sources only vertices in ``allowed`` are entered (all when None), and
+    the walk stops after ``depth`` layers (never when None).
+    """
+    if depth is not None and depth < 0:
+        raise InputError("depth must be nonnegative")
+    order: list[int] = []
+    seen: set[int] = set()
+    for s in sources:
+        _check_vertex(g, s)
+        s = int(s)
+        if s not in seen:
+            seen.add(s)
+            order.append(s)
+    adjacency = g.adjacency
+    head, layer_end, level = 0, len(order), 0
+    while head < len(order):
+        if head == layer_end:
+            level += 1
+            layer_end = len(order)
+        if level == depth:
+            break
+        for x in adjacency[order[head]]:
+            if x not in seen and (allowed is None or x in allowed):
+                seen.add(x)
+                order.append(x)
+        head += 1
+    return order
+
+
 def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     """All vertices at graph distance <= r from v (closed ball, by a BFS stopped at depth r)."""
     if r < 0:
         raise InputError("radius must be nonnegative")
-    _check_vertex(g, v)
-    seen = {int(v)}
-    frontier = [int(v)]
-    for _ in range(r):
-        layer = []
-        for w in frontier:
-            for x in g.adjacency[w]:
-                if x not in seen:
-                    seen.add(x)
-                    layer.append(x)
-        if not layer:
-            break
-        frontier = layer
-    return frozenset(seen)
+    return frozenset(bfs(g, [v], depth=r))
 
 
 def boundary(g: Graph, a) -> frozenset[int]:
@@ -168,19 +189,17 @@ def eccentricity(g: Graph, v: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.num_vertices == 0:
-        return True
-    return bool((distances_from(g, 0) >= 0).all())
+    return g.num_vertices == 0 or len(bfs(g, [0])) == g.num_vertices
 
 
 def connected_components(g: Graph) -> list[list[int]]:
+    """Components as ascending vertex lists, ordered by their least vertex."""
     seen = np.zeros(g.num_vertices, dtype=bool)
     comps: list[list[int]] = []
     for v in range(g.num_vertices):
         if not seen[v]:
-            dist = distances_from(g, v)
-            comp = [int(i) for i in np.nonzero(dist >= 0)[0]]
-            seen[dist >= 0] = True
+            comp = sorted(bfs(g, [v]))
+            seen[comp] = True
             comps.append(comp)
     return comps
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .model import ZERO_ONE, IsingModel, SpinConfiguration, edge_tilt
-from .oracle import GibbsTable, _edge_event_columns, gibbs_table, tv_distance
+from .oracle import GibbsTable, _edge_event_columns, gibbs_table
 from .rng import TRACE, substream
-from .dynamics import run_chain
+from .dynamics import _draw
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,8 @@ def sample_noising_trace(model01: IsingModel, seed: int, sampler: str = "oracle"
     if model01.convention != ZERO_ONE:
         raise InputError("noising traces need a 01-convention model")
     rng = substream(seed, TRACE, trace_index)
-    if sampler == "oracle":
-        if table is None:
-            table = gibbs_table(model01)
-        x = SpinConfiguration(table.rows(rng.choice(len(table.probs), p=table.probs))[0],
-                              ZERO_ONE)
-    elif sampler == "glauber":
-        if not burn_steps:
-            raise InputError("glauber sampler needs burn_steps")
-        init_vals = np.zeros(model01.n, dtype=np.int8)
-        for v, s in model01.pinning.items():
-            init_vals[v] = s
-        init = SpinConfiguration(init_vals, ZERO_ONE)
-        state, _ = run_chain(model01, init, burn_steps, seed, chain_index=trace_index)
-        x = state.config
-    else:
-        raise InputError(f"unknown sampler {sampler!r}")
+    x = SpinConfiguration(_draw(model01, rng, sampler, seed, trace_index, burn_steps, table),
+                          ZERO_ONE)
     uniforms = rng.random(model01.graph.num_edges)
     return DenoisingTrace(base_model=model01, x_sample=x, edge_uniforms=uniforms)
 
@@ -281,8 +267,7 @@ def marginal_lower_bound(delta: int, m_bound: float, beta: float) -> float:
     """
     if m_bound < 0 or beta < 0:
         raise InputError("need M >= 0 and beta >= 0")
-    log_c = 2.0 * np.logaddexp(0.0, 2.0 * (beta * delta + m_bound))
-    return float(np.exp(-log_c))
+    return 1.0 / bounded_field_k_constant(delta, m_bound, beta)
 
 
 def bounded_field_k_constant(delta: int, m_bound: float, beta: float) -> float:

@@ -65,10 +65,6 @@ class SpinConfiguration:
             return SpinConfiguration(2 * bits.astype(np.int8) - 1, PM)
         return SpinConfiguration(bits, ZERO_ONE)
 
-    @classmethod
-    def constant(cls, n: int, value: int, convention: str) -> "SpinConfiguration":
-        return cls(np.full(n, value, dtype=np.int8), convention)
-
     def __eq__(self, other):
         return (
             isinstance(other, SpinConfiguration)
@@ -317,8 +313,8 @@ class IsingModel:
             merged[v] = s
         return replace(self, pinning=merged)
 
-    def full_values(self, free_values: np.ndarray) -> np.ndarray:
-        """Assemble a full spin vector from values on the free vertices."""
+    def full_values(self, free_values: np.ndarray | float) -> np.ndarray:
+        """Assemble a full spin vector from values on the free vertices (a scalar fills them all)."""
         out = np.zeros(self.n, dtype=np.float64)
         out[list(self.free_vertices)] = free_values
         for v, s in self.pinning.items():

@@ -39,6 +39,9 @@ GIBBS_CAP = 24
 SPECTRAL_CAP = 16
 MLSI_CAP = 10
 PINNING_SWEEP_CAP = 10
+# The sampled sweep holds a (chunk, 2^n) mask-weight array and (2^n, 1+E+E^2)
+# columns: 216 MB at n=14 on 3-regular graphs, about 4x more per two vertices.
+SAMPLED_SWEEP_CAP = 14
 
 _MAGIC = b"RFIMTBL1"
 
@@ -557,7 +560,9 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     with an endpoint pinned to 0, or both pinned to 1, has a zero row and
     column.  Explicit codes keep the route by consistency masks,
     O(codes 2^n E^2) per theta, with a full SVD; run on ``np.arange(3**n)``
-    it is the independent check on the transform.
+    it is the independent check on the transform.  The exhaustive sweep is
+    capped at ``PINNING_SWEEP_CAP`` vertices and the sampled one, whose
+    memory grows as 4^n, at ``SAMPLED_SWEEP_CAP``.
 
     Each statistic is kept per (theta, code) cell.  The report holds its
     maximum, and as argmax the earliest cell (theta in grid order, then code
@@ -585,6 +590,8 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
         while digits < n and 3 ** (digits + 1) <= chunk:
             digits += 1
     else:
+        if n > SAMPLED_SWEEP_CAP:
+            raise CapacityError(f"{n} vertices exceeds the sampled sweep cap {SAMPLED_SWEEP_CAP}")
         codes = np.asarray(pinning_codes, dtype=np.int64)
         if codes.ndim != 1 or not len(codes) or codes.min() < 0 or codes.max() >= 3**n:
             raise InputError("pinning codes must be a non-empty list of integers in [0, 3^n)")

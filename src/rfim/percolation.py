@@ -15,17 +15,15 @@ routinely underflow.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, stats
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, distances_from
+from .graphs import Graph, bfs
 from .model import (
     PM,
-    ZERO_ONE,
     FieldDistribution,
     IsingModel,
     QuenchedField,
@@ -36,7 +34,7 @@ from .model import (
 )
 from .dynamics import grand_coupled_update
 from .localization import bounded_field_k_constant
-from .oracle import PINNING_SWEEP_CAP, gibbs_table, sup_cor2_over_pinnings
+from .oracle import PINNING_SWEEP_CAP, sup_cor2_over_pinnings
 from .rng import PERCOLATION, substream
 
 CLOSED, FIELD_OPEN, UNIFORM_OPEN = 0, 1, 2
@@ -85,16 +83,7 @@ def cluster_of_edge(realization: PercolationRealization, e) -> frozenset[int]:
     u, v = int(e[0]), int(e[1])
     if not g.has_edge(u, v):
         raise InputError(f"({u}, {v}) is not an edge")
-    open_sites = set(realization.open_set) | {u, v}
-    seen = {u, v}
-    queue = deque((u, v))
-    while queue:
-        w = queue.popleft()
-        for x in g.adjacency[w]:
-            if x in open_sites and x not in seen:
-                seen.add(x)
-                queue.append(x)
-    return frozenset(seen)
+    return frozenset(bfs(g, (u, v), allowed=realization.open_set))
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +134,10 @@ def cluster_tail_bound(delta: int, p0: float, m: float) -> ClusterTailBound:
 
 
 def row_sum_tail_bound(delta: int, p0: float, m: float) -> float:
-    """Failure bound (2/((1-e^-a)(1-e^-2a))) e^{2 gamma*} e^{-a m} with a = alpha*."""
-    if delta < 3:
-        raise InputError("max degree must be >= 3")
-    if not 0.0 < p0 < 1.0 or p0 * (delta - 1) >= 1.0:
-        raise InputError("need p0 in (0,1) with p0 (delta-1) < 1")
-    alpha = 0.5 * xi_star_value(p0, delta)
-    gamma = math.log((1.0 - p0) / (p0 * (delta - 2)))
-    const = 2.0 / ((1.0 - math.exp(-alpha)) * (1.0 - math.exp(-2.0 * alpha)))
-    return const * math.exp(2.0 * gamma) * math.exp(-alpha * m)
+    """Failure bound (2/((1-e^-a)(1-e^-2a))) e^{2 gamma*} e^{-a m} with a = alpha*:
+    the cluster's exponential-moment bound times e^{-a m}."""
+    tail = cluster_tail_bound(delta, p0, m)
+    return tail.exp_moment_bound * math.exp(-tail.alpha_star * m)
 
 
 def simulate_total_progeny(delta: int, p0: float, forests: int, seed: int,
@@ -185,25 +169,6 @@ class DisagreementResult:
     order: tuple[int, ...]
 
 
-def _bfs_order_from_edge(g: Graph, e, allowed=None) -> list[int]:
-    """BFS order from both endpoints of e, optionally restricted to a vertex set."""
-    u, v = int(e[0]), int(e[1])
-    seen = [u, v]
-    inset = {u, v}
-    queue = deque((u, v))
-    while queue:
-        w = queue.popleft()
-        for x in sorted(g.adjacency[w]):
-            if x in inset:
-                continue
-            if allowed is not None and x not in allowed:
-                continue
-            inset.add(x)
-            seen.append(x)
-            queue.append(x)
-    return seen
-
-
 def revelation_order(g: Graph, e, mode: str = "bfs",
                      cluster: frozenset[int] | None = None) -> tuple[int, ...]:
     """Vertex revelation order for the containment experiment.
@@ -214,24 +179,15 @@ def revelation_order(g: Graph, e, mode: str = "bfs",
     holds pathwise even on cyclic graphs.
     """
     if mode == "bfs":
-        order = _bfs_order_from_edge(g, e)
+        order = bfs(g, e)
     elif mode == "cluster":
         if cluster is None:
             raise InputError("cluster mode needs the percolation cluster")
-        order = _bfs_order_from_edge(g, e, allowed=cluster)
-        revealed = set(order)
-        ring = sorted(v for v in range(g.num_vertices)
-                      if v not in revealed and any(w in cluster for w in g.adjacency[v]))
-        order.extend(ring)
-        seen = set(order)
-        queue = deque(order)
-        while queue:
-            w = queue.popleft()
-            for x in sorted(g.adjacency[w]):
-                if x not in seen:
-                    seen.add(x)
-                    order.append(x)
-                    queue.append(x)
+        first = bfs(g, e, allowed=cluster)
+        revealed = set(first)
+        ring = [v for v in range(g.num_vertices)
+                if v not in revealed and any(w in cluster for w in g.adjacency[v])]
+        order = bfs(g, first + ring)
     else:
         raise InputError(f"unknown revelation order {mode!r}")
     placed = set(order)  # unreachable leftovers, if any, go last in ascending order
@@ -298,6 +254,7 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
 
     The sup over pinnings and the theta grid is exact (full ternary
     enumeration) up to the sweep cap, else sampled; the mode is recorded.
+    The sampled sweep raises CapacityError above ``SAMPLED_SWEEP_CAP`` vertices.
     Graphs of maximal degree below 3 are covered a fortiori by the
     degree-3 constants, so delta is floored at 3.
     """

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +50,10 @@ class SamplerConfig:
     seed: int
     ordering_seed: int = 0
     validate: bool = False
-    k_star_mode: str = "full"  # "full": k* from the whole graph; "prefix": from the prefix
 
     def __post_init__(self):
         if self.c_star <= 0:
             raise InputError("c_star must be positive")
-        if self.k_star_mode not in ("full", "prefix"):
-            raise InputError("k_star_mode must be 'full' or 'prefix'")
 
     def k_star(self, n: int) -> int:
         return int(math.ceil(n**self.c_star))
@@ -90,6 +87,7 @@ def _incremental_batch(model: IsingModel, config: SamplerConfig, replicas: int):
         raise InputError("the incremental sampler expects an unpinned model")
     start = time.perf_counter()
     n = model.n
+    k = config.k_star(n)  # every stage's step count comes from the whole graph
     one, zero = SPIN_VALUES[model.convention]
     out = np.zeros((replicas, n))
     stage_steps: list[int] = []
@@ -109,7 +107,6 @@ def _incremental_batch(model: IsingModel, config: SamplerConfig, replicas: int):
             if stage == 1:
                 stage_steps.append(0)  # the first spin is an exact sample
                 continue
-            k = config.k_star(n if config.k_star_mode == "full" else stage)
             _heat_bath_run(sub, state, np.flatnonzero(staged), k,
                            substream(config.seed, COUPLING, SAMPLER, ci, stage))
             stage_steps.append(k)

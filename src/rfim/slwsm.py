@@ -18,6 +18,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
+from .dynamics import _draw
 from .errors import CapacityError, InputError
 from .graphs import Graph, ball, boundary, distances_from
 from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, induced_model, sample_field
@@ -45,23 +46,7 @@ def sl_boost(model: IsingModel, t: float, seed: int, sampler: str = "oracle",
     if t < 0:
         raise InputError("t must be nonnegative")
     rng = substream(seed, SL, index)
-    if sampler == "oracle":
-        if table is None:
-            table = gibbs_table(model)
-        star = table.rows(rng.choice(len(table.probs), p=table.probs))[0]
-    elif sampler == "glauber":
-        from .dynamics import run_chain
-
-        if not burn_steps:
-            raise InputError("glauber sampler needs burn_steps")
-        init_vals = np.full(model.n, -1, dtype=np.int8)
-        for v, s in model.pinning.items():
-            init_vals[v] = s
-        state, _ = run_chain(model, SpinConfiguration(init_vals, PM), burn_steps, seed,
-                             chain_index=index)
-        star = state.config.values()
-    else:
-        raise InputError(f"unknown sampler {sampler!r}")
+    star = _draw(model, rng, sampler, seed, index, burn_steps, table)
     noise = math.sqrt(t) * rng.normal(size=model.n)
     y = t * star.astype(np.float64) + noise
     boosted = replace(model, field=model.field + y)

@@ -121,6 +121,22 @@ def test_mix_and_localize(tmp_path, capsys):
     assert cert["r_value"] == pytest.approx(66.0159, abs=1e-3)
 
 
+def test_mix_holds_the_pinned_spins(tmp_path, capsys):
+    pins = {0: 1, 3: -1}
+    m = random_field_model(path_graph(5), 0.5, seed=6).with_pinning(pins)
+    mpath = write_model(tmp_path, m)
+    for init in ("plus", "minus"):
+        assert run_cli("mix", "run", "--model", mpath, "--steps", "50", "--seed", "2",
+                       "--init", init) == 0
+        final = json.loads(capsys.readouterr().out)["final"]
+        assert all(final[v] == s for v, s in pins.items())
+    assert run_cli("mix", "couple", "--model", mpath, "--steps", "200", "--seed", "2") == 0
+    assert not set(pins) & set(json.loads(capsys.readouterr().out)["disagreements"])
+    assert run_cli("mix", "tvcurve", "--model", mpath, "--steps", "0,20", "--replicas", "200",
+                   "--seed", "2") == 0
+    assert [row["step"] for row in json.loads(capsys.readouterr().out)] == [0, 20]
+
+
 def test_certify_and_sl(tmp_path, capsys):
     assert run_cli("certify", "mlsi", "--n", "10", "--beta", "0.5", "--delta", "3",
                    "--alpha-star", "0.8304", "--m-bound", "1.0") == 0

@@ -12,7 +12,6 @@ from rfim import (
     conditional_table,
     gibbs_table,
     glauber_gap,
-    glauber_step,
     grand_coupled_update,
     marginals,
     monotone_coupled_batch,
@@ -21,21 +20,28 @@ from rfim import (
     run_chain,
     run_chains_batch,
 )
-from rfim.dynamics import ChainState, conditional_one_probability, empirical_tv_curve, mixing_time_bound
+from rfim.dynamics import _local_fields, _one_probability, empirical_tv_curve, mixing_time_bound
 from rfim.rng import CHAIN, substream
 
 from conftest import random_field_model, uniform_model
 from dense_reference import transition_matrix
 
 
+def one_probability(m, values, v):
+    """Heat-bath P(spin v = 'one' | the rest), through the kernel's local field."""
+    field = _local_fields(m, np.asarray(values, dtype=np.float64)[None, :],
+                          np.zeros(1, dtype=np.int64), np.array([v]))
+    return float(_one_probability(m.convention, field)[0])
+
+
 def test_update_probability_symmetric():
     m = uniform_model(build_graph(1, []), 0.0, [0.0])
-    assert conditional_one_probability(m, np.zeros(1), 0) == pytest.approx(0.5)
+    assert one_probability(m, np.zeros(1), 0) == pytest.approx(0.5)
 
 
 def test_update_probability_log3():
     m = uniform_model(build_graph(1, []), 0.0, [math.log(3.0)])
-    p = conditional_one_probability(m, np.zeros(1), 0)
+    p = one_probability(m, np.zeros(1), 0)
     assert p == pytest.approx(3.0 / (3.0 + 1.0 / 3.0), abs=1e-12)
     assert p == pytest.approx(0.9)
 
@@ -45,26 +51,9 @@ def test_update_matches_conditional_table():
     m = random_field_model(path_graph(3), 0.7, seed=3).with_pinning({0: 1})
     for s2 in (-1, 1):
         values = np.array([1.0, 0.0, float(s2)])
-        p = conditional_one_probability(m, values, 1)
+        p = one_probability(m, values, 1)
         t = conditional_table(m, {2: s2})
         assert p == pytest.approx(marginals(t)[0], abs=1e-12)
-
-
-def test_glauber_step_requires_free_vertex():
-    m = uniform_model(path_graph(2), 0.5, [0, 0]).with_pinning({0: 1, 1: 1})
-    state = ChainState(config=SpinConfiguration([1, 1], "pm"), step=0,
-                       rng=substream(0, CHAIN, 0))
-    with pytest.raises(InputError):
-        glauber_step(m, state)
-
-
-def test_glauber_step_advances():
-    m = random_field_model(path_graph(3), 0.5, seed=5)
-    state = ChainState(config=SpinConfiguration([1, 1, 1], "pm"), step=0,
-                       rng=substream(1, CHAIN, 0))
-    nxt = glauber_step(m, state)
-    assert nxt.step == 1
-    assert nxt.config.n == 3
 
 
 def test_run_chain_zero_steps():
@@ -89,6 +78,8 @@ def test_run_chain_respects_pinning():
     init = SpinConfiguration([1, 1, -1, 1], "pm")
     state, _ = run_chain(m, init, 300, seed=3)
     assert state.config.values()[2] == -1
+    with pytest.raises(InputError):  # nothing left to update
+        run_chain(m.with_pinning({0: 1, 1: 1, 3: 1}), init, 1, seed=3)
 
 
 def test_single_vertex_exact_stationarity():

@@ -428,6 +428,10 @@ def test_sweep_checks_inputs_before_enumerating(monkeypatch):
                          ([0.2], {"pinning_codes": [-1]})):
         with pytest.raises(InputError):
             sup_cor2_over_pinnings(m01, grid, **kwargs)
+    # the sampled route's memory grows as 4^n, so explicit codes are capped too
+    m15 = to_zero_one(uniform_model(path_graph(15), 0.4, np.zeros(15)))
+    with pytest.raises(CapacityError):
+        sup_cor2_over_pinnings(m15, [0.2], pinning_codes=[0])
 
 
 def _free_zero_one(m):

@@ -1,7 +1,11 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from rfim import (
     FieldDistribution,
@@ -15,6 +19,7 @@ from rfim import (
     cycle_graph,
     disagreement_experiment,
     gap_certificate,
+    grid_graph,
     mlsi_certificate,
     norm_interpolation_check,
     otter_dwass_pmf,
@@ -28,10 +33,16 @@ from rfim import (
     theta_star,
     to_zero_one,
 )
-from rfim.percolation import _p0_from_alpha_star, percolation_from_uniforms, revelation_order
+from rfim.percolation import (
+    PercolationRealization,
+    _p0_from_alpha_star,
+    percolation_from_uniforms,
+    revelation_order,
+)
 from rfim.rng import PERCOLATION, substream
 
 from conftest import random_field_model
+from strategies import models
 
 
 def test_percolate_vanishing_p0_mostly_empty():
@@ -84,6 +95,67 @@ def test_cluster_blocked_by_closed_middle():
     h = np.array([0.0, 0.0, 9.0, 0.0, 0.0])
     real = percolation_from_uniforms(g, h, k=1.0, p0=0.2, uniforms=np.full(5, 0.5))
     assert cluster_of_edge(real, (0, 1)) == {0, 1}
+
+
+def open_component(g, open_set, e):
+    """The edge's component in the subgraph induced by the open set and both
+    endpoints, labelled by scipy: the reference for cluster_of_edge."""
+    keep = set(open_set) | {e[0], e[1]}
+    ends = np.array([(a, b) for a, b in g.edges if a in keep and b in keep], dtype=np.int64)
+    ends = ends.reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                     shape=(g.num_vertices, g.num_vertices))
+    _, label = connected_components(adj, directed=False)
+    return {w for w in keep if label[w] == label[e[0]]}
+
+
+def queue_revelation_order(g, e, mode, cluster=None):
+    """Revelation orders by explicit queues: the reference for revelation_order."""
+    def from_edge(allowed=None):
+        u, v = int(e[0]), int(e[1])
+        seen, inset, queue = [u, v], {u, v}, deque((u, v))
+        while queue:
+            w = queue.popleft()
+            for x in sorted(g.adjacency[w]):
+                if x not in inset and (allowed is None or x in allowed):
+                    inset.add(x)
+                    seen.append(x)
+                    queue.append(x)
+        return seen
+
+    if mode == "bfs":
+        order = from_edge()
+    else:
+        order = from_edge(allowed=cluster)
+        revealed = set(order)
+        order.extend(sorted(v for v in range(g.num_vertices)
+                            if v not in revealed and any(w in cluster for w in g.adjacency[v])))
+        seen, queue = set(order), deque(order)
+        while queue:
+            w = queue.popleft()
+            for x in sorted(g.adjacency[w]):
+                if x not in seen:
+                    seen.add(x)
+                    order.append(x)
+                    queue.append(x)
+    placed = set(order)
+    return tuple(order + [v for v in range(g.num_vertices) if v not in placed])
+
+
+@settings(max_examples=80)
+@given(models().map(lambda m: m.graph).filter(lambda g: g.num_edges > 0), st.data())
+def test_traversals_match_queue_references(g, data):
+    vertices = st.integers(0, g.num_vertices - 1)
+    e = data.draw(st.sampled_from(g.edges))
+    open_set = frozenset(data.draw(st.sets(vertices)))
+    real = PercolationRealization(g, open_set, np.zeros(g.num_vertices, dtype=np.int8))
+    cluster = cluster_of_edge(real, e)
+    assert cluster == open_component(g, open_set, e)
+    assert revelation_order(g, e, mode="bfs") == queue_revelation_order(g, e, "bfs")
+    # any vertex set may be passed as the cluster, not only a percolation cluster
+    for given_cluster in (cluster, frozenset(data.draw(st.sets(vertices)))):
+        assert (revelation_order(g, e, mode="cluster", cluster=given_cluster)
+                == queue_revelation_order(g, e, "cluster", given_cluster))
 
 
 def test_otter_dwass_values():
@@ -182,6 +254,16 @@ def test_row_sum_tail_report_below_bound():
     bounds = [r.bound for r in report.rows]
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
     assert row_sum_tail_bound(3, 0.05, 0.5) > 1.0
+
+
+def test_row_sum_tail_report_samples_pinnings_above_the_sweep_cap():
+    report = row_sum_tail_report(
+        grid_graph(3, 4), beta=0.5, theta_grid=[0.0, 0.4], k=4.5, p0=0.05,
+        field_dist=FieldDistribution.two_point(5.0), trials=2, seed=11,
+        m_grid=[0.5, 1.0], sampled_pinnings=20)
+    assert report.mode == "sampled"
+    assert report.interpolation_all_ok
+    assert all(row.row_exceed_freq.shape == (17,) for row in report.rows)
 
 
 def test_norm_interpolation_examples():

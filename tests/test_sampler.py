@@ -31,8 +31,6 @@ from conftest import random_field_model, uniform_model
 def test_sampler_config_validation():
     with pytest.raises(InputError):
         SamplerConfig(c_star=0.0, seed=1)
-    with pytest.raises(InputError):
-        SamplerConfig(c_star=1.0, seed=1, k_star_mode="adaptive")
     assert SamplerConfig(c_star=2.0, seed=1).k_star(8) == 64
 
 
