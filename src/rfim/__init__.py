@@ -49,7 +49,6 @@ from .oracle import (
     GibbsTable,
     SpectralReport,
     at_variance_constant,
-    conditional_table,
     cor2_matrix,
     gibbs_table,
     glauber_gap,

@@ -161,7 +161,7 @@ def model_tilt(model_path, theta, pin, output):
     for item in pin:
         v, s = item.split("=")
         pinning[int(v)] = int(s)
-    _emit(M.model_to_json_dict(M.edge_tilt(m, theta, pinning)), output)
+    _emit(M.model_to_json_dict(M.edge_tilt(m, theta).with_pinning(pinning)), output)
 
 
 @model.command("assume")

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
-from .model import PM, SPIN_VALUES, IsingModel, SpinConfiguration, array_energy
+from .model import PM, SPIN_VALUES, IsingModel, SpinConfiguration, _config_values, array_energy
 from .oracle import GibbsTable, empirical_tv, gibbs_table
 from .rng import CHAIN, COUPLING, substream
 
@@ -131,12 +131,7 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
     Returns the final ChainState, plus a time series of (step, magnetization,
     energy) rows when ``record_every`` is set.
     """
-    if init.convention != model.convention or init.n != model.n:
-        raise InputError("initial configuration does not match the model")
-    values = init.values().tolist()
-    for v, s in model.pinning.items():
-        if values[v] != s:
-            raise InputError(f"initial configuration conflicts with pinning at {v}")
+    values = _config_values(model, init).tolist()
     free = _free_vertices(model).tolist()
     update = _scalar_update(model)
     rng = substream(seed, CHAIN, chain_index)
@@ -215,8 +210,8 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
     """
     if not model.ferromagnetic:
         raise InputError("monotone coupling requires a ferromagnetic model")
-    lo = low.values().tolist()
-    hi = high.values().tolist()
+    lo = _config_values(model, low).tolist()
+    hi = _config_values(model, high).tolist()
     if any(a > b for a, b in zip(lo, hi)):
         raise InputError("initial states must satisfy low <= high pointwise")
     free = _free_vertices(model).tolist()
@@ -287,19 +282,18 @@ def monotone_coupled_batch(model: IsingModel, steps: int, runs: int, seed: int) 
     }
 
 
-def grand_coupled_update(models, states, seed: int | None = None, order=None,
-                         uniforms: np.ndarray | None = None,
-                         tables: list[GibbsTable] | None = None):
+def grand_coupled_update(models, seed: int | None = None, order=None,
+                         uniforms: np.ndarray | None = None):
     """Reveal every vertex once across many conditioned chains, sharing uniforms.
 
     Each model may differ in couplings, fields and pinnings but all share the
-    vertex index space and convention.  ``states`` are partial assignments
-    (vertex -> value) that are kept as conditioning; the remaining vertices
-    are revealed in ``order`` (default: ascending index).  At each position
-    one uniform drives every chain's conditional quantile; ``uniforms`` may
-    be supplied, indexed by vertex, to share randomness with an external
-    process.  Conditional laws are computed exactly from Gibbs tables, so
-    oracle capacity applies.
+    vertex index space and convention; a chain is conditioned by its model's
+    pinning alone (condition on a partial state with ``m.with_pinning(state)``).
+    The vertices are revealed in ``order`` (default: ascending index).  At
+    each position one uniform drives every chain's conditional quantile;
+    ``uniforms`` may be supplied, indexed by vertex, to share randomness with
+    an external process.  Conditional laws are computed exactly from Gibbs
+    tables, so oracle capacity applies.
 
     Returns (configurations, disagreement set, per-vertex revelation log).
     """
@@ -310,12 +304,7 @@ def grand_coupled_update(models, states, seed: int | None = None, order=None,
     for m in models:
         if m.n != n or m.convention != conv:
             raise InputError("models must share vertex index space and convention")
-    if len(states) != len(models):
-        raise InputError("need one partial state per model")
-    if tables is None:
-        tables = [gibbs_table(m) for m in models]
-    if order is None:
-        order = list(range(n))
+    tables = [gibbs_table(m) for m in models]
     if uniforms is None:
         if seed is None:
             raise InputError("need a seed when uniforms are not supplied")
@@ -327,26 +316,11 @@ def grand_coupled_update(models, states, seed: int | None = None, order=None,
 
     # per-chain spin rows of every table config, and the rows consistent so far
     rows = [tab.rows() for tab in tables]
-    masks = []
-    values = []
-    for m, r, st in zip(models, rows, states):
-        mask = np.ones(len(r), dtype=bool)
-        vals = dict(m.pinning)
-        for v, s in st.items():
-            v, s = int(v), int(s)
-            if v in m.pinning:
-                if m.pinning[v] != s:
-                    raise InputError(f"state conflicts with pinning at vertex {v}")
-                continue
-            if s not in (one, zero):
-                raise InputError(f"state value {s} at vertex {v} is not a spin")
-            mask &= r[:, v] == s
-            vals[v] = s
-        masks.append(mask)
-        values.append(vals)
+    masks = [np.ones(len(r), dtype=bool) for r in rows]
+    values = [dict(m.pinning) for m in models]
 
     log = []
-    for v in order:
+    for v in range(n) if order is None else order:
         v = int(v)
         u = float(uniforms[v])
         outcome = []
@@ -361,15 +335,9 @@ def grand_coupled_update(models, states, seed: int | None = None, order=None,
             outcome.append(values[ci][v])
         log.append((v, u, tuple(outcome)))
 
-    configs = [
-        SpinConfiguration(np.array([vals[v] for v in range(n)], dtype=np.int8), conv)
-        for vals in values
-    ]
-    disagree = frozenset(
-        v for v in range(n)
-        if len({vals[v] for vals in values}) > 1
-    )
-    return configs, disagree, tuple(log)
+    full = np.array([[vals[v] for v in range(n)] for vals in values], dtype=np.int8)
+    disagree = frozenset(np.flatnonzero((full != full[0]).any(axis=0)).tolist())
+    return [SpinConfiguration(row, conv) for row in full], disagree, tuple(log)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +351,8 @@ def empirical_tv_curve(model: IsingModel, init: SpinConfiguration, step_grid,
     The noise floor is the expected TV of a perfect multinomial sample of the
     same size, 0.5 * sum sqrt(2 p (1-p) / (pi R)).
     """
+    init_vals = np.tile(_config_values(model, init).astype(np.float64), (replicas, 1))
     table = gibbs_table(model)
-    init_vals = np.tile(init.values().astype(np.float64), (replicas, 1))
     grid = sorted(set(int(s) for s in step_grid))
     _, snapshots = run_chains_batch(model, init_vals, max(grid), seed, snapshot_steps=grid)
     noise = 0.5 * float(np.sqrt(2 * table.probs * (1 - table.probs) / (np.pi * replicas)).sum())

@@ -242,22 +242,25 @@ def growth_profile(g: Graph, alpha: float, c_alpha: float) -> GrowthProfile:
     return GrowthProfile(alpha=alpha, c_alpha=c_alpha, per_radius_max_ball=tuple(rows), satisfied=ok)
 
 
-def connected_ordering(g: Graph, seed: int, start: int | None = None) -> tuple[int, ...]:
-    """Vertex order whose every prefix induces a connected subgraph.
+def connected_ordering(g: Graph, seed: int, vertices=None) -> tuple[int, ...]:
+    """Order of ``vertices`` (default: all) whose every prefix induces a connected subgraph.
 
-    Randomized BFS/DFS frontier selection, deterministic given ``seed``;
-    the next vertex is drawn uniformly from the current frontier.
+    Randomized BFS/DFS frontier selection, deterministic given ``seed``: the
+    start is drawn uniformly from the sorted vertices and each next vertex
+    uniformly from the sorted frontier.  Only edges inside ``vertices`` count,
+    so the order is that of the induced subgraph relabelled in sorted order.
     """
-    n = g.num_vertices
-    if n == 0:
+    for v in () if vertices is None else vertices:
+        _check_vertex(g, v)
+    keep = range(g.num_vertices) if vertices is None else sorted({int(v) for v in vertices})
+    if not keep:
         return ()
     rng = substream(seed, ORDERING)
-    if start is None:
-        start = int(rng.integers(n))
-    _check_vertex(g, start)
+    start = keep[int(rng.integers(len(keep)))]
+    inside = set(keep)
     order = [start]
     in_prefix = {start}
-    frontier = set(g.adjacency[start])
+    frontier = inside.intersection(g.adjacency[start])
     while frontier:
         candidates = sorted(frontier)
         v = candidates[int(rng.integers(len(candidates)))]
@@ -265,10 +268,10 @@ def connected_ordering(g: Graph, seed: int, start: int | None = None) -> tuple[i
         in_prefix.add(v)
         frontier.discard(v)
         for w in g.adjacency[v]:
-            if w not in in_prefix:
+            if w in inside and w not in in_prefix:
                 frontier.add(w)
-    if len(order) < n:
-        missing = min(v for v in range(n) if v not in in_prefix)
+    if len(order) < len(keep):
+        missing = min(v for v in keep if v not in in_prefix)
         raise InputError(
             f"graph is disconnected: vertex {missing} is unreachable from vertex {start}"
         )

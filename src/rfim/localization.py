@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .model import ZERO_ONE, IsingModel, SpinConfiguration, edge_tilt
-from .oracle import GibbsTable, _edge_event_columns, gibbs_table
+from .model import ZERO_ONE, IsingModel, SpinConfiguration, edge_tilt, theta_star
+from .oracle import BINNING_CAP, GibbsTable, _edge_event_columns, gibbs_table
 from .rng import TRACE, substream
 from .dynamics import _draw
 
@@ -82,13 +82,8 @@ def posterior_model(model01: IsingModel, t: float, revealed) -> IsingModel:
         raise InputError("posterior_model needs a 01-convention model")
     if not 0.0 <= t < 1.0:
         raise InputError("t must lie in [0, 1)")
-    pin: dict[int, int] = {}
-    edges = model01.graph.edges
-    for e in revealed:
-        u, v = edges[int(e)]
-        pin[u] = 1
-        pin[v] = 1
-    return edge_tilt(model01, t, pin)
+    pin = {w: 1 for e in revealed for w in model01.graph.edges[int(e)]}
+    return edge_tilt(model01, t).with_pinning(pin)
 
 
 def exact_revealed_posterior(model01: IsingModel, t: float, revealed) -> np.ndarray:
@@ -149,10 +144,9 @@ def verify_posterior_by_simulation(model01: IsingModel, t: float, traces: int, s
     """
     if model01.convention != ZERO_ONE:
         raise InputError("needs a 01-convention model")
-    table = gibbs_table(model01)
-    f = table.num_free
-    if f > 20:
+    if len(model01.free_vertices) > BINNING_CAP:
         raise CapacityError("too many free vertices for trace bucketing")
+    table = gibbs_table(model01)
     rng = substream(seed, TRACE)
     idx = rng.choice(len(table.probs), p=table.probs, size=traces)
     z = _edge_event_columns(table).astype(bool)
@@ -293,8 +287,7 @@ def entropy_conservation_for_model(n: int, beta: float, delta: int, m_bound: flo
         raise InputError("need n >= 2")
     eta_op = max(1.0, 4.0 * delta * math.log(n) / alpha_star)
     k_low = bounded_field_k_constant(delta, m_bound, beta)
-    theta = 1.0 - math.exp(-4.0 * beta)
-    cert = entropy_conservation_R(eta_op, k_low, theta)
+    cert = entropy_conservation_R(eta_op, k_low, theta_star(beta))
     log_rho = -cert.log_r - math.log(n)
     with np.errstate(over="ignore"):
         rho = float(np.exp(log_rho))

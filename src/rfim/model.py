@@ -4,7 +4,10 @@ The measure is mu(sigma) proportional to exp(H(sigma)) with
 H(sigma) = sum_e c_e * sigma_u sigma_v + sum_u h_u sigma_u, either over
 sigma in {-1,+1}^V (convention "pm") or {0,1}^V (convention "01").  Pinning
 lives in the model, not in configurations: a conditional measure is just the
-same model with a larger pinning.  Models and fields are immutable value
+same model with a larger pinning (``with_pinning``).  The grand coupling, the
+revelation posterior ``edge_tilt(m, t).with_pinning(p)`` and the WSM boundary
+ring all condition this way, and ``IsingModel.check_values`` is the one check
+that spin vectors agree with a pinning.  Models and fields are immutable value
 objects; field sampling takes an explicit seed.
 """
 
@@ -138,24 +141,19 @@ class FieldDistribution:
         if k < 0:
             raise InputError("threshold must be nonnegative")
         if self.kind == "shifted":
-            return max(self._mass_shifted(k, c) for c in self.offsets)
+            return max(self.base._mass_shifted(k, c) for c in self.offsets)
         return self._mass_shifted(k, 0.0)
 
     def _mass_shifted(self, k: float, c: float) -> float:
-        # P(|X + c| <= k) for X from the base kind.
+        # P(|X + c| <= k) for X from this simple kind.
         lo, hi = -k - c, k - c
-        if self.kind == "gaussian" or (self.kind == "shifted" and self.base.kind == "gaussian"):
-            sigma = self.sigma if self.kind == "gaussian" else self.base.sigma
-            return float(special.ndtr(hi / sigma) - special.ndtr(lo / sigma))
-        if self.kind == "uniform_symmetric" or (
-            self.kind == "shifted" and self.base.kind == "uniform_symmetric"
-        ):
-            m = self.half_width if self.kind == "uniform_symmetric" else self.base.half_width
-            overlap = min(hi, m) - max(lo, -m)
-            return float(max(0.0, overlap) / (2 * m))
-        if self.kind == "two_point" or (self.kind == "shifted" and self.base.kind == "two_point"):
-            a = self.atom if self.kind == "two_point" else self.base.atom
-            return 0.5 * (float(lo <= a <= hi) + float(lo <= -a <= hi))
+        if self.kind == "gaussian":
+            return float(special.ndtr(hi / self.sigma) - special.ndtr(lo / self.sigma))
+        if self.kind == "uniform_symmetric":
+            m = self.half_width
+            return float(max(0.0, min(hi, m) - max(lo, -m)) / (2 * m))
+        if self.kind == "two_point":
+            return 0.5 * (float(lo <= self.atom <= hi) + float(lo <= -self.atom <= hi))
         raise InputError(f"unsupported field kind {self.kind!r}")
 
     def to_json_dict(self) -> dict:
@@ -313,28 +311,35 @@ class IsingModel:
             merged[v] = s
         return replace(self, pinning=merged)
 
+    def check_values(self, values) -> np.ndarray:
+        """``values`` as an array, checked to hold n entries along its last axis
+        and the pinned value at every pinned vertex; raises InputError otherwise."""
+        vals = np.asarray(values)
+        if vals.ndim == 0 or vals.shape[-1] != self.n:
+            raise InputError(f"values must have {self.n} entries along their last axis")
+        for v, s in self.pinning.items():
+            if (vals[..., v] != s).any():
+                raise InputError(f"value at vertex {v} conflicts with pinning")
+        return vals
+
     def full_values(self, free_values: np.ndarray | float) -> np.ndarray:
         """Assemble a full spin vector from values on the free vertices (a scalar fills them all)."""
         out = np.zeros(self.n, dtype=np.float64)
         out[list(self.free_vertices)] = free_values
-        for v, s in self.pinning.items():
-            out[v] = s
+        out[list(self.pinning)] = list(self.pinning.values())
         return out
+
+
+def _config_values(model: IsingModel, config: SpinConfiguration) -> np.ndarray:
+    """The spin vector of ``config``: its convention is checked first, then ``check_values``."""
+    if config.convention != model.convention:
+        raise InputError(f"convention {config.convention!r} != model {model.convention!r}")
+    return model.check_values(config.values())
 
 
 def hamiltonian(model: IsingModel, sigma: SpinConfiguration) -> float:
     """Energy sum_e c_e sigma_u sigma_v + sum_u h_u sigma_u in the model's convention."""
-    if sigma.convention != model.convention:
-        raise InputError(
-            f"configuration convention {sigma.convention!r} != model {model.convention!r}"
-        )
-    if sigma.n != model.n:
-        raise InputError("configuration length does not match model")
-    vals = sigma.values().astype(np.float64)
-    for v, s in model.pinning.items():
-        if vals[v] != s:
-            raise InputError(f"configuration conflicts with pinning at vertex {v}")
-    return array_energy(model, vals)
+    return array_energy(model, _config_values(model, sigma).astype(np.float64))
 
 
 def array_energy(model: IsingModel, values: np.ndarray) -> float:
@@ -382,22 +387,19 @@ def theta_star(model_or_beta) -> float:
     return 1.0 - math.exp(-c)
 
 
-def edge_tilt(model01: IsingModel, theta: float, pinning: dict | None = None) -> IsingModel:
-    """Tilt every edge coupling by ln(1-theta) and apply ``pinning``.
+def edge_tilt(model01: IsingModel, theta: float) -> IsingModel:
+    """Tilt every edge coupling by ln(1-theta); pinning and fields are kept.
 
     On edges with both endpoints free this turns c_e into c_e + ln(1-theta);
-    on edges with a pinned-to-1 endpoint the same term acts as a field shift
-    on the free endpoint, which is exactly what the revelation posterior
-    mu(sigma) (1-theta)^{#(1,1)-edges} demands.  Fields are not touched.
+    once an endpoint is pinned to 1 (``edge_tilt(m, theta).with_pinning(p)``)
+    the same term acts as a field shift on the free endpoint, which is exactly
+    what the revelation posterior mu(sigma) (1-theta)^{#(1,1)-edges} demands.
     """
     if model01.convention != ZERO_ONE:
         raise InputError("edge_tilt expects a 01-convention model")
-    if not theta < 1.0:
-        raise InputError("theta must be < 1")
-    if theta < 0.0:
-        raise InputError("theta must be >= 0")
-    tilted = replace(model01, couplings=model01.couplings + math.log1p(-theta))
-    return tilted.with_pinning(pinning or {})
+    if not 0.0 <= theta < 1.0:
+        raise InputError("theta must lie in [0, 1)")
+    return replace(model01, couplings=model01.couplings + math.log1p(-theta))
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +432,21 @@ def xi_star_value(p0: float, delta: int) -> float:
     )
 
 
+def alpha_star_value(p0: float, delta: int) -> float:
+    """alpha* = xi* / 2."""
+    return 0.5 * xi_star_value(p0, delta)
+
+
+def exp_gamma_star(p0: float, delta: int) -> float:
+    """e^{gamma*} = (1-p0) / (p0 (D-2))."""
+    return (1 - p0) / (p0 * (delta - 2))
+
+
+def gamma_star_value(p0: float, delta: int) -> float:
+    """gamma* = log[(1-p0) / (p0 (D-2))]."""
+    return math.log(exp_gamma_star(p0, delta))
+
+
 def assumption_params(p0: float, k: float, beta: float, delta: int) -> AssumptionParams:
     """Compute rho, xi*, alpha*, gamma* and the validity flag."""
     if delta < 3:
@@ -439,13 +456,11 @@ def assumption_params(p0: float, k: float, beta: float, delta: int) -> Assumptio
     if beta <= 0 or k <= 0:
         raise InputError("beta and K must be positive")
     rho = float(special.expit(2.0 * (delta * beta - k)))
-    xi = xi_star_value(p0, delta)
-    alpha = 0.5 * xi
-    gamma = math.log((1 - p0) / (p0 * (delta - 2)))
     valid = (p0 * (delta - 1) < 1.0) and (rho < p0 / 4.0)
     return AssumptionParams(
-        p0=float(p0), k=float(k), beta=float(beta), delta=int(delta),
-        rho=rho, xi_star=xi, alpha_star=alpha, gamma_star=gamma, valid=valid,
+        p0=float(p0), k=float(k), beta=float(beta), delta=int(delta), rho=rho,
+        xi_star=xi_star_value(p0, delta), alpha_star=alpha_star_value(p0, delta),
+        gamma_star=gamma_star_value(p0, delta), valid=valid,
     )
 
 

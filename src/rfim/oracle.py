@@ -37,6 +37,10 @@ from .rng import PROBE, substream
 
 GIBBS_CAP = 24
 SPECTRAL_CAP = 16
+# Empirical laws are binned over all 2^f configurations; the boosted tables
+# hold (realizations, 2^f) probabilities.
+BINNING_CAP = 20
+BOOST_CAP = 16
 MLSI_CAP = 10
 PINNING_SWEEP_CAP = 10
 # The sampled sweep holds a (chunk, 2^n) mask-weight array and (2^n, 1+E+E^2)
@@ -81,13 +85,9 @@ class GibbsTable:
     def indices(self, values) -> np.ndarray:
         """Config index of each full spin vector (a row of ``values``).
 
-        Raises InputError when a row conflicts with the pinning.
+        Raises InputError when a row has the wrong length or conflicts with the pinning.
         """
-        vals = np.asarray(values)
-        vals = vals.reshape(-1, vals.shape[-1])
-        for v, s in self.model.pinning.items():
-            if (vals[:, v] != s).any():
-                raise InputError(f"value at vertex {v} conflicts with pinning")
+        vals = self.model.check_values(values).reshape(-1, self.model.n)
         idx = np.zeros(len(vals), dtype=np.int64)
         for j, v in enumerate(self.free):
             idx |= (vals[:, v] == 1).astype(np.int64) << j  # +1 in pm, 1 in 01
@@ -150,11 +150,6 @@ def gibbs_table(model: IsingModel) -> GibbsTable:
     return _table(model, _free_energies(model))
 
 
-def conditional_table(model: IsingModel, extra_pinning: dict) -> GibbsTable:
-    """Table of the conditional measure given additional pinned spins."""
-    return gibbs_table(model.with_pinning(extra_pinning))
-
-
 def marginals(table: GibbsTable) -> np.ndarray:
     """P(spin of free vertex j is the 'one' value), per free vertex."""
     probs = table.probs
@@ -184,7 +179,7 @@ def tv_distance(t1: GibbsTable, t2: GibbsTable) -> float:
 
 def empirical_tv(table: GibbsTable, values: np.ndarray) -> float:
     """TV between the empirical law of the rows of ``values`` (samples, n) and the table."""
-    if table.num_free > 20:
+    if table.num_free > BINNING_CAP:
         raise CapacityError("empirical TV needs a model small enough to bin exactly")
     emp = np.bincount(table.indices(values), minlength=len(table.probs)) / len(values)
     return 0.5 * float(np.abs(emp - table.probs).sum())

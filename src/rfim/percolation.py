@@ -27,7 +27,10 @@ from .model import (
     FieldDistribution,
     IsingModel,
     QuenchedField,
+    alpha_star_value,
     edge_tilt,
+    exp_gamma_star,
+    gamma_star_value,
     sample_field,
     to_zero_one,
     xi_star_value,
@@ -125,12 +128,17 @@ def cluster_tail_bound(delta: int, p0: float, m: float) -> ClusterTailBound:
     if not 0.0 < p0 < 1.0 or p0 * (delta - 1) >= 1.0:
         raise InputError("need p0 in (0,1) with p0 (delta-1) < 1")
     xi = xi_star_value(p0, delta)
-    alpha = 0.5 * xi
-    gamma_sq = ((1.0 - p0) / (p0 * (delta - 2))) ** 2
+    alpha = alpha_star_value(p0, delta)
+    gamma_sq = exp_gamma_star(p0, delta) ** 2
     tail = 2.0 / (1.0 - math.exp(-xi)) * gamma_sq * math.exp(-xi * m)
-    moment = 2.0 / ((1.0 - math.exp(-2.0 * alpha)) * (1.0 - math.exp(-alpha))) * gamma_sq
+    moment = _moment_constant(alpha) * gamma_sq
     return ClusterTailBound(m=float(m), tail_bound=tail, exp_moment_bound=moment,
                             xi_star=xi, alpha_star=alpha)
+
+
+def _moment_constant(alpha: float) -> float:
+    """2 / ((1 - e^-alpha) (1 - e^-2 alpha)), the exponential-moment factor at alpha."""
+    return 2.0 / ((1.0 - math.exp(-alpha)) * (1.0 - math.exp(-2.0 * alpha)))
 
 
 def row_sum_tail_bound(delta: int, p0: float, m: float) -> float:
@@ -209,14 +217,13 @@ def disagreement_experiment(model01: IsingModel, e, theta: float, extra_pinning:
     u, v = int(e[0]), int(e[1])
     if not g.has_edge(u, v):
         raise InputError(f"({u}, {v}) is not an edge")
-    nu = edge_tilt(model01, theta, extra_pinning)
+    nu = edge_tilt(model01, theta).with_pinning(extra_pinning)
     nu_cond = nu.with_pinning({u: 1, v: 1})
     uniforms = substream(seed, PERCOLATION, 2).random(g.num_vertices)
     realization = percolation_from_uniforms(g, field_values, k, p0, uniforms)
     cluster = cluster_of_edge(realization, e)
     order_seq = revelation_order(g, e, mode=order, cluster=cluster)
-    _, disagree, _ = grand_coupled_update(
-        [nu, nu_cond], [{}, {}], order=order_seq, uniforms=uniforms)
+    _, disagree, _ = grand_coupled_update([nu, nu_cond], order=order_seq, uniforms=uniforms)
     return DisagreementResult(
         disagreement_set=disagree,
         cluster=cluster,
@@ -393,7 +400,7 @@ def _p0_from_alpha_star(alpha_star: float, delta: int) -> float:
     lo, hi = 1e-300, 1.0 / (delta - 1) - 1e-12
 
     def f(p):
-        return 0.5 * xi_star_value(p, delta) - alpha_star
+        return alpha_star_value(p, delta) - alpha_star
 
     if f(lo) < 0 or f(hi) > 0:
         raise InputError("alpha_star is outside the attainable range for this degree")
@@ -434,8 +441,8 @@ def refined_gap_tail(n: int, beta: float, delta: int, alpha_star: float,
     log_bound = math.log(n) + eps * l_value
     failure = math.exp(-2.0 * l_value)
     p0 = _p0_from_alpha_star(alpha_star, delta)
-    gamma = math.log((1.0 - p0) / (p0 * (delta - 2)))
-    const = 2.0 / ((1.0 - math.exp(-alpha_star)) * (1.0 - math.exp(-2.0 * alpha_star)))
+    gamma = gamma_star_value(p0, delta)
+    const = _moment_constant(alpha_star)
     root = math.sqrt(alpha_star)
     if root > 2.0:
         kappa0 = (math.log(n * delta * const) + 2.0 * gamma) / ((root - 2.0) * math.log(n))

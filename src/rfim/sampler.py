@@ -4,10 +4,11 @@ The sampler fixes a prefix-connected vertex ordering, draws the first spin
 exactly from its single-site law, and then for each later vertex concatenates
 an independent single-site draw and runs k* = ceil(n^{C*}) heat-bath updates
 on the model induced by the current prefix.  Later vertices are absent, not
-pinned: they hold 0 in the component's one state matrix, which adds nothing
-to a local field in either convention.  Stage 1 is exact; every other stage
-is a chain from a warm start.  Disconnected graphs are handled per component
-and the outputs concatenated.
+pinned: they hold 0 in the model's one (replicas, n) state matrix, which adds
+nothing to a local field in either convention, and each stage updates only
+the staged vertices, so no induced model is built.  Stage 1 is exact; every
+other stage is a chain from a warm start.  Disconnected graphs are staged one
+component at a time in the same matrix; no edge joins two components.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .model import (
     FieldDistribution,
     IsingModel,
     SpinConfiguration,
-    induced_model,
     model_from_json_dict,
     model_to_json_dict,
     sample_field,
@@ -73,52 +73,39 @@ class RunReport:
 
 def incremental_sample(model: IsingModel, config: SamplerConfig):
     """One configuration from the staged warm-start sampler, plus its report."""
-    values, report = _incremental_batch(model, config, replicas=1)
+    values, report = incremental_sample_batch(model, config, replicas=1)
     return SpinConfiguration(values[0].astype(np.int8), model.convention), report
 
 
 def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas: int):
     """Many independent runs advanced in lockstep; rows are final configurations."""
-    return _incremental_batch(model, config, replicas=replicas)
-
-
-def _incremental_batch(model: IsingModel, config: SamplerConfig, replicas: int):
     if model.pinning:
         raise InputError("the incremental sampler expects an unpinned model")
     start = time.perf_counter()
-    n = model.n
-    k = config.k_star(n)  # every stage's step count comes from the whole graph
+    k = config.k_star(model.n)  # every stage's step count comes from the whole graph
     one, zero = SPIN_VALUES[model.convention]
-    out = np.zeros((replicas, n))
+    state = np.zeros((replicas, model.n))  # vertices not yet staged hold 0
     stage_steps: list[int] = []
     full_order: list[int] = []
-    comps = connected_components(model.graph)
-    for ci, comp in enumerate(comps):
-        sub = induced_model(model, comp)  # comp sorted ascending by construction
-        order_local = connected_ordering(sub.graph, config.ordering_seed + ci)
-        full_order.extend(comp[i] for i in order_local)
-        state = np.zeros((replicas, sub.n))  # vertices not yet staged hold 0
-        staged = np.zeros(sub.n, dtype=bool)
-        for stage, v_new in enumerate(order_local, start=1):
+    for ci, comp in enumerate(connected_components(model.graph)):
+        order = connected_ordering(model.graph, config.ordering_seed + ci, comp)
+        full_order.extend(order)
+        staged = np.zeros(model.n, dtype=bool)
+        for stage, v_new in enumerate(order, start=1):
             rng = substream(config.seed, SAMPLER, ci, stage)
-            p_one = _one_probability(sub.convention, sub.field[v_new])
+            p_one = _one_probability(model.convention, model.field[v_new])
             state[:, v_new] = np.where(rng.random(replicas) <= p_one, one, zero)
             staged[v_new] = True
             if stage == 1:
                 stage_steps.append(0)  # the first spin is an exact sample
                 continue
-            _heat_bath_run(sub, state, np.flatnonzero(staged), k,
+            _heat_bath_run(model, state, np.flatnonzero(staged), k,
                            substream(config.seed, COUPLING, SAMPLER, ci, stage))
             stage_steps.append(k)
-        out[:, comp] = state
-    report = RunReport(
-        stage_steps=tuple(stage_steps),
-        total_updates=int(sum(stage_steps)),
-        wall_time=time.perf_counter() - start,
-        ordering=tuple(full_order),
-        replicas=replicas,
-    )
-    return out, report
+    report = RunReport(stage_steps=tuple(stage_steps), total_updates=int(sum(stage_steps)),
+                       wall_time=time.perf_counter() - start, ordering=tuple(full_order),
+                       replicas=replicas)
+    return state, report
 
 
 def empirical_tv_to_oracle(model: IsingModel, values: np.ndarray) -> float:
@@ -134,10 +121,7 @@ def validated_incremental_sample(model: IsingModel, config: SamplerConfig, repli
     """
     values, report = incremental_sample_batch(model, config, replicas)
     tv = empirical_tv_to_oracle(model, values)
-    report = RunReport(
-        stage_steps=report.stage_steps, total_updates=report.total_updates,
-        wall_time=report.wall_time, ordering=report.ordering,
-        tv_vs_oracle=tv, replicas=replicas)
+    report = replace(report, tv_vs_oracle=tv)
     if tv > eps:
         raise ValidationFailure(f"empirical TV {tv:.4f} exceeds eps {eps}")
     return values, report

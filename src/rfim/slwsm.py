@@ -22,7 +22,7 @@ from .dynamics import _draw
 from .errors import CapacityError, InputError
 from .graphs import Graph, ball, boundary, distances_from
 from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, induced_model, sample_field
-from .oracle import GibbsTable, gibbs_table, marginals, mean_and_covariance
+from .oracle import BOOST_CAP, GibbsTable, gibbs_table, marginals, mean_and_covariance
 from .rng import SL, substream
 
 
@@ -60,11 +60,10 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
 
     Returns (probs (count, configs), spin values (configs, f), base table).
     """
+    _check_boost_size(model)
     if table is None:
         table = gibbs_table(model)
     f = table.num_free
-    if f > 16:
-        raise CapacityError("batch boosting needs a small model")
     vals = table.rows()[:, list(table.free)].astype(np.float64, order="C")
     rng = substream(seed, SL)
     idx = rng.choice(len(table.probs), p=table.probs, size=count)
@@ -75,6 +74,12 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     energies = base_energy[None, :] + y @ vals.T
     energies -= logsumexp(energies, axis=1, keepdims=True)
     return np.exp(energies), vals, table
+
+
+def _check_boost_size(model: IsingModel) -> None:
+    """Raise CapacityError above ``BOOST_CAP`` free vertices; callers check before enumerating."""
+    if len(model.free_vertices) > BOOST_CAP:
+        raise CapacityError("batch boosting needs a small model")
 
 
 def averaged_boosted_table(model: IsingModel, t: float, realizations: int, seed: int):
@@ -293,6 +298,9 @@ def trace_moment_probe(model: IsingModel, p: int, t_grid, realizations: int,
     """
     if p < 1:
         raise InputError("moment order must be >= 1")
+    t_grid = tuple(t_grid)
+    if any(t != 0 for t in t_grid):
+        _check_boost_size(model)
     table = gibbs_table(model)
     f = table.num_free
     rows = []
@@ -350,6 +358,8 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         raise InputError("delta must lie in (0, 1)")
     if t_value < 0:
         raise InputError("T must be nonnegative")
+    if t_value > 0:
+        _check_boost_size(model)
     table = gibbs_table(model)
     if c0 is None:
         fit = trace_moment_probe(model, trace_p, (0.0, t_value / 2, t_value),

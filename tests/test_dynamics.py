@@ -9,7 +9,6 @@ from rfim import (
     SpinConfiguration,
     build_graph,
     complete_graph,
-    conditional_table,
     gibbs_table,
     glauber_gap,
     grand_coupled_update,
@@ -19,6 +18,7 @@ from rfim import (
     path_graph,
     run_chain,
     run_chains_batch,
+    to_zero_one,
 )
 from rfim.dynamics import _local_fields, _one_probability, empirical_tv_curve, mixing_time_bound
 from rfim.rng import CHAIN, substream
@@ -52,7 +52,7 @@ def test_update_matches_conditional_table():
     for s2 in (-1, 1):
         values = np.array([1.0, 0.0, float(s2)])
         p = one_probability(m, values, 1)
-        t = conditional_table(m, {2: s2})
+        t = gibbs_table(m.with_pinning({2: s2}))
         assert p == pytest.approx(marginals(t)[0], abs=1e-12)
 
 
@@ -138,6 +138,19 @@ def test_monotone_rejects_antiferromagnet():
         monotone_coupled_run(m, lo, hi, 10, seed=1)
 
 
+def test_monotone_run_checks_its_starts():
+    # A start that breaks a pin would never coalesce: pinned sites are never updated.
+    m = uniform_model(path_graph(4), 0.5, np.zeros(4))
+    lo = SpinConfiguration([-1] * 4, "pm")
+    hi = SpinConfiguration([1] * 4, "pm")
+    for model, low, high in ((m.with_pinning({1: 1}), lo, hi),
+                             (m.with_pinning({1: -1}), lo, hi),
+                             (m, SpinConfiguration([0] * 4, "01"), hi),
+                             (m, SpinConfiguration([-1] * 3, "pm"), hi)):
+        with pytest.raises(InputError):
+            monotone_coupled_run(model, low, high, 200, seed=3)
+
+
 def test_monotone_beta_zero_coalesces_on_first_update():
     m = random_field_model(path_graph(4), 0.0, seed=6)
     lo = SpinConfiguration([-1] * 4, "pm")
@@ -150,7 +163,7 @@ def test_monotone_beta_zero_coalesces_on_first_update():
 
 def test_grand_coupling_identical_models(k3_fielded):
     m01_pair = [k3_fielded, k3_fielded]
-    configs, disagree, _ = grand_coupled_update(m01_pair, [{}, {}], seed=10)
+    configs, disagree, _ = grand_coupled_update(m01_pair, seed=10)
     assert disagree == frozenset()
     assert configs[0] == configs[1]
 
@@ -159,7 +172,7 @@ def test_grand_coupling_beta_zero_disagreement_localized():
     m = random_field_model(path_graph(4), 0.0, seed=12)
     cond = m.with_pinning({1: 1, 2: 1})
     for run in range(50):
-        _, disagree, _ = grand_coupled_update([m, cond], [{}, {}], seed=900 + run)
+        _, disagree, _ = grand_coupled_update([m, cond], seed=900 + run)
         assert disagree <= {1, 2}
 
 
@@ -169,10 +182,8 @@ def test_grand_coupling_marginals_match_oracle():
     t_base, t_cond = gibbs_table(base), gibbs_table(cond)
     runs = 10_000
     counts = np.zeros((2, 3))
-    tables = [t_base, t_cond]
     for r in range(runs):
-        configs, _, _ = grand_coupled_update([base, cond], [{}, {}], seed=40_000 + r,
-                                             tables=tables)
+        configs, _, _ = grand_coupled_update([base, cond], seed=40_000 + r)
         for c in range(2):
             counts[c] += configs[c].values() == 1
     emp = counts / runs
@@ -189,13 +200,14 @@ def test_grand_coupling_needs_common_space():
     a = random_field_model(path_graph(3), 0.2, seed=1)
     b = random_field_model(path_graph(4), 0.2, seed=1)
     with pytest.raises(InputError):
-        grand_coupled_update([a, b], [{}, {}], seed=0)
+        grand_coupled_update([a, b], seed=0)
 
 
 def test_grand_coupling_rejects_a_non_spin_state():
+    # a chain is conditioned by pinning, which admits only spins of the convention
     m = random_field_model(path_graph(3), 0.2, seed=1)
     with pytest.raises(InputError):
-        grand_coupled_update([m], [{1: 0}], seed=0)
+        m.with_pinning({1: 0})
 
 
 def test_tv_curve_step_zero_point_mass(p3_symmetric):
@@ -204,6 +216,14 @@ def test_tv_curve_step_zero_point_mass(p3_symmetric):
     rows = empirical_tv_curve(p3_symmetric, init, [0], replicas=1000, seed=3)
     p_init = table.as_full_dict()[(1, 1, 1)]
     assert rows[0]["tv"] == pytest.approx(1.0 - p_init, abs=1e-12)
+
+
+def test_tv_curve_checks_its_start():
+    m01 = to_zero_one(random_field_model(path_graph(3), 0.4, seed=4))
+    for model, init in ((m01, SpinConfiguration([1, -1, 1], "pm")),
+                        (m01.with_pinning({0: 0}), SpinConfiguration([1, 1, 1], "01"))):
+        with pytest.raises(InputError):
+            empirical_tv_curve(model, init, [0, 10], replicas=100, seed=1)
 
 
 def test_tv_curve_single_vertex_one_step():

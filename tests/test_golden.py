@@ -221,7 +221,8 @@ def grand_coupled_pm_pinned():
     models = [_model(g, 0.4, 17), _model(g, 0.4, 18, pinning={4: 1}),
               _model(g, 0.3, 19, pinning={0: -1, 8: 1})]
     states = [{2: 1}, {6: -1, 4: 1}, {0: -1}]  # a state may repeat a pinned value
-    configs, disagree, log = grand_coupled_update(models, states, seed=19,
+    pinned = [m.with_pinning(st) for m, st in zip(models, states)]
+    configs, disagree, log = grand_coupled_update(pinned, seed=19,
                                                   order=[4, 0, 8, 1, 7, 2, 6, 3, 5])
     return configs, disagree, log
 
@@ -229,7 +230,7 @@ def grand_coupled_pm_pinned():
 def grand_coupled_01():
     g = path_graph(6)
     models = [_model(g, 0.5, 20, "01"), _model(g, 0.5, 20, "01", {0: 1, 5: 0})]
-    return grand_coupled_update(models, [{}, {3: 1}], seed=20)
+    return grand_coupled_update([models[0], models[1].with_pinning({3: 1})], seed=20)
 
 
 def _disagreement(order):

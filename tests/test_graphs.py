@@ -30,6 +30,7 @@ from rfim.graphs import (
     graph_to_json_dict,
     is_connected,
 )
+from rfim.model import induced_model
 
 from strategies import models
 
@@ -124,7 +125,9 @@ def test_growth_profile_rejects_bad_alpha():
 
 
 def test_connected_ordering_path_from_zero():
-    assert connected_ordering(path_graph(3), seed=0, start=0) == (0, 1, 2)
+    # started at an end, a path's order is forced; a sub-path orders the same way
+    assert connected_ordering(path_graph(3), seed=0) == (0, 1, 2)
+    assert connected_ordering(path_graph(5), seed=0, vertices=[4, 2, 3]) == (2, 3, 4)
 
 
 def _prefixes_connected(g, order):
@@ -162,7 +165,22 @@ def test_connected_ordering_prefixes_connected():
 def test_connected_ordering_disconnected_names_vertex():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(InputError, match=r"vertex \d"):
-        connected_ordering(g, seed=1, start=0)
+        connected_ordering(g, seed=1)
+    # only edges inside the vertex set count
+    with pytest.raises(InputError, match=r"vertex \d"):
+        connected_ordering(path_graph(3), seed=1, vertices=[0, 2])
+    with pytest.raises(InputError):
+        connected_ordering(path_graph(3), seed=1, vertices=[3])
+
+
+@settings(max_examples=60)
+@given(models(), st.integers(0, 2**32 - 1))
+def test_connected_ordering_of_a_component_matches_its_induced_model(m, seed):
+    # The staged sampler orders each component inside the parent graph; the
+    # relabelled induced model of the component is the reference route.
+    for comp in connected_components(m.graph):
+        local = connected_ordering(induced_model(m, comp).graph, seed)
+        assert connected_ordering(m.graph, seed, comp) == tuple(comp[i] for i in local)
 
 
 def test_connected_ordering_deterministic():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rfim import (
+    CapacityError,
     FieldDistribution,
     InputError,
     IsingModel,
@@ -27,6 +28,7 @@ from rfim import (
     verify_posterior_by_simulation,
     vertex_tilt_table,
 )
+from rfim import oracle
 from rfim.localization import align_posterior_to_base, default_theta_grid
 from rfim.rng import TRACE, substream
 
@@ -270,3 +272,14 @@ def test_vertex_tilt_single_fair_spin():
 def test_default_theta_grid():
     grid = default_theta_grid(0.8)
     assert grid == (0.0, 0.2, 0.4, 0.6000000000000001, 0.8)
+
+
+def test_posterior_check_caps_before_enumerating(monkeypatch):
+    def enumerate_anyway(model):
+        raise AssertionError("enumerated before checking the size")
+
+    monkeypatch.setattr(oracle, "_free_energies", enumerate_anyway)
+    n = oracle.BINNING_CAP + 1
+    m01 = to_zero_one(uniform_model(path_graph(n), 0.3, np.zeros(n)))
+    with pytest.raises(CapacityError):
+        verify_posterior_by_simulation(m01, 0.5, traces=10, seed=1)

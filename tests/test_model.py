@@ -106,7 +106,7 @@ def test_to_zero_one_maps_pinning():
 
 def test_edge_tilt_identity_at_zero():
     m01 = to_zero_one(uniform_model(path_graph(3), 0.5, [0.1, 0.2, 0.3]))
-    tilted = edge_tilt(m01, 0.0, {})
+    tilted = edge_tilt(m01, 0.0)
     assert np.allclose(tilted.couplings, m01.couplings)
     assert np.allclose(tilted.field, m01.field)
 
@@ -116,13 +116,13 @@ def test_edge_tilt_terminal_kills_couplings():
     m01 = to_zero_one(uniform_model(path_graph(3), beta, [0, 0, 0]))
     ts = theta_star(beta)
     assert ts == pytest.approx(1.0 - math.exp(-2.0))
-    tilted = edge_tilt(m01, ts, {})
+    tilted = edge_tilt(m01, ts)
     assert np.allclose(tilted.couplings, 0.0, atol=1e-12)
 
 
 def test_edge_tilt_half_value():
     m01 = to_zero_one(uniform_model(path_graph(2), 0.5, [0, 0]))
-    tilted = edge_tilt(m01, 0.5, {})
+    tilted = edge_tilt(m01, 0.5)
     assert tilted.couplings[0] == pytest.approx(2.0 + math.log(0.5))
     assert tilted.couplings[0] == pytest.approx(1.3068528, abs=1e-6)
 
@@ -130,7 +130,7 @@ def test_edge_tilt_half_value():
 def test_edge_tilt_rejects_theta_one():
     m01 = to_zero_one(uniform_model(path_graph(2), 0.5, [0, 0]))
     with pytest.raises(InputError):
-        edge_tilt(m01, 1.0, {})
+        edge_tilt(m01, 1.0)
 
 
 def test_assumption_params_rho_half_invalid():

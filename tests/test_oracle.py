@@ -16,7 +16,6 @@ from rfim import (
     at_variance_constant,
     build_graph,
     complete_graph,
-    conditional_table,
     cycle_graph,
     cor2_matrix,
     edge_tilt,
@@ -85,25 +84,25 @@ def test_gibbs_table_normalized_and_finite():
 
 
 def test_conditional_pinned_marginal(p2_symmetric):
-    t = conditional_table(p2_symmetric, {0: 1})
+    t = gibbs_table(p2_symmetric.with_pinning({0: 1}))
     z = 2 * math.cosh(1.0)
     assert t.probs[0] == pytest.approx(math.exp(-1.0) / z, abs=1e-12)
     assert t.probs[1] == pytest.approx(math.exp(1.0) / z, abs=1e-12)
 
 
 def test_conditional_pin_all(p3_symmetric):
-    t = conditional_table(p3_symmetric, {0: 1, 1: -1, 2: 1})
+    t = gibbs_table(p3_symmetric.with_pinning({0: 1, 1: -1, 2: 1}))
     assert t.probs.tolist() == [1.0]
 
 
 def test_conditional_pin_nothing(p3_symmetric):
-    assert np.allclose(conditional_table(p3_symmetric, {}).probs,
+    assert np.allclose(gibbs_table(p3_symmetric.with_pinning({})).probs,
                        gibbs_table(p3_symmetric).probs)
 
 
 def test_conditional_equals_renormalized_slice(k3_fielded):
     t = gibbs_table(k3_fielded)
-    cond = conditional_table(k3_fielded, {1: 1})
+    cond = gibbs_table(k3_fielded.with_pinning({1: 1}))
     full = t.as_full_dict()
     sliced = {k: v for k, v in full.items() if k[1] == 1}
     z = sum(sliced.values())
@@ -164,7 +163,7 @@ def test_cor2_dual_enumeration_paths(k3_fielded):
     cor = cor2_matrix(t)
     edges = m01.graph.edges
     for e, (u, v) in enumerate(edges):
-        cond = conditional_table(m01, {u: 1, v: 1})
+        cond = gibbs_table(m01.with_pinning({u: 1, v: 1}))
         full = cond.as_full_dict()
         base_full = t.as_full_dict()
         for f, (w, z) in enumerate(edges):
@@ -394,7 +393,7 @@ def test_sweep_product_measure_diagonal():
     best = 0.0
     for codes in itertools.product((None, 0, 1), repeat=4):
         pin = {v: s for v, s in enumerate(codes) if s is not None}
-        t = conditional_table(m01, pin)
+        t = gibbs_table(m01.with_pinning(pin))
         cor = cor2_matrix(t)
         best = max(best, float(np.abs(np.diag(cor)).max()))
     assert report.max_row_sum == pytest.approx(best, abs=1e-12)
@@ -460,7 +459,7 @@ def test_sweep_routes_agree(m01, grid, chunk, data):
     theta = grid[0]
     for code in data.draw(st.lists(st.integers(0, 3**m01.n - 1), min_size=1, max_size=3)):
         one = sup_cor2_over_pinnings(m01, [theta], pinning_codes=[code])
-        pinned = edge_tilt(m01, theta, oracle._pinning_from_code(code, m01.n))
+        pinned = edge_tilt(m01, theta).with_pinning(oracle._pinning_from_code(code, m01.n))
         want = np.abs(cor2_matrix(gibbs_table(pinned))).sum(axis=1)
         assert np.allclose(one.per_edge_row_max, want, rtol=1e-9, atol=1e-12)
 
@@ -475,8 +474,8 @@ def test_fkg_monotone_conditional_means():
                     itertools.product((-1, 1), repeat=2), repeat=2):
                 if any(l > h for l, h in zip(low_vals, high_vals)):
                     continue
-                t_low = conditional_table(m, dict(zip(pinned, low_vals)))
-                t_high = conditional_table(m, dict(zip(pinned, high_vals)))
+                t_low = gibbs_table(m.with_pinning(dict(zip(pinned, low_vals))))
+                t_high = gibbs_table(m.with_pinning(dict(zip(pinned, high_vals))))
                 mean_low, _ = mean_and_covariance(t_low)
                 mean_high, _ = mean_and_covariance(t_high)
                 assert (mean_low <= mean_high + 1e-12).all()

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from rfim import (
+    CapacityError,
     FieldDistribution,
     IsingModel,
     build_graph,
     build_separation_plan,
     complete_graph,
-    conditional_table,
     cycle_graph,
     estimate_wsm,
     gibbs_table,
@@ -22,6 +22,7 @@ from rfim import (
     weak_poincare_probe,
     wsm_delta,
 )
+from rfim import oracle
 from rfim.slwsm import (
     averaged_boosted_table,
     magnetization_function,
@@ -81,8 +82,8 @@ def test_wsm_delta_matches_oracle_conditionals():
     # ring {0,2} around the center of P3: TV between the two pinned marginals
     m = uniform_model(path_graph(3), 1.0, np.zeros(3))
     d = wsm_delta(m, 1, 0)
-    plus = marginals(conditional_table(m, {0: 1, 2: 1}))[0]
-    minus = marginals(conditional_table(m, {0: -1, 2: -1}))[0]
+    plus = marginals(gibbs_table(m.with_pinning({0: 1, 2: 1})))[0]
+    minus = marginals(gibbs_table(m.with_pinning({0: -1, 2: -1})))[0]
     assert d == pytest.approx(abs(plus - minus), abs=1e-12)
     assert d > 0.9  # beta = 1 with two aligned neighbors is nearly deterministic
 
@@ -220,3 +221,17 @@ def test_weak_poincare_magnetization_frequency():
                                   realizations=300, seed=20 + i, c0=c0)
         ok += rep.rows[0].ok
     assert ok / trials >= 1.0 - delta
+
+
+def test_boosting_caps_before_enumerating(monkeypatch):
+    def enumerate_anyway(model):
+        raise AssertionError("enumerated before checking the size")
+
+    monkeypatch.setattr(oracle, "_free_energies", enumerate_anyway)
+    n = oracle.BOOST_CAP + 1
+    m = uniform_model(path_graph(n), 0.3, np.zeros(n))
+    for boost in (lambda: averaged_boosted_table(m, 1.0, 10, seed=1),
+                  lambda: trace_moment_probe(m, 2, [0.0, 1.0], realizations=10, seed=1),
+                  lambda: weak_poincare_probe(m, 1.0, 0.5, [], realizations=10, seed=1)):
+        with pytest.raises(CapacityError):
+            boost()
