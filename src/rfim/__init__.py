@@ -113,7 +113,6 @@ from .slwsm import (
 from .sampler import (
     RunReport,
     SamplerConfig,
-    empirical_tv_to_oracle,
     incremental_sample,
     incremental_sample_batch,
     run_experiment,

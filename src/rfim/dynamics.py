@@ -12,7 +12,10 @@ Local fields come from the model's padded neighbour table: (n, max degree)
 neighbour indices and couplings, padding slots having coupling 0, so an
 update costs O(max degree) whatever n is.  Padding slots add 0 to a local
 field, and so does any vertex holding 0: the staged sampler's vertices not
-yet staged hold 0, neutral in both conventions.  Pinned vertices hold their
+yet staged hold 0, neutral in both conventions.  That zero-padded matrix is
+not a spin matrix in pm, so the sampler calls ``_heat_bath_run`` directly,
+which checks nothing; every public chain checks its start with
+``IsingModel.check_values`` and never repairs it.  Pinned vertices hold their
 value and are never chosen.  ``_heat_bath_update`` is the one vectorised
 kernel, under replica batches, the monotone batch coupling and sampler
 stages.  Scalar chains keep a Python loop over the same table rows
@@ -35,15 +38,10 @@ from .rng import CHAIN, COUPLING, substream
 
 @dataclass
 class ChainState:
-    """A chain's configuration, step counter and (opaque) RNG stream.
-
-    The generator advances in place as steps are taken; clone states only by
-    restarting from an explicit substream.
-    """
+    """A chain's configuration and step counter."""
 
     config: SpinConfiguration
     step: int
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
         update(values, free[choices[k]], uniforms[k])
         if record_every and (k + 1) % record_every == 0:
             trajectory.append(observables(k + 1))
-    final = ChainState(SpinConfiguration(np.array(values, dtype=np.int8), model.convention),
-                       steps, rng)
+    final = ChainState(SpinConfiguration(values, model.convention), steps)
     return (final, trajectory) if record_every else (final, None)
 
 
@@ -180,17 +177,16 @@ def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, see
                      snapshot_steps=(), stream_path=(0,)) -> tuple[np.ndarray, dict]:
     """Advance many replicas in lockstep (vectorized across replicas).
 
-    ``init_values`` has shape (replicas, n).  One substream feeds the whole
-    batch; replica r reads column r of each per-step draw, so the run is
-    deterministic given (seed, stream_path).  Snapshots are copies of the
-    state matrix taken after the requested step counts.
+    ``init_values`` has shape (replicas, n); every row must pass
+    ``model.check_values``, so starts are checked, never repaired.  One
+    substream feeds the whole batch; replica r reads column r of each per-step
+    draw, so the run is deterministic given (seed, stream_path).  Snapshots are
+    copies of the state matrix taken after the requested step counts.
     """
-    values = np.array(init_values, dtype=np.float64, order="C")
-    if values.ndim != 2 or values.shape[1] != model.n:
+    values = np.array(model.check_values(init_values), dtype=np.float64, order="C")
+    if values.ndim != 2:
         raise InputError("init_values must have shape (replicas, n)")
     free = _free_vertices(model)
-    for v, s in model.pinning.items():
-        values[:, v] = s
     snapshots = _heat_bath_run(model, values, free, steps,
                                substream(seed, COUPLING, *stream_path), snapshot_steps)
     return values, snapshots
@@ -235,8 +231,7 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
             coalescence = k + 1
     disagree = frozenset(i for i, (a, b) in enumerate(zip(lo, hi)) if a != b)
     return CouplingTrace(
-        states=tuple(ChainState(SpinConfiguration(np.array(x, dtype=np.int8), model.convention),
-                                steps, rng) for x in (lo, hi)),
+        states=tuple(ChainState(SpinConfiguration(x, model.convention), steps) for x in (lo, hi)),
         disagreement_set=disagree,
         coalescence_step=coalescence,
         shared_uniform_log=tuple(log) if log is not None else None,
@@ -254,9 +249,7 @@ def monotone_coupled_batch(model: IsingModel, steps: int, runs: int, seed: int) 
         raise InputError("monotone coupling requires a ferromagnetic model")
     n = model.n
     one, zero = SPIN_VALUES[model.convention]
-    lo, hi = (np.full((runs, n), float(s)) for s in (zero, one))
-    for v, s in model.pinning.items():
-        lo[:, v] = hi[:, v] = s
+    lo, hi = (np.tile(model.full_values(s), (runs, 1)) for s in (zero, one))
     free = _free_vertices(model)
     rng = substream(seed, COUPLING)
     base = np.arange(runs) * n
@@ -355,13 +348,13 @@ def empirical_tv_curve(model: IsingModel, init: SpinConfiguration, step_grid,
     table = gibbs_table(model)
     grid = sorted(set(int(s) for s in step_grid))
     _, snapshots = run_chains_batch(model, init_vals, max(grid), seed, snapshot_steps=grid)
+    tvs = [empirical_tv(table, snapshots[step]) for step in grid]  # raises on no replicas
     noise = 0.5 * float(np.sqrt(2 * table.probs * (1 - table.probs) / (np.pi * replicas)).sum())
-    return [{"step": step, "tv": empirical_tv(table, snapshots[step]), "noise_floor": noise}
-            for step in grid]
+    return [{"step": step, "tv": tv, "noise_floor": noise} for step, tv in zip(grid, tvs)]
 
 
-def mixing_time_bound(gap: float, eta: float, eps: float, c: float = 1.0) -> float:
-    """The standard gap-based mixing bound C * gap^-1 (log(1/eta) + log(1/eps))."""
+def mixing_time_bound(gap: float, eta: float, eps: float) -> float:
+    """The standard gap-based mixing bound gap^-1 (log(1/eta) + log(1/eps))."""
     if not (0 < gap <= 1) or not (0 < eta <= 1) or not (0 < eps < 1):
         raise InputError("need gap, eta in (0,1] and eps in (0,1)")
-    return c / gap * (np.log(1 / eta) + np.log(1 / eps))
+    return (np.log(1 / eta) + np.log(1 / eps)) / gap

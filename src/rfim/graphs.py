@@ -19,6 +19,8 @@ import numpy as np
 from .errors import InputError
 from .rng import GENERATOR, ORDERING, substream
 
+PAIRING_TRIES = 2000  # pairings random_regular_graph draws before giving up
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -322,10 +324,11 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return build_graph(rows * cols, edges)
 
 
-def random_regular_graph(n: int, degree: int, seed: int, max_tries: int = 2000) -> Graph:
+def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     """Uniform-ish random ``degree``-regular simple graph via the pairing model.
 
-    Rejects pairings with self-loops or parallel edges and retries.
+    Rejects pairings with self-loops or parallel edges and retries, up to
+    PAIRING_TRIES times.
     """
     if degree < 0 or degree >= n:
         raise InputError("need 0 <= degree < n")
@@ -333,7 +336,7 @@ def random_regular_graph(n: int, degree: int, seed: int, max_tries: int = 2000) 
         raise InputError("n * degree must be even")
     rng = substream(seed, GENERATOR)
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         if (pairs[:, 0] == pairs[:, 1]).any():
@@ -343,7 +346,7 @@ def random_regular_graph(n: int, degree: int, seed: int, max_tries: int = 2000) 
         if len(np.unique(keys)) != len(keys):
             continue
         return build_graph(n, [tuple(p) for p in norm])
-    raise InputError(f"no simple {degree}-regular pairing found in {max_tries} tries")
+    raise InputError(f"no simple {degree}-regular pairing found in {PAIRING_TRIES} tries")
 
 
 def tree3(depth: int) -> Graph:

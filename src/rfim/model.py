@@ -6,8 +6,11 @@ sigma in {-1,+1}^V (convention "pm") or {0,1}^V (convention "01").  Pinning
 lives in the model, not in configurations: a conditional measure is just the
 same model with a larger pinning (``with_pinning``).  The grand coupling, the
 revelation posterior ``edge_tilt(m, t).with_pinning(p)`` and the WSM boundary
-ring all condition this way, and ``IsingModel.check_values`` is the one check
-that spin vectors agree with a pinning.  Models and fields are immutable value
+ring all condition this way.  ``_check_spins`` is the one test of the spin
+value set: ``SpinConfiguration`` calls it, and so does
+``IsingModel.check_values``, which every chain start and table lookup goes
+through and which also checks the length and the pins.  A start that breaks
+them is rejected, never repaired.  Models and fields are immutable value
 objects; field sampling takes an explicit seed.
 """
 
@@ -32,55 +35,52 @@ ZERO_ONE = "01"
 SPIN_VALUES = {PM: (1, -1), ZERO_ONE: (1, 0)}
 
 
-class SpinConfiguration:
-    """Bit-packed assignment of spins to vertices in a fixed convention."""
+def _check_spins(values: np.ndarray, convention: str) -> None:
+    """Raise InputError unless every entry of ``values`` is a spin of ``convention``."""
+    if convention not in SPIN_VALUES:
+        raise InputError(f"unknown convention {convention!r}")
+    one, zero = SPIN_VALUES[convention]
+    if not ((values == one) | (values == zero)).all():
+        raise InputError(f"{convention} spin values must be {one} or {zero}")
 
-    __slots__ = ("_bits", "n", "convention")
+
+class SpinConfiguration:
+    """A spin vector in a fixed convention, held as one read-only int8 array."""
+
+    __slots__ = ("_values", "convention")
 
     def __init__(self, values, convention: str):
-        if convention not in (PM, ZERO_ONE):
-            raise InputError(f"unknown convention {convention!r}")
         vals = np.asarray(values)
-        if convention == PM:
-            if not np.isin(vals, (-1, 1)).all():
-                raise InputError("pm configurations must be +-1 valued")
-            bits = (vals > 0).astype(np.uint8)
-        else:
-            if not np.isin(vals, (0, 1)).all():
-                raise InputError("01 configurations must be 0/1 valued")
-            bits = vals.astype(np.uint8)
-        self.n = int(len(bits))
+        _check_spins(vals, convention)
+        self._values = vals.astype(np.int8)
+        self._values.flags.writeable = False
         self.convention = convention
-        self._bits = np.packbits(bits)
-        self._bits.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return len(self._values)
 
     def values(self) -> np.ndarray:
-        bits = np.unpackbits(self._bits, count=self.n).astype(np.int8)
-        if self.convention == PM:
-            return (2 * bits - 1).astype(np.int8)
-        return bits
+        return self._values.copy()
 
     def to_convention(self, convention: str) -> "SpinConfiguration":
         if convention == self.convention:
             return self
-        bits = np.unpackbits(self._bits, count=self.n)
-        if convention == PM:
-            return SpinConfiguration(2 * bits.astype(np.int8) - 1, PM)
-        return SpinConfiguration(bits, ZERO_ONE)
+        is_one = self._values == SPIN_VALUES[self.convention][0]
+        return SpinConfiguration(np.where(is_one, *SPIN_VALUES[convention]), convention)
 
     def __eq__(self, other):
         return (
             isinstance(other, SpinConfiguration)
-            and self.n == other.n
             and self.convention == other.convention
-            and np.array_equal(self._bits, other._bits)
+            and np.array_equal(self._values, other._values)
         )
 
     def __hash__(self):
-        return hash((self.n, self.convention, self._bits.tobytes()))
+        return hash((self.convention, self._values.tobytes()))
 
     def __repr__(self):
-        return f"SpinConfiguration({self.values().tolist()}, {self.convention!r})"
+        return f"SpinConfiguration({self._values.tolist()}, {self.convention!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +156,6 @@ class FieldDistribution:
             return 0.5 * (float(lo <= self.atom <= hi) + float(lo <= -self.atom <= hi))
         raise InputError(f"unsupported field kind {self.kind!r}")
 
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "gaussian":
-            d["sigma"] = self.sigma
-        elif self.kind == "uniform_symmetric":
-            d["half_width"] = self.half_width
-        elif self.kind == "two_point":
-            d["atom"] = self.atom
-        elif self.kind == "shifted":
-            d["base"] = self.base.to_json_dict()
-            d["offsets"] = list(self.offsets)
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "FieldDistribution":
         kind = d.get("kind")
@@ -226,8 +213,8 @@ class IsingModel:
     pinning: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.convention not in (PM, ZERO_ONE):
-            raise InputError(f"unknown convention {self.convention!r}")
+        _check_spins(np.array(list(self.pinning.values())), self.convention)
+        pin = {int(v): int(s) for v, s in self.pinning.items()}
         c = np.asarray(self.couplings, dtype=np.float64)
         h = np.asarray(self.field, dtype=np.float64)
         if c.shape != (self.graph.num_edges,):
@@ -240,35 +227,19 @@ class IsingModel:
         h.flags.writeable = False
         object.__setattr__(self, "couplings", c)
         object.__setattr__(self, "field", h)
-        pin = {}
-        allowed = SPIN_VALUES[self.convention]
-        for v, s in self.pinning.items():
-            v = int(v)
+        for v in pin:
             if not 0 <= v < self.graph.num_vertices:
                 raise InputError(f"pinned vertex {v} out of range")
-            if int(s) not in allowed:
-                raise InputError(f"pinned value {s} invalid for convention {self.convention}")
-            pin[v] = int(s)
         object.__setattr__(self, "pinning", pin)
 
     @classmethod
-    def uniform(cls, graph: Graph, beta: float, field, convention: str = PM,
-                pinning: dict | None = None) -> "IsingModel":
-        return cls(
-            graph=graph,
-            couplings=np.full(graph.num_edges, float(beta)),
-            field=np.asarray(field, dtype=np.float64),
-            convention=convention,
-            pinning=dict(pinning or {}),
-        )
+    def uniform(cls, graph: Graph, beta: float, field, convention: str = PM) -> "IsingModel":
+        return cls(graph=graph, couplings=np.full(graph.num_edges, float(beta)),
+                   field=np.asarray(field, dtype=np.float64), convention=convention)
 
     @property
     def n(self) -> int:
         return self.graph.num_vertices
-
-    @property
-    def beta_max(self) -> float:
-        return float(np.abs(self.couplings).max(initial=0.0))
 
     @property
     def ferromagnetic(self) -> bool:
@@ -305,18 +276,20 @@ class IsingModel:
     def with_pinning(self, extra: dict) -> "IsingModel":
         merged = dict(self.pinning)
         for v, s in extra.items():
-            v, s = int(v), int(s)
+            v = int(v)
             if v in merged and merged[v] != s:
                 raise InputError(f"conflicting pinning at vertex {v}")
             merged[v] = s
         return replace(self, pinning=merged)
 
     def check_values(self, values) -> np.ndarray:
-        """``values`` as an array, checked to hold n entries along its last axis
-        and the pinned value at every pinned vertex; raises InputError otherwise."""
+        """``values`` as an array, checked to hold n spins of the model's convention
+        along its last axis and the pinned value at every pinned vertex; raises
+        InputError otherwise."""
         vals = np.asarray(values)
         if vals.ndim == 0 or vals.shape[-1] != self.n:
             raise InputError(f"values must have {self.n} entries along their last axis")
+        _check_spins(vals, self.convention)
         for v, s in self.pinning.items():
             if (vals[..., v] != s).any():
                 raise InputError(f"value at vertex {v} conflicts with pinning")
@@ -372,19 +345,10 @@ def to_zero_one(model: IsingModel) -> IsingModel:
     )
 
 
-def theta_star(model_or_beta) -> float:
-    """Terminal tilt 1 - exp(-c_max): the free-edge couplings vanish there.
-
-    Accepts a 01-convention model (c_max = max coupling) or a pm-convention
-    inverse temperature beta (c_max = 4 beta).
-    """
-    if isinstance(model_or_beta, IsingModel):
-        c = model_or_beta.beta_max
-        if model_or_beta.convention == PM:
-            c = 4.0 * c
-    else:
-        c = 4.0 * float(model_or_beta)
-    return 1.0 - math.exp(-c)
+def theta_star(beta: float) -> float:
+    """Terminal tilt 1 - exp(-4 beta) of a pm model at inverse temperature beta:
+    the free-edge couplings 4 beta of its 01 re-coordination vanish there."""
+    return 1.0 - math.exp(-4.0 * float(beta))
 
 
 def edge_tilt(model01: IsingModel, theta: float) -> IsingModel:

@@ -85,7 +85,7 @@ class GibbsTable:
     def indices(self, values) -> np.ndarray:
         """Config index of each full spin vector (a row of ``values``).
 
-        Raises InputError when a row has the wrong length or conflicts with the pinning.
+        Raises InputError unless every row passes ``model.check_values``.
         """
         vals = self.model.check_values(values).reshape(-1, self.model.n)
         idx = np.zeros(len(vals), dtype=np.int64)
@@ -181,7 +181,10 @@ def empirical_tv(table: GibbsTable, values: np.ndarray) -> float:
     """TV between the empirical law of the rows of ``values`` (samples, n) and the table."""
     if table.num_free > BINNING_CAP:
         raise CapacityError("empirical TV needs a model small enough to bin exactly")
-    emp = np.bincount(table.indices(values), minlength=len(table.probs)) / len(values)
+    idx = table.indices(values)
+    if len(idx) == 0:
+        raise InputError("empirical TV needs at least one sample")
+    emp = np.bincount(idx, minlength=len(table.probs)) / len(idx)
     return 0.5 * float(np.abs(emp - table.probs).sum())
 
 
@@ -380,11 +383,12 @@ def _entropy(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def mlsi_lower_estimate(model: IsingModel, restarts: int, seed: int,
-                        iterations: int = 80, step: float = 0.3) -> float:
+                        iterations: int = 80) -> float:
     """Heuristic upper-bound estimate of the MLSI constant 1 - sup Ent[Pf]/Ent[f].
 
     Multi-restart projected gradient ascent on the entropy ratio over
-    positive test functions; the returned value is the best (largest) ratio's
+    positive test functions, from a log-space step of 0.3 halved every 20
+    iterations; the returned value is the best (largest) ratio's
     complement and only ever overestimates the true constant.  A probe, not a
     certificate.
     """
@@ -395,7 +399,7 @@ def mlsi_lower_estimate(model: IsingModel, restarts: int, seed: int,
     fvals = np.exp(g)
     fvals /= probs @ fvals  # normalize E_mu f = 1
     best = 0.0
-    eta = step
+    eta = 0.3
     for it in range(iterations + 1):  # the last pass only scores the final iterate
         pf = p_mat @ fvals
         ent_f = _entropy(fvals, probs)

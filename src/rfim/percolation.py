@@ -41,6 +41,7 @@ from .oracle import PINNING_SWEEP_CAP, sup_cor2_over_pinnings
 from .rng import PERCOLATION, substream
 
 CLOSED, FIELD_OPEN, UNIFORM_OPEN = 0, 1, 2
+PROGENY_CAP = 10000  # largest simulated forest, in vertices
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def row_sum_tail_bound(delta: int, p0: float, m: float) -> float:
     return tail.exp_moment_bound * math.exp(-tail.alpha_star * m)
 
 
-def simulate_total_progeny(delta: int, p0: float, forests: int, seed: int,
-                           cap: int = 10000) -> np.ndarray:
-    """Forward simulation of the two-root forest's total progeny (vectorized)."""
+def simulate_total_progeny(delta: int, p0: float, forests: int, seed: int) -> np.ndarray:
+    """Forward simulation of the two-root forest's total progeny (vectorized);
+    raises CapacityError once a forest exceeds PROGENY_CAP vertices."""
     rng = substream(seed, PERCOLATION, 1)
     total = np.full(forests, 2, dtype=np.int64)
     active = np.full(forests, 2, dtype=np.int64)
@@ -160,7 +161,7 @@ def simulate_total_progeny(delta: int, p0: float, forests: int, seed: int,
         kids[mask] = rng.binomial((delta - 1) * active[mask], p0)
         total += kids
         active = kids
-        if (total > cap).any():
+        if (total > PROGENY_CAP).any():
             raise CapacityError("a simulated forest exceeded the size cap")
     return total
 

@@ -108,11 +108,6 @@ def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas:
     return state, report
 
 
-def empirical_tv_to_oracle(model: IsingModel, values: np.ndarray) -> float:
-    """TV between an empirical sample matrix (replicas, n) and the exact table."""
-    return empirical_tv(gibbs_table(model), values)
-
-
 def validated_incremental_sample(model: IsingModel, config: SamplerConfig, replicas: int,
                                  eps: float):
     """Batch run plus an exact TV validation against the enumerated table.
@@ -120,7 +115,7 @@ def validated_incremental_sample(model: IsingModel, config: SamplerConfig, repli
     Raises ValidationFailure when the empirical TV exceeds eps.
     """
     values, report = incremental_sample_batch(model, config, replicas)
-    tv = empirical_tv_to_oracle(model, values)
+    tv = empirical_tv(gibbs_table(model), values)
     report = replace(report, tv_vs_oracle=tv)
     if tv > eps:
         raise ValidationFailure(f"empirical TV {tv:.4f} exceeds eps {eps}")

@@ -86,8 +86,10 @@ def averaged_boosted_table(model: IsingModel, t: float, realizations: int, seed:
     """Mean and per-config standard error of boosted tables over realizations.
 
     By the martingale property of the localization, the mean reproduces the
-    base table up to Monte Carlo error.
+    base table up to Monte Carlo error.  Needs two realizations for a standard error.
     """
+    if realizations < 2:
+        raise InputError("averaging boosted tables needs at least 2 realizations")
     probs, _, table = _boosted_prob_matrix(model, t, realizations, seed)
     mean = probs.mean(axis=0)
     stderr = probs.std(axis=0, ddof=1) / math.sqrt(realizations)
@@ -145,6 +147,8 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
     The fit minimizes squared residuals of log mean-delta against
     log C - r / C over the measured radii (zeros are skipped).
     """
+    if field_trials < 1:
+        raise InputError("estimating WSM needs at least one field trial")
     if vertices is None:
         vertices = tuple(range(graph.num_vertices))
     vertices = tuple(int(v) for v in vertices)
@@ -344,15 +348,15 @@ class WeakPoincareReport:
 
 
 def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_functions,
-                        realizations: int, seed: int, c0: float | None = None,
-                        trace_p: int = 2) -> WeakPoincareReport:
+                        realizations: int, seed: int,
+                        c0: float | None = None) -> WeakPoincareReport:
     """Check the variance-transfer inequality with a fitted decay constant.
 
     For each test function phi (a vector over the model's table configs),
     compares Var_base(phi) against
     (e^{-c0} n / delta)^{1/q} E[Var_boosted(phi)]^{1/p} osc(phi)^{2/q} with
-    p = exp(2 T / c0).  c0 is fitted from the trace-moment probe when not
-    given, so the verdicts are consistency diagnostics, not certificates.
+    p = exp(2 T / c0).  c0 is fitted from the p = 2 trace-moment probe when
+    not given, so the verdicts are consistency diagnostics, not certificates.
     """
     if not 0.0 < delta < 1.0:
         raise InputError("delta must lie in (0, 1)")
@@ -362,7 +366,7 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         _check_boost_size(model)
     table = gibbs_table(model)
     if c0 is None:
-        fit = trace_moment_probe(model, trace_p, (0.0, t_value / 2, t_value),
+        fit = trace_moment_probe(model, 2, (0.0, t_value / 2, t_value),
                                  max(realizations // 2, 100), seed + 1)
         c0 = fit.small_c0
     n = model.n

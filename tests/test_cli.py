@@ -4,9 +4,25 @@ import numpy as np
 import pytest
 
 from rfim.cli import main
-from rfim.graphs import path_graph
-from rfim.model import model_to_json_dict, to_zero_one
-from rfim.oracle import sup_cor2_over_pinnings, table_from_binary
+from rfim.graphs import (
+    cycle_graph,
+    graph_to_json_dict,
+    grid_graph,
+    path_graph,
+    random_regular_graph,
+    torus_grid,
+    tree3,
+)
+from rfim.localization import (
+    default_theta_grid,
+    variance_conservation_R,
+    verify_posterior_by_simulation,
+)
+from rfim.model import FieldDistribution, model_to_json_dict, sample_field, theta_star, to_zero_one
+from rfim.oracle import cor2_matrix, gibbs_table, sup_cor2_over_pinnings, table_from_binary
+from rfim.percolation import gap_certificate, percolate, row_sum_tail_report
+from rfim.sampler import SamplerConfig, incremental_sample
+from rfim.slwsm import trace_moment_probe
 
 from conftest import random_field_model
 
@@ -185,3 +201,111 @@ def test_sample_experiment(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": 1}))
     assert run_cli("sample", "experiment", "--config", str(bad)) == 4
+
+
+def write_graph(tmp_path, *args, name="g.txt"):
+    path = tmp_path / name
+    assert run_cli("graph", "gen", *args, "-o", str(path)) == 0
+    return str(path)
+
+
+def test_graph_gen_json_kinds(capsys):
+    for args, want in ((("--kind", "torus", "--rows", "3", "--cols", "4"), torus_grid(3, 4)),
+                       (("--kind", "grid", "--rows", "2", "--cols", "3"), grid_graph(2, 3)),
+                       (("--kind", "regular", "--n", "8", "--degree", "3", "--seed", "5"),
+                        random_regular_graph(8, 3, 5)),
+                       (("--kind", "tree3", "--depth", "2"), tree3(2))):
+        assert run_cli("graph", "gen", *args, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out) == graph_to_json_dict(want)
+
+
+def test_oracle_cor2(tmp_path, capsys):
+    m = random_field_model(path_graph(4), 0.5, seed=5)
+    m01 = to_zero_one(m)
+    assert run_cli("oracle", "cor2", "--model", write_model(tmp_path, m01)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["edges"] == [list(e) for e in m01.graph.edges]
+    cor2 = np.array(payload["cor2"])
+    assert cor2.shape == (3, 3)
+    assert np.array_equal(cor2, cor2_matrix(gibbs_table(m01)))
+    assert run_cli("oracle", "cor2", "--model", write_model(tmp_path, m, "pm.json")) == 4
+
+
+def test_localize_verify_and_variance_certificate(tmp_path, capsys):
+    m01 = to_zero_one(random_field_model(path_graph(3), 0.5, seed=6))
+    assert run_cli("localize", "verify", "--model", write_model(tmp_path, m01), "--t", "0.4",
+                   "--traces", "3000", "--seed", "2") == 0
+    payload = json.loads(capsys.readouterr().out)
+    direct = verify_posterior_by_simulation(m01, 0.4, 3000, 2)
+    assert payload["max_tv"] == direct.max_tv
+    assert [b["hits"] for b in payload["buckets"]] == [h for _, h, _ in direct.buckets]
+    assert run_cli("localize", "certificate", "--kind", "variance", "--theta", "0.5") == 4
+    assert run_cli("localize", "certificate", "--kind", "variance", "--theta", "0.5",
+                   "--rate-c", "2.0") == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["r_value"] == variance_conservation_R(2.0, 0.5).r_value
+
+
+def test_certify_gap_tails_percolate(tmp_path, capsys):
+    assert run_cli("certify", "gap", "--n", "10", "--beta", "0.5", "--delta", "3",
+                   "--alpha-star", "0.8304", "--eps", "0.05", "--field-l1", "2.0") == 0
+    payload = json.loads(capsys.readouterr().out)
+    cert = gap_certificate(10, 0.5, 3, 0.8304)
+    assert payload["gap_lower"] == cert.gap_lower
+    assert payload["log_gap_lower"] == cert.log_gap_lower
+    assert payload["tmix_upper"] == cert.tmix_upper(0.05, 2.0)
+
+    gpath = write_graph(tmp_path, "--kind", "cycle", "--n", "4")
+    dist = FieldDistribution.two_point(5.0)
+    assert run_cli("certify", "tails", "--graph", gpath, "--beta", "0.3", "--p0", "0.05",
+                   "--k", "4.5", "--trials", "2", "--seed", "3", "--m-grid", "0.1,1") == 0
+    payload = json.loads(capsys.readouterr().out)
+    grid = default_theta_grid(theta_star(0.3))[:-1]
+    rep = row_sum_tail_report(cycle_graph(4), 0.3, grid, dist, 4.5, 0.05, 2, 3, [0.1, 1.0])
+    assert payload["mode"] == rep.mode == "exact" and payload["trials"] == 2
+    assert [r["m"] for r in payload["rows"]] == [0.1, 1.0]
+    for got, want in zip(payload["rows"], rep.rows):
+        assert got["bound"] == want.bound
+        assert got["max_row_exceed_freq"] == float(want.row_exceed_freq.max())
+        assert got["max_col_exceed_freq"] == float(want.col_exceed_freq.max())
+
+    assert run_cli("certify", "percolate", "--graph", gpath, "--field-seed", "4",
+                   "--k", "4.5", "--p0", "0.3", "--seed", "5") == 0
+    payload = json.loads(capsys.readouterr().out)
+    real = percolate(cycle_graph(4), sample_field(dist, 4, 4), 4.5, 0.3, 5)
+    assert payload["open"] == sorted(real.open_set)
+    assert payload["provenance"] == real.provenance.tolist()
+
+
+def test_sl_wsm_csv_and_probe(tmp_path, capsys):
+    gpath = write_graph(tmp_path, "--kind", "cycle", "--n", "8")
+    csv_path = tmp_path / "wsm.csv"
+    assert run_cli("sl", "wsm", "--graph", gpath, "--beta", "0.5", "--radii", "1,2",
+                   "--trials", "2", "--vertices", "0,3", "--csv", str(csv_path)) == 0
+    capsys.readouterr()
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "vertex,radius,mean_delta,stderr"
+    assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+        ("0", "1"), ("0", "2"), ("3", "1"), ("3", "2")]
+    assert run_cli("sl", "wsm", "--graph", gpath, "--beta", "0.5", "--trials", "0") == 4
+
+    m = random_field_model(path_graph(3), 0.5, seed=7)
+    assert run_cli("sl", "probe", "--model", write_model(tmp_path, m), "--t-grid", "0,1",
+                   "--realizations", "50", "--seed", "4") == 0
+    payload = json.loads(capsys.readouterr().out)
+    rep = trace_moment_probe(m, 2, [0.0, 1.0], 50, 4)
+    assert payload["label"] == "fitted" and payload["p"] == 2
+    assert payload["rows"] == list(rep.rows)
+    assert payload["sup_mean"] == rep.sup_mean and payload["c0_fit"] == rep.c0_fit
+
+
+def test_sample_incremental_without_validation(tmp_path, capsys):
+    m = random_field_model(path_graph(4), 0.5, seed=8)
+    assert run_cli("sample", "incremental", "--model", write_model(tmp_path, m),
+                   "--cstar", "1.5", "--seed", "3", "--ordering-seed", "2") == 0
+    payload = json.loads(capsys.readouterr().out)
+    cfg, report = incremental_sample(m, SamplerConfig(c_star=1.5, seed=3, ordering_seed=2))
+    assert payload["ordering"] == list(report.ordering)
+    assert payload["stage_steps"] == list(report.stage_steps)
+    assert payload["final"] == cfg.values().tolist()
+    assert payload["tv_vs_oracle"] is None

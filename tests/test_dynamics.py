@@ -10,6 +10,7 @@ from rfim import (
     build_graph,
     complete_graph,
     gibbs_table,
+    grid_graph,
     glauber_gap,
     grand_coupled_update,
     marginals,
@@ -237,7 +238,7 @@ def test_tv_curve_fact_mixing_prediction(p3_symmetric):
     gap = glauber_gap(p3_symmetric).gap
     table = gibbs_table(p3_symmetric)
     eta = float(table.probs.min())
-    steps = int(np.ceil(mixing_time_bound(gap, eta, 0.02, c=1.0)))
+    steps = int(np.ceil(mixing_time_bound(gap, eta, 0.02)))
     init = SpinConfiguration([1, 1, 1], "pm")
     rows = empirical_tv_curve(p3_symmetric, init, [steps], replicas=100_000, seed=5)
     assert rows[0]["tv"] < 0.02
@@ -249,3 +250,16 @@ def test_batch_runner_deterministic():
     a, _ = run_chains_batch(m, init, 200, seed=21)
     b, _ = run_chains_batch(m, init, 200, seed=21)
     assert np.array_equal(a, b)
+
+
+def test_batch_checks_its_start_and_never_repairs_it():
+    m01 = to_zero_one(random_field_model(grid_graph(2, 3), 0.4, seed=3))
+    with pytest.raises(InputError):  # a -1 on a 01 model
+        run_chains_batch(m01, np.array([[0.0, -1.0, 0.0, 1.0, 1.0, 0.0]]), 2, seed=1)
+    with pytest.raises(InputError):  # a start that breaks the pin at vertex 1
+        run_chains_batch(m01.with_pinning({1: 1}), np.zeros((4, 6)), 2, seed=1)
+    with pytest.raises(InputError):  # zeros are not pm spins
+        run_chains_batch(random_field_model(path_graph(3), 0.4, seed=3), np.zeros((2, 3)), 2,
+                         seed=1)
+    with pytest.raises(InputError):  # an empty sample has no empirical law
+        empirical_tv_curve(m01, SpinConfiguration([0] * 6, "01"), [0, 2], replicas=0, seed=1)

@@ -90,9 +90,9 @@ def test_coupled_batch_keeps_order_at_every_step(m, seed):
     # substream in the same order, so these replay its two chains step by step.
     one, zero = SPIN_VALUES[m.convention]
     grid = range(steps + 1)
-    _, lows = run_chains_batch(m, np.full((runs, m.n), float(zero)), steps, seed,
+    _, lows = run_chains_batch(m, np.tile(m.full_values(zero), (runs, 1)), steps, seed,
                                snapshot_steps=grid, stream_path=())
-    _, highs = run_chains_batch(m, np.full((runs, m.n), float(one)), steps, seed,
+    _, highs = run_chains_batch(m, np.tile(m.full_values(one), (runs, 1)), steps, seed,
                                 snapshot_steps=grid, stream_path=())
     met = np.full(runs, -1)
     for k in grid[1:]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,15 @@ def test_spin_configuration_roundtrip():
     assert as01.to_convention("pm") == cfg
     with pytest.raises(InputError):
         SpinConfiguration([2, 0], "pm")
+
+
+def test_pinned_values_are_checked_not_truncated():
+    m01 = to_zero_one(random_field_model(path_graph(3), 0.5, seed=3))
+    for bad in (lambda: m01.with_pinning({0: 0.5}),
+                lambda: replace(m01, pinning={1: 0.5}),
+                lambda: random_field_model(path_graph(3), 0.5, seed=3).with_pinning({2: 0})):
+        with pytest.raises(InputError):
+            bad()
 
 
 @settings(max_examples=50)

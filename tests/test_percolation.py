@@ -313,6 +313,16 @@ def test_mlsi_certificate_values():
     assert cert2.k_constant == pytest.approx(k_expected, rel=1e-12)
 
 
+def test_mlsi_certificate_tmix_upper():
+    cert = mlsi_certificate(10, 0.01, 3, 0.8304, 1.0)
+    want = (math.log(0.01 * 3 * 10 + 2.0) + math.log(100.0)) / cert.rho_lower
+    assert cert.tmix_upper(0.01, 2.0) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(InputError):
+        cert.tmix_upper(1.0, 2.0)
+    # rho^-1 overflows at beta = 0.5; the bound is then infinite, with no warning
+    assert mlsi_certificate(10, 0.5, 3, 0.8304, 1.0).tmix_upper(0.01, 2.0) == math.inf
+
+
 def test_refined_gap_tail():
     r = refined_gap_tail(100, 0.5, 3, 100.0, l_value=50.0)
     assert r.epsilon == pytest.approx(2.4)

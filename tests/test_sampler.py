@@ -11,7 +11,6 @@ from rfim import (
     SamplerConfig,
     ValidationFailure,
     build_graph,
-    empirical_tv_to_oracle,
     gibbs_table,
     incremental_sample,
     incremental_sample_batch,
@@ -23,6 +22,7 @@ from rfim import (
     warm_start_tv_bound,
 )
 from rfim.model import model_to_json_dict
+from rfim.oracle import empirical_tv
 from rfim.sampler import _validate_config
 
 from conftest import random_field_model, uniform_model
@@ -51,7 +51,7 @@ def test_p2_long_chain_close_to_oracle():
     config = SamplerConfig(c_star=10.0, seed=6, ordering_seed=2)
     assert config.k_star(2) == 1024
     values, report = incremental_sample_batch(m, config, replicas=100_000)
-    tv = empirical_tv_to_oracle(m, values)
+    tv = empirical_tv(gibbs_table(m), values)
     assert tv <= 0.01
     assert report.stage_steps == (0, 1024)
     assert report.total_updates == 1024
@@ -61,7 +61,7 @@ def test_beta_zero_exact_for_any_chain_length():
     m = random_field_model(path_graph(4), 0.0, seed=7)
     config = SamplerConfig(c_star=0.5, seed=8)
     values, _ = incremental_sample_batch(m, config, replicas=200_000)
-    tv = empirical_tv_to_oracle(m, values)
+    tv = empirical_tv(gibbs_table(m), values)
     noise = 0.5 * float(np.sqrt(
         2 * gibbs_table(m).probs * (1 - gibbs_table(m).probs) / (np.pi * 200_000)).sum())
     assert tv <= 3 * noise
@@ -84,8 +84,14 @@ def test_disconnected_graph_runs_per_component():
     config = SamplerConfig(c_star=3.5, seed=12)
     values, report = incremental_sample_batch(m, config, replicas=50_000)
     assert sorted(report.ordering) == [0, 1, 2, 3]
-    tv = empirical_tv_to_oracle(m, values)
+    tv = empirical_tv(gibbs_table(m), values)
     assert tv <= 0.02
+
+
+def test_validated_sampler_needs_a_sample():
+    m = random_field_model(path_graph(3), 0.5, seed=13)
+    with pytest.raises(InputError):
+        validated_incremental_sample(m, SamplerConfig(c_star=1.0, seed=14), 0, eps=0.05)
 
 
 def test_validated_sampler_raises_on_tight_eps():
@@ -177,3 +183,15 @@ def test_run_experiment_sample_step_and_determinism(tmp_path):
     assert (tmp_path / "a" / "report.csv").read_text() == (tmp_path / "b" / "report.csv").read_text()
     assert (tmp_path / "a" / "final_state.json").exists()
     assert a["reports"][0]["tv_vs_oracle"] <= 0.05
+
+
+def test_run_experiment_sample_step_without_validation():
+    m = random_field_model(path_graph(4), 0.5, seed=22)
+    config = {"seed": 5, "pipeline": [
+        {"kind": "sample", "model": model_to_json_dict(m), "c_star": 1.5, "replicas": 3}]}
+    report = run_experiment(config)["reports"][0]
+    values, direct = incremental_sample_batch(
+        m, SamplerConfig(c_star=1.5, seed=5, ordering_seed=12), 3)
+    assert report["tv_vs_oracle"] is None
+    assert report["stage_steps"] == list(direct.stage_steps)
+    assert report["final_state"]["first_replica"] == values[0].astype(int).tolist()

@@ -6,6 +6,7 @@ import pytest
 from rfim import (
     CapacityError,
     FieldDistribution,
+    InputError,
     IsingModel,
     build_graph,
     build_separation_plan,
@@ -67,6 +68,12 @@ def test_sl_boost_martingale():
     assert z.max() <= 4.0
 
 
+def test_boosted_average_needs_two_realizations():
+    m = random_field_model(path_graph(3), 0.5, seed=5)
+    with pytest.raises(InputError):
+        averaged_boosted_table(m, 2.0, 1, seed=6)
+
+
 def test_wsm_delta_zero_at_independence():
     m = uniform_model(path_graph(5), 0.0, np.zeros(5))
     for ell in range(3):
@@ -113,6 +120,12 @@ def test_estimate_wsm_beta_zero_all_zero():
         radii=[1, 2], field_trials=5, seed=8, vertices=[3, 4])
     assert np.all(report.mean_delta == 0.0)
     assert report.satisfied(1.0).all()
+
+
+def test_estimate_wsm_needs_a_field_trial():
+    with pytest.raises(InputError):
+        estimate_wsm(path_graph(4), beta=0.5, field_dist=FieldDistribution.gaussian(0.5),
+                     radii=[1], field_trials=0, seed=1)
 
 
 def test_separation_plan_hand_trace():

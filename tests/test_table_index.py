@@ -13,6 +13,7 @@ from rfim import (
 )
 from rfim.localization import align_posterior_to_base
 from rfim.model import SPIN_VALUES, ZERO_ONE
+from rfim.oracle import empirical_tv
 
 from strategies import models
 
@@ -46,6 +47,22 @@ def test_indices_rejects_a_pinning_conflict(m, data):
     rows[r, v] = zero if rows[r, v] == one else one
     with pytest.raises(InputError):
         table.indices(rows)
+
+
+@settings(max_examples=60)
+@given(models(), st.data())
+def test_indices_and_empirical_tv_reject_non_spin_rows(m, data):
+    table = gibbs_table(m)
+    rows = table.rows().astype(np.float64)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    v = data.draw(st.sampled_from(m.free_vertices))
+    rows[r, v] = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]).filter(
+        lambda x: x not in SPIN_VALUES[m.convention]))
+    for check in (table.indices, lambda vals: empirical_tv(table, vals)):
+        with pytest.raises(InputError):
+            check(rows)
+    with pytest.raises(InputError):
+        empirical_tv(table, rows[:0])
 
 
 @settings(max_examples=60)
