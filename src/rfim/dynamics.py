@@ -344,9 +344,11 @@ def empirical_tv_curve(model: IsingModel, init: SpinConfiguration, step_grid,
     The noise floor is the expected TV of a perfect multinomial sample of the
     same size, 0.5 * sum sqrt(2 p (1-p) / (pi R)).
     """
+    grid = sorted(set(int(s) for s in step_grid))
+    if not grid:
+        raise InputError("the step grid is empty")
     init_vals = np.tile(_config_values(model, init).astype(np.float64), (replicas, 1))
     table = gibbs_table(model)
-    grid = sorted(set(int(s) for s in step_grid))
     _, snapshots = run_chains_batch(model, init_vals, max(grid), seed, snapshot_steps=grid)
     tvs = [empirical_tv(table, snapshots[step]) for step in grid]  # raises on no replicas
     noise = 0.5 * float(np.sqrt(2 * table.probs * (1 - table.probs) / (np.pi * replicas)).sum())

@@ -444,27 +444,29 @@ def induced_model(model: IsingModel, vertices) -> IsingModel:
     """Model induced on a vertex subset, relabeled to 0..k-1 (sorted order).
 
     Keeps couplings/field/pinning of the retained vertices; edges leaving the
-    subset are dropped.
+    subset are dropped, and the kept edges stay in the parent's edge order.
+    Reads the kept vertices' ``neighbour_table`` rows, so it costs
+    O(k * max degree) however large the parent.
     """
     keep = sorted(int(v) for v in set(vertices))
     for v in keep:
         if not 0 <= v < model.n:
             raise InputError(f"vertex {v} out of range")
     relabel = {v: i for i, v in enumerate(keep)}
-    edges = []
-    couplings = []
-    for (u, v), c in zip(model.graph.edges, model.couplings):
-        if u in relabel and v in relabel:
-            edges.append((relabel[u], relabel[v]))
-            couplings.append(c)
-    g = build_graph(len(keep), edges)
-    pin = {relabel[v]: s for v, s in model.pinning.items() if v in relabel}
+    position = model.graph.edge_index()
+    nbr, cpl = model.neighbour_table
+    found = []
+    for v, row, crow in zip(keep, nbr[keep].tolist(), cpl[keep].tolist()):
+        for w, c in zip(row, crow):
+            if w > v and w in relabel:  # each edge once; padding slots name v itself
+                found.append((position[v, w], relabel[v], relabel[w], c))
+    found.sort()
     return IsingModel(
-        graph=g,
-        couplings=np.asarray(couplings, dtype=np.float64),
+        graph=build_graph(len(keep), [(u, w) for _, u, w, _ in found]),
+        couplings=np.array([c for *_, c in found], dtype=np.float64),
         field=model.field[keep],
         convention=model.convention,
-        pinning=pin,
+        pinning={i: model.pinning[v] for i, v in enumerate(keep) if v in model.pinning},
     )
 
 

@@ -6,8 +6,9 @@ j-th free vertex in ascending vertex order (bit 0 is the least significant).
 ``GibbsTable.rows`` and ``GibbsTable.indices`` are the one place outside this
 module that reads or writes this format: every other layer maps between
 config indices and full spin vectors through them.  ``_free_energies``
-enumerates a model once, doubling at each free vertex, and ``_table`` alone
-turns energies into probabilities and log Z.  The spectral routines share one
+enumerates a model once, doubling at each free vertex, and ``_normalise``
+alone turns energies into probabilities and log Z, for one table (``_table``)
+or for a batch of them along an axis.  The spectral routines share one
 single-flip enumeration, ``_single_flips``, and each builds its own weights.
 The single-flip operators are CSR matrices with f+1 nonzeros per row.
 ``glauber_gap`` reads the gap two independent ways, both by ARPACK (``eigsh``)
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
-from scipy.special import logsumexp
 
 from .errors import CapacityError, InputError, ValidationFailure
 from .model import SPIN_VALUES, ZERO_ONE, IsingModel
@@ -137,16 +137,38 @@ def _free_energies(model: IsingModel) -> np.ndarray:
     return energy
 
 
-def _table(model: IsingModel, energy: np.ndarray) -> GibbsTable:
-    """The one normalisation site: probabilities proportional to exp(energy), via log-sum-exp."""
-    log_z = float(logsumexp(energy))
-    probs = energy - log_z
+def _normalise(energy: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities proportional to exp(energy) along ``axis``, and log Z per slice.
+
+    log Z = top + log sum exp(energy - top), top the largest energy.  The
+    terms at the top, each exactly 1, are taken out of the sum and come back
+    as log(count) + log1p(rest / count), so a remainder far below 1 keeps its
+    digits.  This is also how scipy.special evaluates log-sum-exp, and the
+    result matches it bit for bit at a fraction of its fixed cost.  The
+    probabilities are exp(energy - log Z): dividing exp(energy - top) by the
+    sum rounds differently and moves tiny spectral gaps.
+    """
+    top = energy.max(axis=axis, keepdims=True)
+    terms = energy - top
+    at_top = terms == 0.0
+    np.exp(terms, out=terms)
+    terms[at_top] = 0.0
+    count = np.count_nonzero(at_top, axis=axis, keepdims=True)
+    log_z = np.log1p(terms.sum(axis=axis, keepdims=True) / count) + np.log(count) + top
+    probs = np.subtract(energy, log_z, out=terms)
     np.exp(probs, out=probs)
-    return GibbsTable(model=model, probs=probs, log_partition=log_z, free=model.free_vertices)
+    return probs, np.squeeze(log_z, axis=axis)
+
+
+def _table(model: IsingModel, energy: np.ndarray) -> GibbsTable:
+    """The Gibbs table of ``model`` from its ``_free_energies``, normalised by ``_normalise``."""
+    probs, log_z = _normalise(energy)
+    return GibbsTable(model=model, probs=probs, log_partition=float(log_z),
+                      free=model.free_vertices)
 
 
 def gibbs_table(model: IsingModel) -> GibbsTable:
-    """Normalized probabilities proportional to exp(H), via log-sum-exp."""
+    """Exact probabilities proportional to exp(H) over the free configurations, and log Z."""
     return _table(model, _free_energies(model))
 
 
@@ -156,18 +178,41 @@ def marginals(table: GibbsTable) -> np.ndarray:
     return np.array([probs.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(table.num_free)])
 
 
+MOMENT_BLOCK = 1 << 22  # deviations held at once by _centred_moments
+
+
+def _centred_moments(probs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted means and centred second moments E[(x - m)(x - m)^T] of ``values``.
+
+    ``values`` holds k functions of the configuration, shape (k, configs).
+    ``probs`` weighs the configurations, shape (configs,) or (rows, configs)
+    for a batch; the results have shapes (k,) and (k, k), or (rows, k) and
+    (rows, k, k).  The mean is sum p x / sum p, both sums taken in the same
+    order, so a constant x has its value as mean and a moment of exactly 0;
+    the deviations are taken before they are multiplied, which keeps every
+    variance nonnegative where the second moment less the squared mean
+    leaves rounding of either sign.  Rows go in blocks of about
+    ``MOMENT_BLOCK`` deviations, so a batch needs no (rows, k, configs) array.
+    """
+    weights = np.atleast_2d(probs)
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    k, size = x.shape
+    mean = np.empty((len(weights), k))
+    moment = np.empty((len(weights), k, k))
+    block = max(1, MOMENT_BLOCK // max(k * size, 1))
+    for start in range(0, len(weights), block):
+        w = weights[start:start + block, None, :]  # (b, 1, configs)
+        total = w.sum(axis=-1)
+        m = (w * x).sum(axis=-1) / total
+        dev = x - m[:, :, None]
+        mean[start:start + block] = m
+        moment[start:start + block] = (dev * w) @ dev.swapaxes(1, 2) / total[:, :, None]
+    return (mean[0], moment[0]) if np.ndim(probs) == 1 else (mean, moment)
+
+
 def mean_and_covariance(table: GibbsTable) -> tuple[np.ndarray, np.ndarray]:
     """Exact first and second central moments over the free vertices."""
-    f = table.num_free
-    cols = table.rows()[:, list(table.free)].T.astype(np.float64, order="C")
-    mean = np.array([float(table.probs @ c) for c in cols])
-    cov = np.empty((f, f))
-    for i in range(f):
-        wi = table.probs * cols[i]
-        for j in range(i, f):
-            second = float(wi @ cols[j])
-            cov[i, j] = cov[j, i] = second - mean[i] * mean[j]
-    return mean, cov
+    return _centred_moments(table.probs, table.rows()[:, list(table.free)].T)
 
 
 def tv_distance(t1: GibbsTable, t2: GibbsTable) -> float:

@@ -266,6 +266,8 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
     Graphs of maximal degree below 3 are covered a fortiori by the
     degree-3 constants, so delta is floored at 3.
     """
+    if trials < 1:
+        raise InputError("a tail report needs at least one field trial")
     delta = max(3, g.max_degree())
     n = g.num_vertices
     mode = "exact" if n <= PINNING_SWEEP_CAP else "sampled"

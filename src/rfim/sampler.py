@@ -196,14 +196,31 @@ STEP_SCHEMAS = {
 }
 
 
+def _validator(schema: dict) -> jsonschema.Draft202012Validator:
+    """A validator for ``schema``, checked and built once, at import."""
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
+_STEP_VALIDATORS = {kind: _validator(schema) for kind, schema in STEP_SCHEMAS.items()}
+
+
+def _check(validator: jsonschema.Draft202012Validator, instance) -> None:
+    """Raise the error ``jsonschema.validate`` would raise: the best match among all errors."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def _validate_config(config: dict) -> None:
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        _check(_CONFIG_VALIDATOR, config)
         for i, step in enumerate(config["pipeline"]):
             kind = step.get("kind")
-            if kind not in STEP_SCHEMAS:
+            if kind not in _STEP_VALIDATORS:
                 raise InputError(f"pipeline[{i}].kind: unknown step kind {kind!r}")
-            jsonschema.validate(step, STEP_SCHEMAS[kind])
+            _check(_STEP_VALIDATORS[kind], step)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path)
         raise InputError(f"config schema violation at '{path}': {exc.message}") from exc

@@ -16,13 +16,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 from .dynamics import _draw
 from .errors import CapacityError, InputError
 from .graphs import Graph, ball, boundary, distances_from
 from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, induced_model, sample_field
-from .oracle import BOOST_CAP, GibbsTable, gibbs_table, marginals, mean_and_covariance
+from .oracle import (
+    BOOST_CAP,
+    GibbsTable,
+    _centred_moments,
+    _free_energies,
+    _normalise,
+    gibbs_table,
+    mean_and_covariance,
+)
 from .rng import SL, substream
 
 
@@ -58,7 +65,7 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
                          table: GibbsTable | None = None):
     """All boosted Gibbs tables for ``count`` realizations at once.
 
-    Returns (probs (count, configs), spin values (configs, f), base table).
+    Returns (probs (count, configs), free-vertex spins (f, configs), base table).
     """
     _check_boost_size(model)
     if table is None:
@@ -71,9 +78,8 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     noise = math.sqrt(t) * rng.normal(size=(count, f))
     y = t * star + noise
     base_energy = np.log(table.probs)
-    energies = base_energy[None, :] + y @ vals.T
-    energies -= logsumexp(energies, axis=1, keepdims=True)
-    return np.exp(energies), vals, table
+    probs, _ = _normalise(base_energy[None, :] + y @ vals.T, axis=1)
+    return probs, vals.T, table
 
 
 def _check_boost_size(model: IsingModel) -> None:
@@ -103,25 +109,41 @@ def averaged_boosted_table(model: IsingModel, t: float, realizations: int, seed:
 def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     """TV influence at u of all-plus vs all-minus boundary at radius ell.
 
-    Computed on the model induced on the closed ball plus its boundary ring,
-    with the ring pinned; an empty ring returns 0 by convention.
+    The ball B is the closed radius-ell ball around u and the ring R its
+    outer boundary; an empty ring returns 0 by convention.  Pinning R to the
+    sign s adds s * sum_v b_v x_v to the energy of a configuration x of B,
+    where b_v is the sum of v's couplings into R, plus a constant that
+    normalising cancels.  So the model induced on B is enumerated once,
+    without the ring, the linear term is built by the same doubling, and
+    the two energies E + b.x and E - b.x are normalised to read u's
+    marginal under each sign.  Raises InputError when u is pinned, and when
+    a ring vertex is pinned, since its pin conflicts with one of the signs.
     """
     if model.convention != PM:
         raise InputError("wsm_delta works in the +-1 convention")
-    b = ball(model.graph, u, ell)
-    ring = boundary(model.graph, b)
+    inside = ball(model.graph, u, ell)
+    if u in model.pinning:
+        raise InputError(f"vertex {u} is pinned, so it has no influence to measure")
+    ring = boundary(model.graph, inside)
     if not ring:
         return 0.0
-    region = sorted(b | ring)
-    pos = region.index(u)
-    sub = induced_model(model, region)
-    local_ring = [region.index(v) for v in ring]
-    deltas = []
-    for sign in (1, -1):
-        pinned = sub.with_pinning({v: sign for v in local_ring})
-        j = pinned.free_vertices.index(pos)
-        deltas.append(marginals(gibbs_table(pinned))[j])
-    return float(abs(deltas[0] - deltas[1]))
+    for v in sorted(ring):
+        if v in model.pinning:
+            raise InputError(f"ring vertex {v} is pinned against one of the boundary signs")
+    sub = induced_model(model, inside)
+    region = sorted(inside)
+    nbr, cpl = model.neighbour_table
+    spins = np.array([-1.0, 1.0])  # [zero, one] in pm
+    linear = np.zeros(1)
+    for i in sub.free_vertices:  # ascending, as _free_energies doubles
+        v = region[i]
+        into_ring = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
+        linear = np.add.outer(into_ring * spins, linear).reshape(-1)
+    energy = _free_energies(sub)
+    probs, _ = _normalise(np.stack([energy + linear, energy - linear]), axis=1)
+    j = sub.free_vertices.index(region.index(u))
+    plus, minus = probs.reshape(2, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
+    return float(abs(plus - minus))
 
 
 @dataclass(frozen=True)
@@ -153,19 +175,15 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
         vertices = tuple(range(graph.num_vertices))
     vertices = tuple(int(v) for v in vertices)
     radii = tuple(int(r) for r in radii)
-    sums = np.zeros((len(vertices), len(radii)))
-    squares = np.zeros_like(sums)
+    deltas = np.zeros((field_trials, len(vertices), len(radii)))
     for trial in range(field_trials):
         field = sample_field(field_dist, graph.num_vertices, seed * 99991 + trial)
         model = IsingModel.uniform(graph, beta, field.values, convention=PM)
         for i, v in enumerate(vertices):
             for j, r in enumerate(radii):
-                d = wsm_delta(model, v, r)
-                sums[i, j] += d
-                squares[i, j] += d * d
-    mean = sums / field_trials
-    var = np.maximum(squares / field_trials - mean**2, 0.0)
-    stderr = np.sqrt(var / field_trials)
+                deltas[trial, i, j] = wsm_delta(model, v, r)
+    mean = deltas.mean(axis=0)
+    stderr = np.sqrt(((deltas - mean) ** 2).mean(axis=0) / field_trials)
 
     pts = [(r, m) for j, r in enumerate(radii) for m in mean[:, j] if m > 0]
 
@@ -305,6 +323,8 @@ def trace_moment_probe(model: IsingModel, p: int, t_grid, realizations: int,
     t_grid = tuple(t_grid)
     if any(t != 0 for t in t_grid):
         _check_boost_size(model)
+        if realizations < 1:
+            raise InputError("a boosted time needs at least one realization")
     table = gibbs_table(model)
     f = table.num_free
     rows = []
@@ -316,9 +336,7 @@ def trace_moment_probe(model: IsingModel, p: int, t_grid, realizations: int,
         else:
             probs, vals, _ = _boosted_prob_matrix(model, t, realizations, seed * 31 + ti,
                                                   table=table)
-            means = probs @ vals
-            second = np.einsum("rc,cu,cv->ruv", probs, vals, vals)
-            covs = second - means[:, :, None] * means[:, None, :]
+            _, covs = _centred_moments(probs, vals)
             eigs = np.linalg.eigvalsh(covs)
             traces = (eigs**p).sum(axis=1)
         mean = float(traces.mean())
@@ -364,6 +382,8 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         raise InputError("T must be nonnegative")
     if t_value > 0:
         _check_boost_size(model)
+        if realizations < 1:
+            raise InputError("a boosted time needs at least one realization")
     table = gibbs_table(model)
     if c0 is None:
         fit = trace_moment_probe(model, 2, (0.0, t_value / 2, t_value),
@@ -376,18 +396,15 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         p_exp = math.exp(2.0 * t_value / c0)
     rows = []
     if t_value > 0:
-        probs, vals, _ = _boosted_prob_matrix(model, t_value, realizations, seed, table=table)
+        probs, _, _ = _boosted_prob_matrix(model, t_value, realizations, seed, table=table)
     for name, phi in test_functions:
-        phi = np.asarray(phi, dtype=np.float64)
-        mean = float(table.probs @ phi)
-        lhs = float(table.probs @ phi**2) - mean**2
+        phi = np.asarray(phi, dtype=np.float64)[None, :]
+        lhs = float(_centred_moments(table.probs, phi)[1][0, 0])
         osc = float(phi.max() - phi.min())
         if t_value == 0:
             e_var = lhs
         else:
-            m1 = probs @ phi
-            m2 = probs @ phi**2
-            e_var = float((m2 - m1**2).mean())
+            e_var = float(_centred_moments(probs, phi)[1].mean())
         if p_exp == 1.0:
             rhs = e_var
         else:

@@ -10,13 +10,13 @@ MAX_DEGREE = 5
 
 
 @st.composite
-def models(draw, ferromagnetic=False, max_n=12):
+def models(draw, ferromagnetic=False, max_n=12, min_pairs=0):
     """A random graph on at most ``max_n`` vertices with degrees at most MAX_DEGREE,
-    random couplings and field, a random convention and a random pinning that
-    leaves a vertex free."""
+    built from at least ``min_pairs`` drawn vertex pairs per vertex, random couplings
+    and field, a random convention and a random pinning that leaves a vertex free."""
     n = draw(st.integers(1, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=3 * n))
+                          min_size=min_pairs * n, max_size=3 * n))
     degree = [0] * n
     edges = set()
     for u, v in pairs:

@@ -269,6 +269,9 @@ def test_certify_gap_tails_percolate(tmp_path, capsys):
         assert got["max_row_exceed_freq"] == float(want.row_exceed_freq.max())
         assert got["max_col_exceed_freq"] == float(want.col_exceed_freq.max())
 
+    assert run_cli("certify", "tails", "--graph", gpath, "--beta", "0.3", "--p0", "0.05",
+                   "--k", "4.5", "--trials", "0") == 4
+
     assert run_cli("certify", "percolate", "--graph", gpath, "--field-seed", "4",
                    "--k", "4.5", "--p0", "0.3", "--seed", "5") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -297,6 +300,8 @@ def test_sl_wsm_csv_and_probe(tmp_path, capsys):
     assert payload["label"] == "fitted" and payload["p"] == 2
     assert payload["rows"] == list(rep.rows)
     assert payload["sup_mean"] == rep.sup_mean and payload["c0_fit"] == rep.c0_fit
+    assert run_cli("sl", "probe", "--model", write_model(tmp_path, m), "--t-grid", "0,1",
+                   "--realizations", "0") == 4
 
 
 def test_sample_incremental_without_validation(tmp_path, capsys):

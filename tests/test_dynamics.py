@@ -227,6 +227,12 @@ def test_tv_curve_checks_its_start():
             empirical_tv_curve(model, init, [0, 10], replicas=100, seed=1)
 
 
+def test_tv_curve_needs_a_step(p3_symmetric):
+    with pytest.raises(InputError):
+        empirical_tv_curve(p3_symmetric, SpinConfiguration([1, 1, 1], "pm"), [], replicas=10,
+                           seed=1)
+
+
 def test_tv_curve_single_vertex_one_step():
     m = uniform_model(build_graph(1, []), 0.0, [0.3])
     rows = empirical_tv_curve(m, SpinConfiguration([-1], "pm"), [1], replicas=100_000, seed=6)

@@ -26,6 +26,7 @@ from rfim import (
 from rfim.model import model_from_json_dict, model_to_json_dict
 
 from conftest import random_field_model, uniform_model
+from strategies import models
 
 
 def test_sample_field_degenerate_two_point():
@@ -217,6 +218,32 @@ def test_induced_model_relabels():
     assert sub.graph.edges == ((0, 1), (1, 2))
     assert sub.pinning == {2: 1}
     assert np.allclose(sub.field, m.field[1:4])
+
+
+def _edge_scan_induced(model, vertices):
+    """The induced model by a scan over every parent edge: the reference for ``induced_model``."""
+    keep = sorted(int(v) for v in set(vertices))
+    relabel = {v: i for i, v in enumerate(keep)}
+    edges, couplings = [], []
+    for (u, v), c in zip(model.graph.edges, model.couplings):
+        if u in relabel and v in relabel:
+            edges.append((relabel[u], relabel[v]))
+            couplings.append(c)
+    return IsingModel(graph=build_graph(len(keep), edges),
+                      couplings=np.asarray(couplings, dtype=np.float64),
+                      field=model.field[keep], convention=model.convention,
+                      pinning={relabel[v]: s for v, s in model.pinning.items() if v in relabel})
+
+
+@settings(max_examples=60)
+@given(models(), st.data())
+def test_induced_model_equals_the_edge_scan(m, data):
+    vertices = data.draw(st.lists(st.integers(0, m.n - 1), max_size=m.n))
+    got, want = induced_model(m, vertices), _edge_scan_induced(m, vertices)
+    assert got.graph == want.graph
+    assert np.array_equal(got.couplings, want.couplings)
+    assert np.array_equal(got.field, want.field)
+    assert got.pinning == want.pinning and got.convention == want.convention
 
 
 def test_model_json_roundtrip():

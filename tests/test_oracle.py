@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import logsumexp
 
 from rfim import (
     CapacityError,
@@ -34,8 +35,10 @@ from rfim import (
 from rfim import oracle
 from rfim.model import array_energy
 from rfim.oracle import (
+    _centred_moments,
     _entropy,
     _free_energies,
+    _normalise,
     table_from_binary,
     table_to_binary,
     table_to_json_dict,
@@ -524,3 +527,51 @@ def test_pinned_only_terms_leave_the_table_bit_identical(m, data):
     a, b = gibbs_table(m), gibbs_table(shifted)
     assert np.array_equal(a.probs, b.probs)
     assert a.log_partition == b.log_partition
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=64),
+       st.sampled_from([-700.0, 0.0, 700.0]), st.booleans())
+def test_normalise_matches_scipy_logsumexp(energies, offset, rounded):
+    energy = np.array(energies) + offset
+    if rounded:  # ties at the top
+        energy = np.round(energy)
+    for e, axis in ((energy, -1), (np.stack([energy, energy[::-1] - 3.0]), 1)):
+        probs, log_z = _normalise(e.copy(), axis=axis)
+        want = logsumexp(e, axis=axis)
+        assert np.all(np.abs(log_z - want) <= 1e-12 * np.abs(want))
+        assert np.abs(probs - np.exp(e - np.expand_dims(want, axis))).max() <= 1e-15
+
+
+def _dense_moments(probs, values):
+    """E[x] and E[(x - m)(x - m)^T] term by term, over the rows of ``values`` (configs, k)."""
+    mean = sum(p * x for p, x in zip(probs, values))
+    return mean, sum(p * np.outer(x - mean, x - mean) for p, x in zip(probs, values))
+
+
+@settings(max_examples=40)
+@given(models(max_n=10))
+def test_covariance_matches_the_dense_reference(m):
+    table = gibbs_table(m)
+    mean, cov = mean_and_covariance(table)
+    want_mean, want_cov = _dense_moments(table.probs, table.rows()[:, list(table.free)])
+    assert np.abs(mean - want_mean).max() <= 1e-12
+    assert np.abs(cov - want_cov).max() <= 1e-12
+    assert (np.diag(cov) >= 0).all()
+
+
+def test_centred_moments_of_a_batch_in_blocks(monkeypatch):
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(16), size=5)
+    values = np.vstack([rng.normal(size=16), np.ones(16), rng.integers(0, 2, 16)])
+    mean, moment = _centred_moments(probs, values)
+    for row, m, c in zip(probs, mean, moment):
+        want_mean, want = _dense_moments(row, values.T)
+        assert np.abs(m - want_mean).max() <= 1e-14 and np.abs(c - want).max() <= 1e-14
+        assert m[1] == 1.0 and not c[1].any()  # a constant is its own mean, with no spread
+    monkeypatch.setattr(oracle, "MOMENT_BLOCK", 1)  # one row per block
+    blocked = _centred_moments(probs, values)
+    assert np.array_equal(blocked[0], mean) and np.array_equal(blocked[1], moment)
+    mean, cov = mean_and_covariance(gibbs_table(uniform_model(path_graph(2), 0.5, [0, 0])
+                                                .with_pinning({0: 1, 1: -1})))
+    assert mean.shape == (0,) and cov.shape == (0, 0)

@@ -266,6 +266,13 @@ def test_row_sum_tail_report_samples_pinnings_above_the_sweep_cap():
     assert all(row.row_exceed_freq.shape == (17,) for row in report.rows)
 
 
+def test_row_sum_tail_report_needs_a_trial():
+    with pytest.raises(InputError):
+        row_sum_tail_report(cycle_graph(4), beta=0.3, theta_grid=[0.0], k=4.5, p0=0.05,
+                            field_dist=FieldDistribution.two_point(5.0), trials=0, seed=1,
+                            m_grid=[0.5])
+
+
 def test_norm_interpolation_examples():
     res = norm_interpolation_check(np.eye(3))
     assert res.opnorm == pytest.approx(1.0)

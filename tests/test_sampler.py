@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from rfim import (
 )
 from rfim.model import model_to_json_dict
 from rfim.oracle import empirical_tv
-from rfim.sampler import _validate_config
+from rfim.sampler import CONFIG_SCHEMA, STEP_SCHEMAS, _validate_config
 
 from conftest import random_field_model, uniform_model
 
@@ -147,6 +148,26 @@ def test_run_experiment_schema_errors():
         _validate_config({"pipeline": [{"kind": "nope"}]})
     with pytest.raises(InputError, match="count"):
         _validate_config({"pipeline": [{"kind": "gap_vs_exact"}]})
+
+
+def test_compiled_validators_raise_what_validate_raises():
+    gap_step = {"kind": "gap_vs_exact", "count": 2, "n": 8, "beta": 0.5, "degree": 3,
+                "p0": 0.05, "k": 4.5, "field": {}}
+    bad = [{"seed": 1}, {"seed": "x", "pipeline": []}, {"pipeline": "x"},
+           {"pipeline": [{}]}, {"pipeline": [{"kind": 3}]},
+           {"pipeline": [{**gap_step, "count": 0}]},
+           {"pipeline": [{**gap_step, "beta": -1, "p0": 2}]},
+           {"pipeline": [{"kind": "sample", "model": {}, "c_star": 1.0, "replicas": 0,
+                          "validate": "yes"}]}]
+    for config in bad:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(config, CONFIG_SCHEMA)
+            for step in config["pipeline"]:
+                jsonschema.validate(step, STEP_SCHEMAS[step["kind"]])
+        path = "/".join(str(p) for p in want.value.absolute_path)
+        with pytest.raises(InputError) as got:
+            _validate_config(config)
+        assert str(got.value) == f"config schema violation at '{path}': {want.value.message}"
 
 
 def test_run_experiment_gap_vs_exact():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfim import (
     CapacityError,
@@ -24,6 +25,7 @@ from rfim import (
     wsm_delta,
 )
 from rfim import oracle
+from rfim.graphs import ball, boundary, eccentricity
 from rfim.slwsm import (
     averaged_boosted_table,
     magnetization_function,
@@ -31,6 +33,8 @@ from rfim.slwsm import (
 )
 
 from conftest import random_field_model, uniform_model
+from strategies import models
+from test_model import _edge_scan_induced
 
 
 def test_sl_boost_identity_at_zero():
@@ -102,6 +106,40 @@ def test_wsm_delta_chain_closed_form():
     for r in (0, 1, 2):
         expected = 2 * math.tanh(beta) ** (r + 1) / (1 + math.tanh(beta) ** (2 * (r + 1)))
         assert wsm_delta(m, 4, r) == pytest.approx(expected, abs=1e-12)
+
+
+def _two_table_delta(model, u, ell):
+    """wsm_delta as two pinned tables of the model induced on ball and ring."""
+    b = ball(model.graph, u, ell)
+    ring = boundary(model.graph, b)
+    if not ring:
+        return 0.0
+    region = sorted(b | ring)
+    pos = region.index(u)
+    sub = _edge_scan_induced(model, region)
+    local_ring = [region.index(v) for v in ring]
+    deltas = []
+    for sign in (1, -1):
+        pinned = sub.with_pinning({v: sign for v in local_ring})
+        j = pinned.free_vertices.index(pos)
+        deltas.append(marginals(gibbs_table(pinned))[j])
+    return float(abs(deltas[0] - deltas[1]))
+
+
+@settings(max_examples=60)
+@given(models(min_pairs=2).filter(lambda m: m.convention == "pm"), st.data())
+def test_wsm_delta_matches_two_pinned_tables(m, data):
+    u = data.draw(st.sampled_from(m.free_vertices))
+    for ell in range(eccentricity(m.graph, u) + 1):  # the last ball leaves an empty ring
+        ring = boundary(m.graph, ball(m.graph, u, ell))
+        if any(v in m.pinning for v in ring):
+            with pytest.raises(InputError):
+                wsm_delta(m, u, ell)
+        else:
+            assert abs(wsm_delta(m, u, ell) - _two_table_delta(m, u, ell)) <= 1e-12
+    for v in m.pinning:
+        with pytest.raises(InputError):
+            wsm_delta(m, v, 1)
 
 
 def test_estimate_wsm_strong_field_decays():
@@ -193,6 +231,14 @@ def test_trace_probe_boost_shrinks_correlations():
     assert t5 <= t0 + spread
     assert rep.c0_fit > 0
     assert rep.small_c0 > 0
+
+
+def test_boosted_probes_need_a_realization():
+    m = random_field_model(path_graph(3), 0.5, seed=7)
+    with pytest.raises(InputError):
+        trace_moment_probe(m, 2, [0.0, 1.0], realizations=0, seed=4)
+    with pytest.raises(InputError):
+        weak_poincare_probe(m, 1.0, 0.5, [("m", np.ones(8))], realizations=0, seed=4, c0=1.0)
 
 
 def test_weak_poincare_constant_function():
