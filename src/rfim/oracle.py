@@ -131,14 +131,24 @@ def _free_energies(model: IsingModel) -> np.ndarray:
         for k, c in earlier:
             runs = local.reshape(-1, 2, 1 << k)  # runs of 2^k prefixes with bit k at 0, 1
             runs += c * spins[:, None]
-        doubled = np.multiply.outer(spins, local)  # v at zero, then v at one
-        doubled += energy
-        energy = doubled.reshape(-1)
+        energy = _extend(energy, spins, local)
     return energy
 
 
-def _normalise(energy: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities proportional to exp(energy) along ``axis``, and log Z per slice.
+def _extend(energy: np.ndarray, spins: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """``energy`` over 2^j prefixes, doubled by one more vertex as bit j.
+
+    ``spins`` holds the [zero, one] spin values and ``local`` the vertex's
+    local field per prefix; the "zero" half comes first, then the "one"
+    half, each the prefix's energy plus the spin times its local field.
+    """
+    doubled = np.multiply.outer(spins, local)
+    doubled += energy
+    return doubled.reshape(-1)
+
+
+def _normalise(energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities proportional to exp(energy) along the last axis, and log Z per slice.
 
     log Z = top + log sum exp(energy - top), top the largest energy.  The
     terms at the top, each exactly 1, are taken out of the sum and come back
@@ -148,16 +158,16 @@ def _normalise(energy: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarr
     probabilities are exp(energy - log Z): dividing exp(energy - top) by the
     sum rounds differently and moves tiny spectral gaps.
     """
-    top = energy.max(axis=axis, keepdims=True)
+    top = energy.max(axis=-1, keepdims=True)
     terms = energy - top
     at_top = terms == 0.0
     np.exp(terms, out=terms)
     terms[at_top] = 0.0
-    count = np.count_nonzero(at_top, axis=axis, keepdims=True)
-    log_z = np.log1p(terms.sum(axis=axis, keepdims=True) / count) + np.log(count) + top
+    count = np.count_nonzero(at_top, axis=-1, keepdims=True)
+    log_z = np.log1p(terms.sum(axis=-1, keepdims=True) / count) + np.log(count) + top
     probs = np.subtract(energy, log_z, out=terms)
     np.exp(probs, out=probs)
-    return probs, np.squeeze(log_z, axis=axis)
+    return probs, np.squeeze(log_z, axis=-1)
 
 
 def _table(model: IsingModel, energy: np.ndarray) -> GibbsTable:
@@ -178,7 +188,7 @@ def marginals(table: GibbsTable) -> np.ndarray:
     return np.array([probs.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(table.num_free)])
 
 
-MOMENT_BLOCK = 1 << 22  # deviations held at once by _centred_moments
+MOMENT_BLOCK = 1 << 22  # products held at once by _centred_moments
 
 
 def _centred_moments(probs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,22 +201,31 @@ def _centred_moments(probs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray,
     order, so a constant x has its value as mean and a moment of exactly 0;
     the deviations are taken before they are multiplied, which keeps every
     variance nonnegative where the second moment less the squared mean
-    leaves rounding of either sign.  Rows go in blocks of about
-    ``MOMENT_BLOCK`` deviations, so a batch needs no (rows, k, configs) array.
+    leaves rounding of either sign.  Weight rows go in blocks of about
+    ``MOMENT_BLOCK`` deviations, and functions in blocks of about as many
+    products, so beyond one float copy of ``values`` (which holds the
+    deviations in place when there is one row of weights) a large table
+    needs little more memory and a batch needs no (rows, k, configs) array.
     """
     weights = np.atleast_2d(probs)
-    x = np.ascontiguousarray(values, dtype=np.float64)
+    x = np.array(values, dtype=np.float64)
     k, size = x.shape
     mean = np.empty((len(weights), k))
     moment = np.empty((len(weights), k, k))
-    block = max(1, MOMENT_BLOCK // max(k * size, 1))
+    block = max(1, MOMENT_BLOCK // max(k * size, 1))  # weight rows per block
+    step = max(1, MOMENT_BLOCK // max(size, 1))  # functions per block of products
+    xs = x[None]  # (1, k, configs)
     for start in range(0, len(weights), block):
         w = weights[start:start + block, None, :]  # (b, 1, configs)
         total = w.sum(axis=-1)
-        m = (w * x).sum(axis=-1) / total
-        dev = x - m[:, :, None]
-        mean[start:start + block] = m
-        moment[start:start + block] = (dev * w) @ dev.swapaxes(1, 2) / total[:, :, None]
+        m = mean[start:start + block]
+        for lo in range(0, k, step):
+            m[:, lo:lo + step] = (w * x[lo:lo + step]).sum(axis=-1)
+        m /= total
+        dev = np.subtract(xs, m[:, :, None], out=xs if len(weights) == 1 else None)
+        for lo in range(0, k, step):
+            moment[start:start + block, lo:lo + step] = (
+                (dev[:, lo:lo + step] * w) @ dev.swapaxes(1, 2) / total[:, :, None])
     return (mean[0], moment[0]) if np.ndim(probs) == 1 else (mean, moment)
 
 

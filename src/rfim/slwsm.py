@@ -25,6 +25,7 @@ from .oracle import (
     BOOST_CAP,
     GibbsTable,
     _centred_moments,
+    _extend,
     _free_energies,
     _normalise,
     gibbs_table,
@@ -78,7 +79,7 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     noise = math.sqrt(t) * rng.normal(size=(count, f))
     y = t * star + noise
     base_energy = np.log(table.probs)
-    probs, _ = _normalise(base_energy[None, :] + y @ vals.T, axis=1)
+    probs, _ = _normalise(base_energy[None, :] + y @ vals.T)
     return probs, vals.T, table
 
 
@@ -114,10 +115,11 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     sign s adds s * sum_v b_v x_v to the energy of a configuration x of B,
     where b_v is the sum of v's couplings into R, plus a constant that
     normalising cancels.  So the model induced on B is enumerated once,
-    without the ring, the linear term is built by the same doubling, and
-    the two energies E + b.x and E - b.x are normalised to read u's
-    marginal under each sign.  Raises InputError when u is pinned, and when
-    a ring vertex is pinned, since its pin conflicts with one of the signs.
+    without the ring, the linear term b.x is built by the same doubling
+    step, and the two energies E + b.x and E - b.x are normalised to read
+    u's marginal under each sign.  Raises InputError when u is pinned, and
+    when a ring vertex is pinned, since its pin conflicts with one of the
+    signs.
     """
     if model.convention != PM:
         raise InputError("wsm_delta works in the +-1 convention")
@@ -131,6 +133,7 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
         if v in model.pinning:
             raise InputError(f"ring vertex {v} is pinned against one of the boundary signs")
     sub = induced_model(model, inside)
+    energy = _free_energies(sub)
     region = sorted(inside)
     nbr, cpl = model.neighbour_table
     spins = np.array([-1.0, 1.0])  # [zero, one] in pm
@@ -138,9 +141,8 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     for i in sub.free_vertices:  # ascending, as _free_energies doubles
         v = region[i]
         into_ring = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
-        linear = np.add.outer(into_ring * spins, linear).reshape(-1)
-    energy = _free_energies(sub)
-    probs, _ = _normalise(np.stack([energy + linear, energy - linear]), axis=1)
+        linear = _extend(linear, spins, np.full(len(linear), into_ring))
+    probs, _ = _normalise(np.stack([energy + linear, energy - linear]))
     j = sub.free_vertices.index(region.index(u))
     plus, minus = probs.reshape(2, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
     return float(abs(plus - minus))

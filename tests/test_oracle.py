@@ -536,11 +536,11 @@ def test_normalise_matches_scipy_logsumexp(energies, offset, rounded):
     energy = np.array(energies) + offset
     if rounded:  # ties at the top
         energy = np.round(energy)
-    for e, axis in ((energy, -1), (np.stack([energy, energy[::-1] - 3.0]), 1)):
-        probs, log_z = _normalise(e.copy(), axis=axis)
-        want = logsumexp(e, axis=axis)
+    for e in (energy, np.stack([energy, energy[::-1] - 3.0])):
+        probs, log_z = _normalise(e.copy())
+        want = logsumexp(e, axis=-1)
         assert np.all(np.abs(log_z - want) <= 1e-12 * np.abs(want))
-        assert np.abs(probs - np.exp(e - np.expand_dims(want, axis))).max() <= 1e-15
+        assert np.abs(probs - np.exp(e - want[..., None])).max() <= 1e-15
 
 
 def _dense_moments(probs, values):
@@ -569,9 +569,15 @@ def test_centred_moments_of_a_batch_in_blocks(monkeypatch):
         want_mean, want = _dense_moments(row, values.T)
         assert np.abs(m - want_mean).max() <= 1e-14 and np.abs(c - want).max() <= 1e-14
         assert m[1] == 1.0 and not c[1].any()  # a constant is its own mean, with no spread
-    monkeypatch.setattr(oracle, "MOMENT_BLOCK", 1)  # one row per block
-    blocked = _centred_moments(probs, values)
-    assert np.array_equal(blocked[0], mean) and np.array_equal(blocked[1], moment)
+    monkeypatch.setattr(oracle, "MOMENT_BLOCK", 1)  # one function per block of products
+    kept = values.copy()
+    for weights in (probs, probs[0]):
+        whole = (mean, moment) if weights is probs else (mean[0], moment[0])
+        blocked = _centred_moments(weights, values)
+        assert np.array_equal(blocked[0], whole[0])  # the sums do not depend on the blocks
+        assert np.abs(blocked[1] - whole[1]).max() <= 1e-15  # the products' order may
+        assert not blocked[1][..., 1, :].any()
+    assert np.array_equal(values, kept)  # the deviations go to a copy
     mean, cov = mean_and_covariance(gibbs_table(uniform_model(path_graph(2), 0.5, [0, 0])
                                                 .with_pinning({0: 1, 1: -1})))
     assert mean.shape == (0,) and cov.shape == (0, 0)

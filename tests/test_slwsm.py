@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from rfim import (
     wsm_delta,
 )
 from rfim import oracle
-from rfim.graphs import ball, boundary, eccentricity
+from rfim.graphs import ball, boundary, eccentricity, torus_grid
 from rfim.slwsm import (
     averaged_boosted_table,
     magnetization_function,
@@ -140,6 +141,24 @@ def test_wsm_delta_matches_two_pinned_tables(m, data):
     for v in m.pinning:
         with pytest.raises(InputError):
             wsm_delta(m, v, 1)
+
+
+def test_wsm_caps_before_enumerating():
+    g = torus_grid(12, 12)
+    m = IsingModel.uniform(g, 0.3, np.zeros(g.num_vertices))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            wsm_delta(m, 0, 3)  # a 25-vertex ball, one over the cap
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any array over the ball's configurations
+    with pytest.raises(CapacityError):
+        wsm_delta(m, 0, 4)  # 41 vertices
+    with pytest.raises(CapacityError):
+        estimate_wsm(g, 0.3, FieldDistribution.two_point(1.0), radii=[4], field_trials=1,
+                     seed=1, vertices=[0])
 
 
 def test_estimate_wsm_strong_field_decays():
