@@ -10,17 +10,31 @@ advances all of its chains in lockstep.
 
 Local fields come from the model's padded neighbour table: (n, max degree)
 neighbour indices and couplings, padding slots having coupling 0, so an
-update costs O(max degree) whatever n is.  Padding slots add 0 to a local
-field, and so does any vertex holding 0: the staged sampler's vertices not
-yet staged hold 0, neutral in both conventions.  That zero-padded matrix is
-not a spin matrix in pm, so the sampler calls ``_heat_bath_run`` directly,
-which checks nothing; every public chain checks its start with
-``IsingModel.check_values`` and never repairs it.  Pinned vertices hold their
-value and are never chosen.  ``_heat_bath_update`` is the one vectorised
-kernel, under replica batches, the monotone batch coupling and sampler
-stages.  Scalar chains keep a Python loop over the same table rows
-(``_scalar_update``): with one replica, numpy's per-call overhead makes a
-vectorised step over 10x slower.
+update costs O(max degree) whatever n is.
+
+Scalar chains (``run_chain``, the Glauber branch of ``_draw`` and
+``monotone_coupled_run``) look their probabilities up.  The law at v depends
+only on v's neighbour spins, so ``IsingModel.heat_bath_table`` holds P(one)
+for every vertex and every pattern of its real neighbours, built once per
+model with numpy.  A chain keeps its spin list and one key per vertex; a step
+reads ``probs[key[v]]`` and only a flip touches the keys, XOR-ing v's slot bit
+into each neighbour's key through ``flips[v]``.  No step sums a field or
+calls the logistic.  The entries are bit-identical to what summing the row
+gives: each is h_v plus c_j x_j over v's real slots, left to right in row
+order, the same float operations, and the padding slots the sum would also
+read add c = 0 times a spin, +-0.0, which moves neither the sum nor the
+logistic.  The table caps at ``HEAT_BATH_TABLE_CAP`` entries and raises
+CapacityError above it.
+
+``_heat_bath_update`` is the one vectorised kernel, under replica batches,
+the monotone batch coupling and sampler stages, and it stays on summed
+fields.  Its ``einsum`` adds a row's products in another order than the
+table, so it would not reproduce the entries bit for bit.  The staged
+sampler also holds vertices not yet staged at 0, neutral in both conventions
+but not a spin in pm, which no table key encodes; that zero-padded matrix is
+why the sampler calls ``_heat_bath_run`` directly, which checks nothing.
+Every public chain checks its start with ``IsingModel.check_values`` and
+never repairs it.  Pinned vertices hold their value and are never chosen.
 """
 
 from __future__ import annotations
@@ -28,10 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
-from .model import PM, SPIN_VALUES, IsingModel, SpinConfiguration, _config_values, array_energy
+from .model import (
+    SPIN_VALUES,
+    IsingModel,
+    SpinConfiguration,
+    _config_values,
+    _one_probability,
+    array_energy,
+)
 from .oracle import GibbsTable, empirical_tv, gibbs_table
 from .rng import CHAIN, COUPLING, substream
 
@@ -54,11 +74,6 @@ class CouplingTrace:
     shared_uniform_log: tuple | None = None
 
 
-def _one_probability(convention: str, local_field):
-    """Heat-bath P(spin = 'one' | local field s): logistic(2s) in pm, logistic(s) in 01."""
-    return expit(2.0 * local_field if convention == PM else local_field)
-
-
 def _free_vertices(model: IsingModel) -> np.ndarray:
     free = np.array(model.free_vertices, dtype=np.int64)
     if len(free) == 0:
@@ -66,19 +81,27 @@ def _free_vertices(model: IsingModel) -> np.ndarray:
     return free
 
 
-def _scalar_update(model: IsingModel):
-    """The heat-bath update of one chain held as a list: update(values, v, u)."""
-    nbr, cpl = model.neighbour_table
-    rows = [list(zip(w, c)) for w, c in zip(nbr.tolist(), cpl.tolist())]
-    field = model.field.tolist()
-    conv = model.convention
-    one, zero = SPIN_VALUES[conv]
+def _keys(model: IsingModel, values) -> list[int]:
+    """The ``heat_bath_table`` key of every vertex under the spins ``values``."""
+    table = model.heat_bath_table
+    is_one = np.asarray(values) == SPIN_VALUES[model.convention][0]
+    return (table.offset + (is_one[model.neighbour_table[0]] * table.weight).sum(axis=1)).tolist()
 
-    def update(values: list, v: int, u: float) -> None:
-        s = field[v]
-        for w, c in rows[v]:
-            s += c * values[w]
-        values[v] = one if u <= _one_probability(conv, s) else zero
+
+def _lookup_update(model: IsingModel):
+    """The heat-bath update of one chain held as spin and key lists:
+    update(values, keys, v, u)."""
+    table = model.heat_bath_table
+    probs = memoryview(table.probs)
+    flips = table.flips
+    one, zero = SPIN_VALUES[model.convention]
+
+    def update(values: list, keys: list, v: int, u: float) -> None:
+        s = one if u <= probs[keys[v]] else zero
+        if s != values[v]:
+            values[v] = s
+            for w, bit in flips[v]:
+                keys[w] ^= bit
 
     return update
 
@@ -122,33 +145,52 @@ def _heat_bath_run(model: IsingModel, values: np.ndarray, free: np.ndarray, step
     return snapshots
 
 
-def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
-              record_every: int | None = None, chain_index: int = 0):
-    """Run one chain for ``steps`` updates; deterministic given the seed.
-
-    Returns the final ChainState, plus a time series of (step, magnetization,
-    energy) rows when ``record_every`` is set.
-    """
-    values = _config_values(model, init).tolist()
+def _scalar_run(model: IsingModel, values: list, steps: int, seed: int, chain_index: int,
+                record_every: int | None = None) -> list | None:
+    """Advance the spin list ``values`` in place by ``steps`` updates of chain
+    ``chain_index`` of ``seed``, which draws every vertex choice, then every
+    uniform.  Returns (step, magnetization, energy) rows at step 0 and every
+    ``record_every`` steps when that is set, else None."""
     free = _free_vertices(model).tolist()
-    update = _scalar_update(model)
+    keys = _keys(model, values)
+    update = _lookup_update(model)
     rng = substream(seed, CHAIN, chain_index)
     choices = rng.integers(len(free), size=steps).tolist()
     uniforms = rng.random(size=steps).tolist()
-    trajectory = []
 
     def observables(step):
         vals = np.array(values, dtype=np.float64)
         return (step, float(vals.sum()), array_energy(model, vals))
 
-    if record_every:
-        trajectory.append(observables(0))
-    for k in range(steps):
-        update(values, free[choices[k]], uniforms[k])
-        if record_every and (k + 1) % record_every == 0:
-            trajectory.append(observables(k + 1))
-    final = ChainState(SpinConfiguration(values, model.convention), steps)
-    return (final, trajectory) if record_every else (final, None)
+    trajectory = [observables(0)] if record_every else None
+    stride = record_every or max(steps, 1)
+    for start in range(0, steps, stride):
+        stop = min(start + stride, steps)
+        for k in range(start, stop):
+            update(values, keys, free[choices[k]], uniforms[k])
+        if record_every and stop - start == stride:
+            trajectory.append(observables(stop))
+    return trajectory
+
+
+def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
+              record_every: int | None = None, chain_index: int = 0):
+    """Run one chain for ``steps`` updates; deterministic given the seed.
+
+    A step reads the probability of its vertex from the model's
+    ``heat_bath_table`` at the vertex's key, and a flip XORs the vertex's slot
+    bit into its neighbours' keys: no local field is summed and no logistic
+    is evaluated.  The table holds the probabilities that summing the field
+    over the neighbour row would give, bit for bit.  Returns the final
+    ChainState, plus a time series of (step, magnetization, energy) rows when
+    ``record_every`` is set.  Raises CapacityError when the model's table
+    would exceed ``HEAT_BATH_TABLE_CAP`` entries.
+    """
+    if record_every is not None and record_every < 0:
+        raise InputError("record_every must be nonnegative")
+    values = _config_values(model, init).tolist()
+    trajectory = _scalar_run(model, values, steps, seed, chain_index, record_every)
+    return ChainState(SpinConfiguration(values, model.convention), steps), trajectory
 
 
 def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, index: int,
@@ -166,10 +208,9 @@ def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, 
     if sampler == "glauber":
         if not burn_steps:
             raise InputError("glauber sampler needs burn_steps")
-        zero = SPIN_VALUES[model.convention][1]
-        start = SpinConfiguration(model.full_values(zero), model.convention)
-        state, _ = run_chain(model, start, burn_steps, seed, chain_index=index)
-        return state.config.values()
+        values = model.full_values(SPIN_VALUES[model.convention][1]).astype(np.int8).tolist()
+        _scalar_run(model, values, burn_steps, seed, index)
+        return np.array(values, dtype=np.int8)
     raise InputError(f"unknown sampler {sampler!r}")
 
 
@@ -202,7 +243,8 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
 
     Requires a ferromagnetic model and low <= high pointwise; the pointwise
     order is asserted after every step (a violation raises, it is never
-    tolerated statistically).
+    tolerated statistically).  Both chains read the one ``heat_bath_table``
+    of the model, each through its own key list, as ``run_chain`` does.
     """
     if not model.ferromagnetic:
         raise InputError("monotone coupling requires a ferromagnetic model")
@@ -211,7 +253,8 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
     if any(a > b for a, b in zip(lo, hi)):
         raise InputError("initial states must satisfy low <= high pointwise")
     free = _free_vertices(model).tolist()
-    update = _scalar_update(model)
+    update = _lookup_update(model)
+    keys_lo, keys_hi = _keys(model, lo), _keys(model, hi)
     rng = substream(seed, COUPLING)
     log = [] if log_uniforms else None
     apart = sum(a != b for a, b in zip(lo, hi))  # sites where the chains disagree
@@ -220,8 +263,8 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
         v = free[int(rng.integers(len(free)))]
         u = float(rng.random())
         was_apart = lo[v] != hi[v]
-        update(lo, v, u)
-        update(hi, v, u)
+        update(lo, keys_lo, v, u)
+        update(hi, keys_hi, v, u)
         if lo[v] > hi[v]:
             raise AssertionError(f"monotone coupling violated order at vertex {v}, step {k + 1}")
         apart += (lo[v] != hi[v]) - was_apart

@@ -10,8 +10,11 @@ ring all condition this way.  ``_check_spins`` is the one test of the spin
 value set: ``SpinConfiguration`` calls it, and so does
 ``IsingModel.check_values``, which every chain start and table lookup goes
 through and which also checks the length and the pins.  A start that breaks
-them is rejected, never repaired.  Models and fields are immutable value
-objects; field sampling takes an explicit seed.
+them is rejected, never repaired.  A model builds two tables once and keeps
+them: ``neighbour_table``, its padded neighbour rows, and ``heat_bath_table``,
+the heat-bath probability of each vertex under each pattern of its neighbour
+spins, which scalar Glauber chains look up.  Models and fields are immutable
+value objects; field sampling takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .graphs import Graph, build_graph, graph_from_json_dict, graph_to_json_dict
 from .rng import FIELD, substream
 
@@ -33,6 +36,17 @@ ZERO_ONE = "01"
 
 # The ('one', 'zero') spin values of each convention.
 SPIN_VALUES = {PM: (1, -1), ZERO_ONE: (1, 0)}
+
+# Entries of a model's heat-bath table, sum over v of 2^deg(v).  At the cap
+# the probabilities take 8 MiB; a 256x256 torus fills it and holds 37 MiB with
+# its flip lists, 51 MiB at the peak of the build (tracemalloc).  A vertex of
+# degree 20 or more exceeds it alone.
+HEAT_BATH_TABLE_CAP = 1 << 20
+
+
+def _one_probability(convention: str, local_field):
+    """Heat-bath P(spin = 'one' | local field s): logistic(2s) in pm, logistic(s) in 01."""
+    return special.expit(2.0 * local_field if convention == PM else local_field)
 
 
 def _check_spins(values: np.ndarray, convention: str) -> None:
@@ -199,6 +213,25 @@ def sample_field(dist: FieldDistribution, n: int, seed: int) -> QuenchedField:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class HeatBathTable:
+    """Heat-bath P(spin v = 'one') for every vertex v and pattern of its neighbours.
+
+    The key of v is ``offset[v]`` plus bit j for each real slot j of v's
+    ``neighbour_table`` row whose neighbour holds 'one' (``weight[v, j]`` is
+    that bit, 0 on padding slots); ``probs[key]`` is v's probability.  Blocks
+    are laid out by descending degree, so each starts at a multiple of its
+    size 2^deg(v), and XOR-ing a slot bit into a key stays inside v's block.
+    ``flips[v]`` lists the (w, bit) of every slot naming v, the keys that
+    change when v flips.
+    """
+
+    probs: np.ndarray
+    offset: np.ndarray
+    weight: np.ndarray
+    flips: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@dataclass(frozen=True)
 class IsingModel:
     """Graph + per-edge couplings + per-vertex field + convention + pinning.
 
@@ -268,6 +301,50 @@ class IsingModel:
         cpl[src, slot] = np.tile(self.couplings, 2)[arcs]
         nbr.flags.writeable = cpl.flags.writeable = False
         return nbr, cpl
+
+    @cached_property
+    def heat_bath_table(self) -> HeatBathTable:
+        """The model's ``HeatBathTable``, built once; raises CapacityError, before
+        building anything, above ``HEAT_BATH_TABLE_CAP`` entries.
+
+        Entry (v, pattern) is ``_one_probability`` of h_v + c_0 x_0 + c_1 x_1 + ...,
+        summed left to right over v's real slots with x_j the pattern's spin at
+        slot j.  Those are the float operations of a sum over v's whole row, as
+        padding slots add c = 0 times a spin, +-0.0, which changes no sum that
+        is not zero and no probability.
+        """
+        nbr, cpl = self.neighbour_table
+        n, width = nbr.shape
+        real = nbr != np.arange(n)[:, None]
+        degree = real.sum(axis=1)
+        counts = np.bincount(degree)
+        size = sum(int(c) << d for d, c in enumerate(counts))
+        if size > HEAT_BATH_TABLE_CAP:
+            raise CapacityError(f"a heat-bath table of {size} entries exceeds the cap "
+                                f"{HEAT_BATH_TABLE_CAP}")
+        one, zero = SPIN_VALUES[self.convention]
+        probs = np.empty(size)
+        offset = np.empty(n, dtype=np.int64)
+        start = 0
+        for d in range(len(counts) - 1, -1, -1):
+            vs = np.flatnonzero(degree == d)
+            offset[vs] = start + (np.arange(len(vs)) << d)
+            pattern = np.arange(1 << d)
+            s = np.repeat(self.field[vs, None], 1 << d, axis=1)
+            for j in range(d):
+                s += cpl[vs, j, None] * np.where(pattern >> j & 1, float(one), float(zero))
+            probs[start:start + (len(vs) << d)] = _one_probability(self.convention, s).ravel()
+            start += len(vs) << d
+        rows, slots = np.nonzero(real)
+        named = nbr[rows, slots]
+        order = np.argsort(named, kind="stable")
+        pairs = list(zip(rows[order].tolist(), (1 << slots[order]).tolist()))
+        ends = np.cumsum(np.bincount(named, minlength=n)).tolist()
+        flips = tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends[:-1], ends))
+        weight = np.where(real, 1 << np.arange(width), 0)
+        for a in (probs, offset, weight):
+            a.flags.writeable = False
+        return HeatBathTable(probs=probs, offset=offset, weight=weight, flips=flips)
 
     @cached_property
     def free_vertices(self) -> tuple[int, ...]:

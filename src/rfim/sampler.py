@@ -32,11 +32,12 @@ from .model import (
     FieldDistribution,
     IsingModel,
     SpinConfiguration,
+    _one_probability,
     model_from_json_dict,
     model_to_json_dict,
     sample_field,
 )
-from .dynamics import _heat_bath_run, _one_probability
+from .dynamics import _heat_bath_run
 from .oracle import empirical_tv, gibbs_table
 from .percolation import gap_certificate
 from .rng import COUPLING, SAMPLER, substream

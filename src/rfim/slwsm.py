@@ -28,6 +28,7 @@ from .oracle import (
     _extend,
     _free_energies,
     _normalise,
+    _table,
     gibbs_table,
     mean_and_covariance,
 )
@@ -69,8 +70,9 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     Returns (probs (count, configs), free-vertex spins (f, configs), base table).
     """
     _check_boost_size(model)
+    energy = _free_energies(model)  # log(probs) would be -inf where a probability underflows
     if table is None:
-        table = gibbs_table(model)
+        table = _table(model, energy)
     f = table.num_free
     vals = table.rows()[:, list(table.free)].astype(np.float64, order="C")
     rng = substream(seed, SL)
@@ -78,8 +80,7 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     star = vals[idx]  # (count, f) free-vertex spins of sigma*
     noise = math.sqrt(t) * rng.normal(size=(count, f))
     y = t * star + noise
-    base_energy = np.log(table.probs)
-    probs, _ = _normalise(base_energy[None, :] + y @ vals.T)
+    probs, _ = _normalise(energy[None, :] + y @ vals.T)
     return probs, vals.T, table
 
 

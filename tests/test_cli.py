@@ -5,6 +5,7 @@ import pytest
 
 from rfim.cli import main
 from rfim.graphs import (
+    build_graph,
     cycle_graph,
     graph_to_json_dict,
     grid_graph,
@@ -18,7 +19,14 @@ from rfim.localization import (
     variance_conservation_R,
     verify_posterior_by_simulation,
 )
-from rfim.model import FieldDistribution, model_to_json_dict, sample_field, theta_star, to_zero_one
+from rfim.model import (
+    HEAT_BATH_TABLE_CAP,
+    FieldDistribution,
+    model_to_json_dict,
+    sample_field,
+    theta_star,
+    to_zero_one,
+)
 from rfim.oracle import cor2_matrix, gibbs_table, sup_cor2_over_pinnings, table_from_binary
 from rfim.percolation import gap_certificate, percolate, row_sum_tail_report
 from rfim.sampler import SamplerConfig, incremental_sample
@@ -104,6 +112,14 @@ def test_oracle_capacity_exit_code(tmp_path):
     m = random_field_model(path_graph(26), 0.1, seed=1)
     mpath = write_model(tmp_path, m)
     assert run_cli("oracle", "table", "--model", mpath) == 3
+
+
+def test_mix_heat_bath_table_capacity_exit_code(tmp_path):
+    leaves = HEAT_BATH_TABLE_CAP.bit_length() - 1  # a centre of 2^20 entries plus the leaves
+    star = build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    mpath = write_model(tmp_path, random_field_model(star, 0.3, seed=2))
+    assert run_cli("mix", "run", "--model", mpath, "--steps", "10") == 3
+    assert run_cli("mix", "couple", "--model", mpath, "--steps", "10") == 3
 
 
 def test_input_error_exit_code(tmp_path):

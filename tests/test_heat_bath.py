@@ -1,13 +1,25 @@
 """Properties of the padded-table heat-bath kernel on random bounded-degree models."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfim import monotone_coupled_batch, run_chain, run_chains_batch
+from rfim import (
+    CapacityError,
+    IsingModel,
+    build_graph,
+    monotone_coupled_batch,
+    monotone_coupled_run,
+    run_chain,
+    run_chains_batch,
+)
 from rfim.dynamics import _local_fields, _one_probability
-from rfim.model import SPIN_VALUES, SpinConfiguration
+from rfim.model import HEAT_BATH_TABLE_CAP, SPIN_VALUES, SpinConfiguration, array_energy
 from rfim.rng import COUPLING, substream
 
+from scalar_reference import chain_states, coupled_states, row_order_sum
 from strategies import models
 
 
@@ -101,3 +113,83 @@ def test_coupled_batch_keeps_order_at_every_step(m, seed):
         met[(met < 0) & equal] = k
     assert np.array_equal(report["coalesced_at"], met)
     assert report["final_disagreements"] == int((lows[steps] != highs[steps]).any(axis=1).sum())
+
+
+@settings(max_examples=60)
+@given(models(min_pairs=2))
+def test_table_entries_are_row_order_sums(m):
+    table = m.heat_bath_table
+    one, zero = SPIN_VALUES[m.convention]
+    degree = [len(adj) for adj in m.graph.adjacency]
+    assert len(table.probs) == sum(1 << d for d in degree)
+    starts = sorted((table.offset[v], v) for v in range(m.n))
+    for (a, v), (b, _) in zip(starts, starts[1:] + [(len(table.probs), None)]):
+        assert b - a == 1 << degree[v] and a % (1 << degree[v]) == 0
+    for v, adj in enumerate(m.graph.adjacency):
+        for pattern in range(1 << len(adj)):
+            spins = {w: one if pattern >> j & 1 else zero for j, w in enumerate(adj)}
+            # the padding slots read v's own spin; either value gives the same entry
+            for own in (one, zero):
+                want = _one_probability(m.convention, row_order_sum(m, v, spins, own))
+                assert table.probs[table.offset[v] + pattern] == want
+
+
+@settings(max_examples=40)
+@given(models(min_pairs=2), st.integers(0, 2**31 - 1), st.integers(1, 40))
+def test_run_chain_replays_summed_fields_step_by_step(m, seed, record_every):
+    start = random_states(m, 1, seed)[0].astype(np.int8)
+    init = SpinConfiguration(start, m.convention)
+    steps = 3 * m.n
+    for k in range(steps + 1):
+        state, _ = run_chain(m, init, k, seed, chain_index=2)
+        assert state.config.values().tolist() == chain_states(m, start, k, seed, 2)[-1]
+    states = chain_states(m, start, steps, seed, 2)
+    _, trajectory = run_chain(m, init, steps, seed, record_every=record_every, chain_index=2)
+    want = [(k, float(sum(states[k])), array_energy(m, np.array(states[k], dtype=np.float64)))
+            for k in range(0, steps + 1, record_every)]
+    assert trajectory == want
+
+
+@settings(max_examples=40)
+@given(models(ferromagnetic=True, min_pairs=2), st.integers(0, 2**31 - 1))
+def test_coupled_run_replays_summed_fields_step_by_step(m, seed):
+    low, other = random_states(m, 2, seed).astype(np.int8)
+    high = np.maximum(low, other)
+    steps = 3 * m.n
+    pairs = coupled_states(m, low, high, steps, seed)
+    met = next((k for k, (lo, hi) in enumerate(pairs) if lo == hi), None)
+    for k, (lo, hi) in enumerate(pairs):
+        trace = monotone_coupled_run(m, SpinConfiguration(low, m.convention),
+                                     SpinConfiguration(high, m.convention), k, seed)
+        assert [s.config.values().tolist() for s in trace.states] == [lo, hi]
+        assert trace.disagreement_set == {v for v in range(m.n) if lo[v] != hi[v]}
+        assert trace.coalescence_step == (met if met is not None and met <= k else None)
+
+
+def star_model(leaves):
+    g = build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return IsingModel.uniform(g, 0.3, np.linspace(-1.0, 1.0, leaves + 1))
+
+
+def test_table_over_the_cap_raises_before_allocating():
+    # The centre alone needs 2^20 entries, plus two per leaf: just over the cap.
+    m = star_model(HEAT_BATH_TABLE_CAP.bit_length() - 1)
+    init = SpinConfiguration(m.full_values(1), m.convention)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            run_chain(m, init, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(CapacityError):  # and no overflow far above it
+        star_model(70).heat_bath_table
+
+
+def test_table_just_under_the_cap_runs():
+    m = star_model(HEAT_BATH_TABLE_CAP.bit_length() - 2)
+    assert len(m.heat_bath_table.probs) <= HEAT_BATH_TABLE_CAP
+    start = np.where(np.arange(m.n) % 2 == 0, 1, -1).astype(np.int8)
+    state, _ = run_chain(m, SpinConfiguration(start, m.convention), 200, seed=4)
+    assert state.config.values().tolist() == chain_states(m, start, 200, 4)[-1]

@@ -73,6 +73,15 @@ def test_sl_boost_martingale():
     assert z.max() <= 4.0
 
 
+def test_boosted_average_with_an_underflowed_probability():
+    # exp(-800) underflows, so the base table holds exact zeros
+    m = uniform_model(path_graph(3), 0.5, [400.0, 0.0, 0.0])
+    mean, stderr, table = averaged_boosted_table(m, 1.0, 50, seed=3)
+    assert (table.probs == 0.0).any()
+    assert np.isfinite(mean).all() and np.isfinite(stderr).all()
+    assert mean.sum() == pytest.approx(1.0)
+
+
 def test_boosted_average_needs_two_realizations():
     m = random_field_model(path_graph(3), 0.5, seed=5)
     with pytest.raises(InputError):
