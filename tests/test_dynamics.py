@@ -64,6 +64,12 @@ def test_run_chain_zero_steps():
     assert state.config == init
 
 
+def test_run_chain_rejects_a_negative_record_interval():
+    m = random_field_model(path_graph(4), 0.5, seed=1)
+    with pytest.raises(InputError):
+        run_chain(m, SpinConfiguration([1, -1, 1, -1], "pm"), 10, seed=2, record_every=-1)
+
+
 def test_run_chain_deterministic():
     m = random_field_model(path_graph(4), 0.5, seed=1)
     init = SpinConfiguration([1, 1, 1, 1], "pm")

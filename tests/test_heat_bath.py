@@ -15,6 +15,7 @@ from rfim import (
     run_chain,
     run_chains_batch,
 )
+from rfim import dynamics, model as model_module
 from rfim.dynamics import _local_fields, _one_probability
 from rfim.model import HEAT_BATH_TABLE_CAP, SPIN_VALUES, SpinConfiguration, array_energy
 from rfim.rng import COUPLING, substream
@@ -164,6 +165,22 @@ def test_coupled_run_replays_summed_fields_step_by_step(m, seed):
         assert [s.config.values().tolist() for s in trace.states] == [lo, hi]
         assert trace.disagreement_set == {v for v in range(m.n) if lo[v] != hi[v]}
         assert trace.coalescence_step == (met if met is not None and met <= k else None)
+
+
+def test_scalar_steps_evaluate_no_logistic(monkeypatch):
+    m = IsingModel.uniform(build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 0.4,
+                           np.array([0.3, -0.2, 0.1, 0.0]))
+    m.heat_bath_table
+
+    def logistic(*args):
+        raise AssertionError("a scalar step evaluated the logistic")
+
+    monkeypatch.setattr(dynamics, "_one_probability", logistic)
+    monkeypatch.setattr(model_module.special, "expit", logistic)
+    lo, hi = (SpinConfiguration(m.full_values(s), m.convention) for s in (-1, 1))
+    run_chain(m, hi, 500, seed=1)
+    monotone_coupled_run(m, lo, hi, 500, seed=1)
+    dynamics._draw(m, None, "glauber", 1, 0, 500, None)
 
 
 def star_model(leaves):
