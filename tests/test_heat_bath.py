@@ -170,7 +170,7 @@ def test_coupled_run_replays_summed_fields_step_by_step(m, seed):
 def test_scalar_steps_evaluate_no_logistic(monkeypatch):
     m = IsingModel.uniform(build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 0.4,
                            np.array([0.3, -0.2, 0.1, 0.0]))
-    m.heat_bath_table
+    m.heat_bath_table  # built, through the logistic, before it is taken away
 
     def logistic(*args):
         raise AssertionError("a scalar step evaluated the logistic")
