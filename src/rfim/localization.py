@@ -133,38 +133,66 @@ class PosteriorSimulationReport:
     min_hits: int
 
 
+def _group_rows(revealed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of a boolean (traces, edges) matrix by value, in one stable sort.
+
+    Returns (order, starts, hits): ``order[starts[g]:starts[g] + hits[g]]``
+    are the rows of group g in row order, and the groups come in the order
+    of their rows read as binary numbers with column 0 the lowest bit.  A
+    reversed, packed row is that number followed by a few zero bits, the
+    same few for every row; zero bytes in front pad it to whole 64-bit
+    words, which read big-endian, most significant first, sort as the
+    numbers do.  A row of no columns is one zero word.
+    """
+    traces = len(revealed)
+    packed = np.packbits(np.ascontiguousarray(revealed[:, ::-1]), axis=1)  # a copy packs faster
+    width = 8 * max(1, -(-packed.shape[1] // 8))
+    padded = np.zeros((traces, width), dtype=np.uint8)
+    padded[:, width - packed.shape[1]:] = packed
+    words = padded.view(">u8").astype(np.uint64)
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0], kind="stable")
+    else:
+        order = np.lexsort(words.T[::-1])  # stable, word 0 the primary key
+    ranked = words[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    hits = np.diff(starts, append=traces)
+    return order, starts, hits
+
+
 def verify_posterior_by_simulation(model01: IsingModel, t: float, traces: int, seed: int,
                                    min_hits: int = 500) -> PosteriorSimulationReport:
     """Bucket many noising traces by revealed(t) and compare laws to the posterior.
 
     The empirical conditional law of X in each bucket with at least
     ``min_hits`` hits is compared in TV to the enumerated posterior table.
-    This is the statistical smoke test; the exact Bayes enumeration above is
-    the primary verification path.
+    Buckets come in the order of their revealed sets read as binary numbers
+    with edge 0 the lowest bit (``_group_rows``).  This is the statistical
+    smoke test; the exact Bayes enumeration above is the primary
+    verification path.  Raises InputError, before drawing, with no trace or
+    with t outside [0, 1), where no posterior model exists.
     """
     if model01.convention != ZERO_ONE:
         raise InputError("needs a 01-convention model")
+    if traces < 1:
+        raise InputError("the posterior check needs at least one trace")
+    if not 0.0 <= t < 1.0:
+        raise InputError("t must lie in [0, 1)")
     if len(model01.free_vertices) > BINNING_CAP:
         raise CapacityError("too many free vertices for trace bucketing")
     table = gibbs_table(model01)
     rng = substream(seed, TRACE)
     idx = rng.choice(len(table.probs), p=table.probs, size=traces)
     z = _edge_event_columns(table).astype(bool)
-    num_edges = z.shape[1]
-    u = rng.random((traces, num_edges))
+    u = rng.random((traces, z.shape[1]))
     revealed = z[idx] & (u <= t)
-    # Group traces by revealed set.  Packing the reversed rows orders the groups
-    # as the revealed sets read as binary numbers with edge 0 the lowest bit.
-    keys, group, hits = np.unique(np.packbits(revealed[:, ::-1], axis=1), axis=0,
-                                  return_inverse=True, return_counts=True)
-    by_group = np.argsort(group.ravel(), kind="stable")
-    starts = np.cumsum(hits) - hits
+    order, starts, hits = _group_rows(revealed)
     buckets = []
     max_tv = 0.0
     for g in np.flatnonzero(hits >= min_hits):
-        members = idx[by_group[starts[g]:starts[g] + hits[g]]]
-        s = frozenset(np.flatnonzero(np.unpackbits(keys[g], count=num_edges)[::-1]).tolist())
-        emp = np.bincount(members, minlength=len(table.probs)) / len(members)
+        members = order[starts[g]:starts[g] + hits[g]]
+        s = frozenset(np.flatnonzero(revealed[members[0]]).tolist())
+        emp = np.bincount(idx[members], minlength=len(table.probs)) / len(members)
         post = gibbs_table(posterior_model(model01, t, s))
         target = align_posterior_to_base(post, table)
         tv = 0.5 * float(np.abs(emp - target).sum())

@@ -6,9 +6,10 @@ j-th free vertex in ascending vertex order (bit 0 is the least significant).
 ``GibbsTable.rows`` and ``GibbsTable.indices`` are the one place outside this
 module that reads or writes this format: every other layer maps between
 config indices and full spin vectors through them.  ``_free_energies``
-enumerates a model once, doubling at each free vertex, and ``_normalise``
-alone turns energies into probabilities and log Z, for one table (``_table``)
-or for a batch of them along an axis.  The spectral routines share one
+enumerates a model, or the model induced on a region of it, once, doubling
+at each free vertex, and ``_normalise`` alone turns energies into
+probabilities and log Z, for one table (``_table``) or for a batch of them
+along an axis.  The spectral routines share one
 single-flip enumeration, ``_single_flips``, and each builds its own weights.
 The single-flip operators are CSR matrices with f+1 nonzeros per row.
 ``glauber_gap`` reads the gap two independent ways, both by ARPACK (``eigsh``)
@@ -102,7 +103,7 @@ class GibbsTable:
         return {tuple(r): float(p) for r, p in zip(self.rows().tolist(), self.probs)}
 
 
-def _free_energies(model: IsingModel) -> np.ndarray:
+def _free_energies(model: IsingModel, region=None) -> np.ndarray:
     """Hamiltonian of every free-vertex configuration, pinned spins folded in.
 
     Doubles over the free vertices in ascending order: the j-th free vertex v
@@ -111,8 +112,19 @@ def _free_energies(model: IsingModel) -> np.ndarray:
     c * s per pinned neighbour and c * x_w per earlier free neighbour w, where
     x_w is bit pos(w) of the prefix.  Terms involving only pinned spins are
     never read, so analytically equal conditional measures stay bit-identical.
+
+    With a sorted ``region``, enumerates the model induced on it instead: its
+    free vertices are the region's unpinned ones, and neighbours outside the
+    region are skipped.  The rows are the parent's, whose neighbours ascend as
+    the induced model's would, so the float operations are those of
+    ``_free_energies(induced_model(model, region))`` without building it.
+    The size is checked against ``GIBBS_CAP`` before anything is allocated.
     """
-    free = model.free_vertices
+    if region is None:
+        free, pinned = model.free_vertices, model.pinning
+    else:
+        free = [v for v in region if v not in model.pinning]
+        pinned = {v: model.pinning[v] for v in region if v in model.pinning}
     if len(free) > GIBBS_CAP:
         raise CapacityError(f"{len(free)} free vertices exceeds the enumeration cap {GIBBS_CAP}")
     spins = np.array(SPIN_VALUES[model.convention][::-1], dtype=np.float64)  # [zero, one]
@@ -123,9 +135,9 @@ def _free_energies(model: IsingModel) -> np.ndarray:
         base = float(model.field[v])
         earlier = []
         for w, c in zip(nbr[v].tolist(), cpl[v].tolist()):
-            if w in model.pinning:
-                base += c * model.pinning[w]
-            elif pos[w] < j:  # padding slots name v itself
+            if w in pinned:
+                base += c * pinned[w]
+            elif pos.get(w, j) < j:  # padding slots name v itself; w outside the region is skipped
                 earlier.append((pos[w], c))
         local = np.full(1 << j, base)
         for k, c in earlier:

@@ -20,7 +20,7 @@ from scipy import optimize
 from .dynamics import _draw
 from .errors import CapacityError, InputError
 from .graphs import Graph, ball, boundary, distances_from
-from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, induced_model, sample_field
+from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, sample_field
 from .oracle import (
     BOOST_CAP,
     GibbsTable,
@@ -63,11 +63,20 @@ def sl_boost(model: IsingModel, t: float, seed: int, sampler: str = "oracle",
                          noise=noise, y=y, boosted_model=boosted)
 
 
-def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
-                         table: GibbsTable | None = None):
-    """All boosted Gibbs tables for ``count`` realizations at once.
+BOOST_BLOCK = 1 << 20  # rows x configs x free vertices held by one block of boosted tables
 
-    Returns (probs (count, configs), free-vertex spins (f, configs), base table).
+
+def _boosted_prob_blocks(model: IsingModel, t: float, count: int, seed: int,
+                         table: GibbsTable | None = None):
+    """Boosted Gibbs tables for ``count`` realizations, a block of rows at a time.
+
+    Every realization's sigma* and noise are drawn first, as one batch, so
+    the streams do not depend on the blocking.  The tables are then built
+    and normalised about ``BOOST_BLOCK / (configs * f)`` rows at a time, so
+    a caller that reduces each row, also through ``_centred_moments`` on
+    the f spins, holds one block and never a (count, configs) array.
+    Returns (iterator over (rows, configs) probability blocks in realization
+    order, free-vertex spins (f, configs), base table).
     """
     _check_boost_size(model)
     energy = _free_energies(model)  # log(probs) would be -inf where a probability underflows
@@ -80,8 +89,10 @@ def _boosted_prob_matrix(model: IsingModel, t: float, count: int, seed: int,
     star = vals[idx]  # (count, f) free-vertex spins of sigma*
     noise = math.sqrt(t) * rng.normal(size=(count, f))
     y = t * star + noise
-    probs, _ = _normalise(energy[None, :] + y @ vals.T)
-    return probs, vals.T, table
+    rows = max(1, BOOST_BLOCK // (len(vals) * max(f, 1)))
+    blocks = (_normalise(energy[None, :] + y[lo:lo + rows] @ vals.T)[0]
+              for lo in range(0, count, rows))
+    return blocks, vals.T, table
 
 
 def _check_boost_size(model: IsingModel) -> None:
@@ -98,7 +109,8 @@ def averaged_boosted_table(model: IsingModel, t: float, realizations: int, seed:
     """
     if realizations < 2:
         raise InputError("averaging boosted tables needs at least 2 realizations")
-    probs, _, table = _boosted_prob_matrix(model, t, realizations, seed)
+    blocks, _, table = _boosted_prob_blocks(model, t, realizations, seed)
+    probs = np.concatenate(list(blocks))
     mean = probs.mean(axis=0)
     stderr = probs.std(axis=0, ddof=1) / math.sqrt(realizations)
     return mean, stderr, table
@@ -115,12 +127,14 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     outer boundary; an empty ring returns 0 by convention.  Pinning R to the
     sign s adds s * sum_v b_v x_v to the energy of a configuration x of B,
     where b_v is the sum of v's couplings into R, plus a constant that
-    normalising cancels.  So the model induced on B is enumerated once,
-    without the ring, the linear term b.x is built by the same doubling
-    step, and the two energies E + b.x and E - b.x are normalised to read
-    u's marginal under each sign.  Raises InputError when u is pinned, and
-    when a ring vertex is pinned, since its pin conflicts with one of the
-    signs.
+    normalising cancels.  So B is enumerated once, without the ring, by
+    ``_free_energies`` over the region B of the parent model (no induced
+    model is built), the linear term b.x is built from the same neighbour
+    rows by the same doubling step, and the two energies E + b.x and E - b.x
+    are normalised to read u's marginal under each sign.  Raises InputError
+    when u is pinned, and when a ring vertex is pinned, since its pin
+    conflicts with one of the signs; raises CapacityError, before
+    enumerating, when B has more than ``GIBBS_CAP`` free vertices.
     """
     if model.convention != PM:
         raise InputError("wsm_delta works in the +-1 convention")
@@ -133,18 +147,17 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     for v in sorted(ring):
         if v in model.pinning:
             raise InputError(f"ring vertex {v} is pinned against one of the boundary signs")
-    sub = induced_model(model, inside)
-    energy = _free_energies(sub)
     region = sorted(inside)
+    energy = _free_energies(model, region)
+    free = [v for v in region if v not in model.pinning]  # ascending, as _free_energies doubles
     nbr, cpl = model.neighbour_table
     spins = np.array([-1.0, 1.0])  # [zero, one] in pm
     linear = np.zeros(1)
-    for i in sub.free_vertices:  # ascending, as _free_energies doubles
-        v = region[i]
+    for v in free:
         into_ring = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
         linear = _extend(linear, spins, np.full(len(linear), into_ring))
     probs, _ = _normalise(np.stack([energy + linear, energy - linear]))
-    j = sub.free_vertices.index(region.index(u))
+    j = free.index(u)
     plus, minus = probs.reshape(2, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
     return float(abs(plus - minus))
 
@@ -170,7 +183,9 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
     """Average wsm_delta over quenched fields and fit the decay constant.
 
     The fit minimizes squared residuals of log mean-delta against
-    log C - r / C over the measured radii (zeros are skipped).
+    log C - r / C over the measured radii (zeros are skipped).  Raises
+    InputError with no field trial, no radius or no vertex, which leave
+    nothing to fit.
     """
     if field_trials < 1:
         raise InputError("estimating WSM needs at least one field trial")
@@ -178,6 +193,8 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
         vertices = tuple(range(graph.num_vertices))
     vertices = tuple(int(v) for v in vertices)
     radii = tuple(int(r) for r in radii)
+    if not radii or not vertices:
+        raise InputError("estimating WSM needs at least one radius and one vertex")
     deltas = np.zeros((field_trials, len(vertices), len(radii)))
     for trial in range(field_trials):
         field = sample_field(field_dist, graph.num_vertices, seed * 99991 + trial)
@@ -337,11 +354,11 @@ def trace_moment_probe(model: IsingModel, p: int, t_grid, realizations: int,
             _, cov = mean_and_covariance(table)
             traces = np.array([float((np.linalg.eigvalsh(cov) ** p).sum())])
         else:
-            probs, vals, _ = _boosted_prob_matrix(model, t, realizations, seed * 31 + ti,
-                                                  table=table)
-            _, covs = _centred_moments(probs, vals)
-            eigs = np.linalg.eigvalsh(covs)
-            traces = (eigs**p).sum(axis=1)
+            blocks, vals, _ = _boosted_prob_blocks(model, t, realizations, seed * 31 + ti,
+                                                   table=table)
+            traces = np.concatenate([
+                (np.linalg.eigvalsh(_centred_moments(probs, vals)[1]) ** p).sum(axis=1)
+                for probs in blocks])
         mean = float(traces.mean())
         rows.append({"t": float(t), "mean_trace": mean,
                      "std_trace": float(traces.std(ddof=1)) if len(traces) > 1 else 0.0,
@@ -397,17 +414,17 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         p_exp = 1.0
     else:
         p_exp = math.exp(2.0 * t_value / c0)
+    phis = [(name, np.asarray(phi, dtype=np.float64)[None, :]) for name, phi in test_functions]
+    if t_value > 0:  # each function's variance per realization, one block of tables at a time
+        blocks, _, _ = _boosted_prob_blocks(model, t_value, realizations, seed, table=table)
+        per_block = [[_centred_moments(probs, phi)[1][:, 0, 0] for _, phi in phis]
+                     for probs in blocks]
+        boosted_vars = [float(np.concatenate(v).mean()) for v in zip(*per_block)]
     rows = []
-    if t_value > 0:
-        probs, _, _ = _boosted_prob_matrix(model, t_value, realizations, seed, table=table)
-    for name, phi in test_functions:
-        phi = np.asarray(phi, dtype=np.float64)[None, :]
+    for i, (name, phi) in enumerate(phis):
         lhs = float(_centred_moments(table.probs, phi)[1][0, 0])
         osc = float(phi.max() - phi.min())
-        if t_value == 0:
-            e_var = lhs
-        else:
-            e_var = float(_centred_moments(probs, phi)[1].mean())
+        e_var = boosted_vars[i] if t_value > 0 else lhs
         if p_exp == 1.0:
             rhs = e_var
         else:

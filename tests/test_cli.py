@@ -255,6 +255,8 @@ def test_localize_verify_and_variance_certificate(tmp_path, capsys):
     direct = verify_posterior_by_simulation(m01, 0.4, 3000, 2)
     assert payload["max_tv"] == direct.max_tv
     assert [b["hits"] for b in payload["buckets"]] == [h for _, h, _ in direct.buckets]
+    assert run_cli("localize", "verify", "--model", write_model(tmp_path, m01), "--t", "0.4",
+                   "--traces", "0", "--seed", "2") == 4
     assert run_cli("localize", "certificate", "--kind", "variance", "--theta", "0.5") == 4
     assert run_cli("localize", "certificate", "--kind", "variance", "--theta", "0.5",
                    "--rate-c", "2.0") == 0

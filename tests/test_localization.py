@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rfim import (
     CapacityError,
@@ -28,8 +29,8 @@ from rfim import (
     verify_posterior_by_simulation,
     vertex_tilt_table,
 )
-from rfim import oracle
-from rfim.localization import align_posterior_to_base, default_theta_grid
+from rfim import localization, oracle
+from rfim.localization import _group_rows, align_posterior_to_base, default_theta_grid
 from rfim.rng import TRACE, substream
 
 from conftest import random_field_model, uniform_model
@@ -152,6 +153,49 @@ def test_posterior_buckets_past_64_edges():
     assert {s: hits for s, hits, _ in report.buckets} == want
     largest = max(report.buckets, key=lambda b: b[1])
     assert largest[0] == frozenset(range(66))
+
+
+def _unique_rows_grouping(revealed):
+    """Trace grouping by ``np.unique`` over packed rows: the reference for ``_group_rows``.
+
+    Returns the packed keys, the traces group by group, the group starts and the hits.
+    """
+    keys, group, hits = np.unique(np.packbits(revealed[:, ::-1], axis=1), axis=0,
+                                  return_inverse=True, return_counts=True)
+    by_group = np.argsort(group.ravel(), kind="stable")
+    return keys, by_group, np.cumsum(hits) - hits, hits
+
+
+@settings(max_examples=150)
+@example(width=0, traces=5, distinct=3, seed=1)
+@example(width=63, traces=40, distinct=6, seed=2)
+@example(width=64, traces=40, distinct=6, seed=3)
+@example(width=65, traces=40, distinct=6, seed=4)
+@example(width=64, traces=30, distinct=1, seed=5)  # all rows equal
+@example(width=65, traces=1, distinct=1, seed=6)  # a single row
+@given(width=st.integers(0, 130), traces=st.integers(1, 60), distinct=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_trace_grouping_matches_unique_rows(width, traces, distinct, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.random((distinct, width)) < rng.random()
+    revealed = pool[rng.integers(distinct, size=traces)]
+    order, starts, hits = _group_rows(revealed)
+    keys, by_group, want_starts, want_hits = _unique_rows_grouping(revealed)
+    assert np.array_equal(np.packbits(revealed[order[starts]][:, ::-1], axis=1), keys)
+    assert np.array_equal(order, by_group)
+    assert np.array_equal(starts, want_starts)
+    assert np.array_equal(hits, want_hits)
+
+
+def test_verify_posterior_fails_closed(monkeypatch):
+    def draw_anyway(*args):
+        raise AssertionError("drew before checking the inputs")
+
+    m01 = to_zero_one(uniform_model(path_graph(2), 0.4, [0.2, -0.1]))
+    monkeypatch.setattr(localization, "substream", draw_anyway)
+    for t, traces in ((0.5, 0), (0.5, -1), (1.0, 100), (1.5, 100), (-0.1, 100)):
+        with pytest.raises(InputError):
+            verify_posterior_by_simulation(m01, t, traces, seed=1, min_hits=10**6)
 
 
 def test_theta_star_posterior_is_product():

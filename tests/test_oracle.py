@@ -33,7 +33,7 @@ from rfim import (
     tv_distance,
 )
 from rfim import oracle
-from rfim.model import array_energy
+from rfim.model import array_energy, induced_model
 from rfim.oracle import (
     _centred_moments,
     _entropy,
@@ -502,6 +502,13 @@ def test_free_energies_match_array_energy(m):
     energy = _free_energies(m)
     direct = np.array([array_energy(m, r) for r in gibbs_table(m).rows().astype(np.float64)])
     assert np.abs((energy - energy[0]) - (direct - direct[0])).max() <= 1e-9
+
+
+@settings(max_examples=60)
+@given(models(min_pairs=1), st.data())
+def test_region_energies_equal_the_induced_models(m, data):
+    region = sorted(set(data.draw(st.lists(st.integers(0, m.n - 1), max_size=m.n))))
+    assert np.array_equal(_free_energies(m, region), _free_energies(induced_model(m, region)))
 
 
 @settings(max_examples=60)

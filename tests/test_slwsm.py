@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rfim import (
     CapacityError,
@@ -16,6 +16,7 @@ from rfim import (
     cycle_graph,
     estimate_wsm,
     gibbs_table,
+    induced_model,
     marginals,
     mean_and_covariance,
     path_graph,
@@ -26,7 +27,7 @@ from rfim import (
     wsm_delta,
 )
 from rfim import oracle
-from rfim.graphs import ball, boundary, eccentricity, torus_grid
+from rfim.graphs import ball, boundary, eccentricity, random_regular_graph, torus_grid
 from rfim.slwsm import (
     averaged_boosted_table,
     magnetization_function,
@@ -152,6 +153,53 @@ def test_wsm_delta_matches_two_pinned_tables(m, data):
             wsm_delta(m, v, 1)
 
 
+def _induced_wsm_delta(model, u, ell):
+    """wsm_delta by enumerating the model induced on the ball: the reference for
+    enumerating the ball straight from the parent's neighbour rows."""
+    inside = ball(model.graph, u, ell)
+    ring = boundary(model.graph, inside)
+    if not ring:
+        return 0.0
+    sub = induced_model(model, inside)
+    energy = oracle._free_energies(sub)
+    region = sorted(inside)
+    nbr, cpl = model.neighbour_table
+    spins = np.array([-1.0, 1.0])
+    linear = np.zeros(1)
+    for i in sub.free_vertices:
+        v = region[i]
+        into_ring = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
+        linear = oracle._extend(linear, spins, np.full(len(linear), into_ring))
+    probs, _ = oracle._normalise(np.stack([energy + linear, energy - linear]))
+    j = sub.free_vertices.index(region.index(u))
+    plus, minus = probs.reshape(2, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
+    return float(abs(plus - minus))
+
+
+def _ring_cases(m):
+    """(u, radius) pairs below u's eccentricity whose ring is free and whose ball
+    has at least two free vertices next to the ring."""
+    nbr = m.neighbour_table[0]
+    cases = []
+    for u in m.free_vertices:
+        for ell in range(eccentricity(m.graph, u)):
+            inside = ball(m.graph, u, ell)
+            ring = boundary(m.graph, inside)
+            touching = [v for v in inside if v not in m.pinning and ring & set(nbr[v].tolist())]
+            if len(touching) >= 2 and not any(v in m.pinning for v in ring):
+                cases.append((u, ell))
+    return cases
+
+
+@settings(max_examples=60)
+@given(models(min_pairs=2).filter(lambda m: m.convention == "pm"), st.data())
+def test_wsm_delta_equals_the_induced_model_route(m, data):
+    cases = _ring_cases(m)
+    assume(cases)
+    u, ell = data.draw(st.sampled_from(cases))
+    assert wsm_delta(m, u, ell) == _induced_wsm_delta(m, u, ell)
+
+
 def test_wsm_caps_before_enumerating():
     g = torus_grid(12, 12)
     m = IsingModel.uniform(g, 0.3, np.zeros(g.num_vertices))
@@ -192,6 +240,13 @@ def test_estimate_wsm_needs_a_field_trial():
     with pytest.raises(InputError):
         estimate_wsm(path_graph(4), beta=0.5, field_dist=FieldDistribution.gaussian(0.5),
                      radii=[1], field_trials=0, seed=1)
+
+
+def test_estimate_wsm_needs_a_radius_and_a_vertex():
+    for radii, vertices in (([], [0, 1]), ([1], []), ([], [])):
+        with pytest.raises(InputError):
+            estimate_wsm(path_graph(4), beta=0.5, field_dist=FieldDistribution.gaussian(0.5),
+                         radii=radii, field_trials=2, seed=1, vertices=vertices)
 
 
 def test_separation_plan_hand_trace():
@@ -267,6 +322,24 @@ def test_boosted_probes_need_a_realization():
         trace_moment_probe(m, 2, [0.0, 1.0], realizations=0, seed=4)
     with pytest.raises(InputError):
         weak_poincare_probe(m, 1.0, 0.5, [("m", np.ones(8))], realizations=0, seed=4, c0=1.0)
+
+
+def test_boosted_probes_hold_one_block_of_tables():
+    # A 14-vertex model: one (realizations, 2^14) float table is 25 MiB at 200
+    # realizations and 62.5 MiB at 500.
+    g = random_regular_graph(14, 3, seed=5)
+    m = IsingModel.uniform(g, 0.3, sample_field(FieldDistribution.gaussian(0.6), 14, 6).values)
+    phi = magnetization_function(gibbs_table(m))
+    for probe in (lambda: trace_moment_probe(m, 2, [0.5], realizations=200, seed=1),
+                  lambda: weak_poincare_probe(m, 0.5, 0.5, [("m", phi)], realizations=500,
+                                              seed=2, c0=1.0)):
+        tracemalloc.start()
+        try:
+            probe()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
 
 
 def test_weak_poincare_constant_function():
