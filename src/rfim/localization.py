@@ -150,10 +150,7 @@ def _group_rows(revealed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     padded = np.zeros((traces, width), dtype=np.uint8)
     padded[:, width - packed.shape[1]:] = packed
     words = padded.view(">u8").astype(np.uint64)
-    if words.shape[1] == 1:
-        order = np.argsort(words[:, 0], kind="stable")
-    else:
-        order = np.lexsort(words.T[::-1])  # stable, word 0 the primary key
+    order = np.lexsort(words.T[::-1])  # stable, word 0 the primary key
     ranked = words[order]
     starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
     hits = np.diff(starts, append=traces)
