@@ -68,6 +68,7 @@ from rfim import (
 )
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
+from rfim.rng import substream
 from rfim.slwsm import averaged_boosted_table, magnetization_function
 
 from dense_reference import transition_matrix
@@ -381,6 +382,24 @@ def cor2_sweep_chunked():
             report.matrices_checked)
 
 
+def cor2_sweep_sampled():
+    m01 = _model(random_regular_graph(12, 3, 61), 0.4, 62, "01")
+    codes = substream(63, 0).integers(0, 3**12, size=200)
+    report = sup_cor2_over_pinnings(m01, [0.0, 0.3], pinning_codes=codes, chunk=64)  # 4 chunks
+    return (report.max_row_sum, report.max_col_sum, report.max_opnorm,
+            report.per_edge_row_max, report.per_edge_col_max, report.argmax_row,
+            report.argmax_col, report.argmax_opnorm, report.interpolation_ok,
+            report.matrices_checked, report.mode)
+
+
+def row_sum_tail_sampled():
+    report = row_sum_tail_report(grid_graph(3, 4), 0.4, (0.0, 0.3), FieldDistribution.gaussian(0.6),
+                                 k=0.3, p0=0.2, trials=2, seed=60, m_grid=(0.25, 0.5),
+                                 sampled_pinnings=50)
+    return ([(r.m, r.bound, r.row_exceed_freq, r.col_exceed_freq) for r in report.rows],
+            report.trials, report.mode, report.delta, report.interpolation_all_ok)
+
+
 CASES = {f.__name__: f for f in (
     run_chain_pm, run_chain_01_pinned, batch_pm, batch_01, batch_pm_pinned,
     coupled_run_pm, coupled_run_01_pinned, coupled_batch_pm, coupled_batch_01_pinned,
@@ -390,7 +409,7 @@ CASES = {f.__name__: f for f in (
     gibbs_table_01, gibbs_table_pinned, spectra_pm, spectra_01_pinned, transition_matrix_pinned,
     cor2_grid, moments_pinned, boosted_average, noising_traces_oracle, sl_boost_oracle,
     wsm_torus, trace_moments_grid, weak_poincare_magnetization, row_sum_tail_cycle, vertex_tilt,
-    gap_pm_n10, gap_01_pinned_f9, cor2_sweep_chunked,
+    gap_pm_n10, gap_01_pinned_f9, cor2_sweep_chunked, cor2_sweep_sampled, row_sum_tail_sampled,
 )}
 
 GOLDEN = {
@@ -434,6 +453,8 @@ GOLDEN = {
     "gap_pm_n10": "2c2a5fa4f030d4c653aaa0af2b704bb1fed876817a1bd3dd3d4c59019d07ff00",
     "gap_01_pinned_f9": "53bd9d7cab5148ceacb077bdc8bb80cc612287764f126eb26e3005f2092f18da",
     "cor2_sweep_chunked": "150cd2a8179c0a67723810c18639d688fed48a1f82106aedb7c0f0193e63c2ab",
+    "cor2_sweep_sampled": "20b9cf8f43f6074584e69b751d5e2424a33132e5aa581edfaa88660f85cc5fa3",
+    "row_sum_tail_sampled": "030a3fed80f6af3ea14ebe1cc59ecb781ea4b623980a6f1720234e1fde1b7574",
 }
 
 
