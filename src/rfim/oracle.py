@@ -44,8 +44,8 @@ BINNING_CAP = 20
 BOOST_CAP = 16
 MLSI_CAP = 10
 PINNING_SWEEP_CAP = 10
-# The sampled sweep holds a (chunk, 2^n) mask-weight array and (2^n, 1+E+E^2)
-# columns: 216 MB at n=14 on 3-regular graphs, about 4x more per two vertices.
+# The sampled sweep holds the (2^n, 1+E+E^2) columns: a 116 MiB peak at n=14
+# on 3-regular graphs, about 4.5x more per two vertices.
 SAMPLED_SWEEP_CAP = 14
 
 _MAGIC = b"RFIMTBL1"
@@ -563,20 +563,18 @@ def _ternary_sums(columns: np.ndarray, lead: int):
     yield sums[:, 0]
 
 
-def _masked_sums(columns: np.ndarray, weights: np.ndarray, spins: np.ndarray, codes: np.ndarray,
-                 chunk: int):
+def _sliced_sums(columns: np.ndarray, weights: np.ndarray, n: int, codes: np.ndarray, chunk: int):
     """The same sums, of ``weights`` times the rows of ``columns``, for explicit ``codes``.
 
-    Each chunk of codes builds a (chunk, 2^n) consistency mask and takes one matmul.
+    Each code fixes its pinned axes of the (2,)^n views, axis 0 the highest
+    vertex, and sums the 2^free rows left; ``chunk`` codes go to a block.
     """
-    n = spins.shape[1]
+    cube = columns.reshape((2,) * n + (-1,))
+    w = weights.reshape((2,) * n)
     for start in range(0, len(codes), chunk):
-        digits = (codes[start:start + chunk, None] // 3 ** np.arange(n)[None, :]) % 3  # (B, n)
-        mask = np.ones((len(digits), len(spins)), dtype=bool)
-        for v in range(n):  # digit 0 leaves v free, digit d >= 1 pins it to d - 1
-            d = digits[:, v, None]
-            mask &= (d == 0) | (d - 1 == spins[None, :, v])
-        yield (mask * weights) @ columns
+        digits = (codes[start:start + chunk, None] // 3 ** np.arange(n - 1, -1, -1)) % 3  # (B, n)
+        picks = [tuple(d - 1 if d else slice(None) for d in row) for row in digits.tolist()]
+        yield np.array([w[p].reshape(-1) @ cube[p].reshape(-1, columns.shape[1]) for p in picks])
 
 
 def _cor_from_sums(sums: np.ndarray, num_edges: int) -> np.ndarray:
@@ -633,11 +631,11 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     ``_ternary_sums``, O(3^n (1 + E + E^2)) per theta, in blocks of at most
     ``chunk`` codes, and runs the SVD on live rows and columns only: an edge
     with an endpoint pinned to 0, or both pinned to 1, has a zero row and
-    column.  Explicit codes keep the route by consistency masks,
-    O(codes 2^n E^2) per theta, with a full SVD; run on ``np.arange(3**n)``
-    it is the independent check on the transform.  The exhaustive sweep is
-    capped at ``PINNING_SWEEP_CAP`` vertices and the sampled one, whose
-    memory grows as 4^n, at ``SAMPLED_SWEEP_CAP``.
+    column.  Explicit codes slice off their pinned axes (``_sliced_sums``),
+    O(sum of 2^free (1 + E + E^2)) per theta, with a full SVD; run on
+    ``np.arange(3**n)`` it is the independent check on the transform.  The
+    exhaustive sweep is capped at ``PINNING_SWEEP_CAP`` vertices and the
+    sampled one, which holds all 2^n columns, at ``SAMPLED_SWEEP_CAP``.
 
     Each statistic is kept per (theta, code) cell.  The report holds its
     maximum, and as argmax the earliest cell (theta in grid order, then code
@@ -690,7 +688,7 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
             weighted = (columns * w[:, None]).reshape((2,) * lead + (1 << digits, -1))
             blocks = _ternary_sums(weighted, lead)
         else:
-            blocks = _masked_sums(columns, w, table.rows(), codes, chunk)
+            blocks = _sliced_sums(columns, w, n, codes, chunk)
         start = 0
         for sums in blocks:
             cor = _cor_from_sums(sums, num_edges)

@@ -37,7 +37,7 @@ from .model import (
 )
 from .dynamics import grand_coupled_update
 from .localization import bounded_field_k_constant
-from .oracle import PINNING_SWEEP_CAP, sup_cor2_over_pinnings
+from .oracle import PINNING_SWEEP_CAP, SAMPLED_SWEEP_CAP, sup_cor2_over_pinnings
 from .rng import PERCOLATION, substream
 
 CLOSED, FIELD_OPEN, UNIFORM_OPEN = 0, 1, 2
@@ -262,7 +262,8 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
 
     The sup over pinnings and the theta grid is exact (full ternary
     enumeration) up to the sweep cap, else sampled; the mode is recorded.
-    The sampled sweep raises CapacityError above ``SAMPLED_SWEEP_CAP`` vertices.
+    Above ``SAMPLED_SWEEP_CAP`` vertices it raises CapacityError before
+    drawing any field or pinning.
     Graphs of maximal degree below 3 are covered a fortiori by the
     degree-3 constants, so delta is floored at 3.
     """
@@ -271,6 +272,8 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
     delta = max(3, g.max_degree())
     n = g.num_vertices
     mode = "exact" if n <= PINNING_SWEEP_CAP else "sampled"
+    if n > SAMPLED_SWEEP_CAP:
+        raise CapacityError(f"{n} vertices exceeds the sampled sweep cap {SAMPLED_SWEEP_CAP}")
     num_edges = g.num_edges
     row_sups = np.zeros((trials, num_edges))
     col_sups = np.zeros((trials, num_edges))

@@ -10,10 +10,11 @@ MAX_DEGREE = 5
 
 
 @st.composite
-def models(draw, ferromagnetic=False, max_n=12, min_pairs=0):
+def models(draw, ferromagnetic=False, max_n=12, min_pairs=0, convention=None):
     """A random graph on at most ``max_n`` vertices with degrees at most MAX_DEGREE,
     built from at least ``min_pairs`` drawn vertex pairs per vertex, random couplings
-    and field, a random convention and a random pinning that leaves a vertex free."""
+    and field, the given ``convention`` (default: drawn) and a random pinning that
+    leaves a vertex free."""
     n = draw(st.integers(1, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           min_size=min_pairs * n, max_size=3 * n))
@@ -30,7 +31,8 @@ def models(draw, ferromagnetic=False, max_n=12, min_pairs=0):
     couplings = draw(st.lists(st.floats(low, 1.5), min_size=g.num_edges,
                               max_size=g.num_edges))
     field = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-    convention = draw(st.sampled_from(["pm", "01"]))
+    if convention is None:
+        convention = draw(st.sampled_from(["pm", "01"]))
     one, zero = SPIN_VALUES[convention]
     pinned = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
     pinning = {v: draw(st.sampled_from([one, zero])) for v in pinned}

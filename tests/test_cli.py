@@ -289,6 +289,9 @@ def test_certify_gap_tails_percolate(tmp_path, capsys):
 
     assert run_cli("certify", "tails", "--graph", gpath, "--beta", "0.3", "--p0", "0.05",
                    "--k", "4.5", "--trials", "0") == 4
+    big = write_graph(tmp_path, "--kind", "cycle", "--n", "40", name="c40.txt")
+    assert run_cli("certify", "tails", "--graph", big, "--beta", "0.3", "--p0", "0.05",
+                   "--k", "4.5", "--trials", "1") == 3
 
     assert run_cli("certify", "percolate", "--graph", gpath, "--field-seed", "4",
                    "--k", "4.5", "--p0", "0.3", "--seed", "5") == 0

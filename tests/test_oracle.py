@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -430,7 +431,7 @@ def test_sweep_checks_inputs_before_enumerating(monkeypatch):
                          ([0.2], {"pinning_codes": [-1]})):
         with pytest.raises(InputError):
             sup_cor2_over_pinnings(m01, grid, **kwargs)
-    # the sampled route's memory grows as 4^n, so explicit codes are capped too
+    # the sampled route holds all 2^n columns, so explicit codes are capped too
     m15 = to_zero_one(uniform_model(path_graph(15), 0.4, np.zeros(15)))
     with pytest.raises(CapacityError):
         sup_cor2_over_pinnings(m15, [0.2], pinning_codes=[0])
@@ -447,24 +448,43 @@ def _free_zero_one(m):
        st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2), st.integers(1, 3000), st.data())
 def test_sweep_routes_agree(m01, grid, chunk, data):
     # Exhaustive mode sums by the ternary transform and runs the SVD on live
-    # edges; explicit codes sum by masks and run the full SVD.
+    # edges; explicit codes sum over slices and run the full SVD.
     exact = sup_cor2_over_pinnings(m01, grid, chunk=chunk)
-    masked = sup_cor2_over_pinnings(m01, grid, pinning_codes=np.arange(3**m01.n), chunk=chunk)
+    sliced = sup_cor2_over_pinnings(m01, grid, pinning_codes=np.arange(3**m01.n), chunk=chunk)
     for key in ("max_row_sum", "max_col_sum", "max_opnorm"):
-        assert getattr(exact, key) == pytest.approx(getattr(masked, key), rel=1e-12, abs=1e-12)
+        assert getattr(exact, key) == pytest.approx(getattr(sliced, key), rel=1e-12, abs=1e-12)
     for key in ("per_edge_row_max", "per_edge_col_max"):
-        assert np.allclose(getattr(exact, key), getattr(masked, key), rtol=1e-12, atol=1e-12)
+        assert np.allclose(getattr(exact, key), getattr(sliced, key), rtol=1e-12, atol=1e-12)
     for key in ("argmax_row", "argmax_col", "argmax_opnorm"):
-        assert getattr(exact, key)[1] == getattr(masked, key)[1]
-    assert exact.interpolation_ok == masked.interpolation_ok
-    assert exact.matrices_checked == masked.matrices_checked == len(grid) * 3**m01.n
-    # One code at a time, the mask route reads each edge's row sum off cor2_matrix.
+        assert getattr(exact, key)[1] == getattr(sliced, key)[1]
+    assert exact.interpolation_ok == sliced.interpolation_ok
+    assert exact.matrices_checked == sliced.matrices_checked == len(grid) * 3**m01.n
+    # One code at a time, the sliced route reads each edge's row sum and the
+    # operator norm off cor2_matrix of the pinned table.
     theta = grid[0]
     for code in data.draw(st.lists(st.integers(0, 3**m01.n - 1), min_size=1, max_size=3)):
         one = sup_cor2_over_pinnings(m01, [theta], pinning_codes=[code])
         pinned = edge_tilt(m01, theta).with_pinning(oracle._pinning_from_code(code, m01.n))
-        want = np.abs(cor2_matrix(gibbs_table(pinned))).sum(axis=1)
+        cor = cor2_matrix(gibbs_table(pinned))
+        want = np.abs(cor).sum(axis=1)
         assert np.allclose(one.per_edge_row_max, want, rtol=1e-9, atol=1e-12)
+        norm = np.linalg.svd(cor, compute_uv=False)[0] if cor.size else 0.0
+        assert one.max_opnorm == pytest.approx(norm, rel=1e-9, abs=1e-12)
+
+
+def test_sampled_sweep_holds_no_mask():
+    # The (2^12, 1 + E + E^2) columns and their build take about 25 MiB; any
+    # float array over (codes, 2^12) would add 31 MiB.
+    m01 = to_zero_one(random_field_model(random_regular_graph(12, 3, seed=3), 0.3, seed=4))
+    codes = np.random.default_rng(5).integers(0, 3**12, size=1000)
+    tracemalloc.start()
+    try:
+        report = sup_cor2_over_pinnings(m01, [0.0, 0.2, 0.4], pinning_codes=codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.matrices_checked == 3000
+    assert peak < 40 << 20
 
 
 def test_fkg_monotone_conditional_means():

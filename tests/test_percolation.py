@@ -8,6 +8,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from rfim import (
+    CapacityError,
     FieldDistribution,
     InputError,
     IsingModel,
@@ -33,6 +34,7 @@ from rfim import (
     theta_star,
     to_zero_one,
 )
+from rfim import percolation
 from rfim.percolation import (
     PercolationRealization,
     _p0_from_alpha_star,
@@ -264,6 +266,21 @@ def test_row_sum_tail_report_samples_pinnings_above_the_sweep_cap():
     assert report.mode == "sampled"
     assert report.interpolation_all_ok
     assert all(row.row_exceed_freq.shape == (17,) for row in report.rows)
+
+
+def test_row_sum_tail_report_caps_before_drawing(monkeypatch):
+    kwargs = dict(beta=0.3, theta_grid=[0.0], k=4.5, p0=0.05,
+                  field_dist=FieldDistribution.two_point(5.0), trials=1, seed=1, m_grid=[0.5])
+    # 3^40 codes overflow int64, so the cap must come before the pinning draw
+    with pytest.raises(CapacityError):
+        row_sum_tail_report(cycle_graph(40), **kwargs)
+
+    def draw_anyway(*args, **kw):
+        raise AssertionError("drew a field before checking the cap")
+
+    monkeypatch.setattr(percolation, "sample_field", draw_anyway)
+    with pytest.raises(CapacityError):
+        row_sum_tail_report(cycle_graph(15), **kwargs)
 
 
 def test_row_sum_tail_report_needs_a_trial():

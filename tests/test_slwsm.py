@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def _two_table_delta(model, u, ell):
 
 
 @settings(max_examples=60)
-@given(models(min_pairs=2).filter(lambda m: m.convention == "pm"), st.data())
+@given(models(min_pairs=2, convention="pm"), st.data())
 def test_wsm_delta_matches_two_pinned_tables(m, data):
     u = data.draw(st.sampled_from(m.free_vertices))
     for ell in range(eccentricity(m.graph, u) + 1):  # the last ball leaves an empty ring
@@ -177,26 +178,30 @@ def _induced_wsm_delta(model, u, ell):
 
 
 def _ring_cases(m):
-    """(u, radius) pairs below u's eccentricity whose ring is free and whose ball
-    has at least two free vertices next to the ring."""
+    """(u, radius, ring, ball vertices next to the ring) of m's graph, pins ignored,
+    for the radii below u's eccentricity with two or more ball vertices next to the ring."""
     nbr = m.neighbour_table[0]
     cases = []
-    for u in m.free_vertices:
+    for u in range(m.n):
         for ell in range(eccentricity(m.graph, u)):
             inside = ball(m.graph, u, ell)
             ring = boundary(m.graph, inside)
-            touching = [v for v in inside if v not in m.pinning and ring & set(nbr[v].tolist())]
-            if len(touching) >= 2 and not any(v in m.pinning for v in ring):
-                cases.append((u, ell))
+            touching = [v for v in sorted(inside) if ring & set(nbr[v].tolist())]
+            if len(touching) >= 2:
+                cases.append((u, ell, ring, touching))
     return cases
 
 
 @settings(max_examples=60)
-@given(models(min_pairs=2).filter(lambda m: m.convention == "pm"), st.data())
+@given(models(min_pairs=2, convention="pm"), st.data())
 def test_wsm_delta_equals_the_induced_model_route(m, data):
+    # Cases come from the graph alone; then u, the ring and two ball vertices
+    # next to the ring are freed, and every other pin is kept.
     cases = _ring_cases(m)
     assume(cases)
-    u, ell = data.draw(st.sampled_from(cases))
+    u, ell, ring, touching = data.draw(st.sampled_from(cases))
+    freed = {u} | ring | set(data.draw(st.permutations(touching))[:2])
+    m = replace(m, pinning={v: s for v, s in m.pinning.items() if v not in freed})
     assert wsm_delta(m, u, ell) == _induced_wsm_delta(m, u, ell)
 
 
