@@ -19,22 +19,26 @@ for every vertex and every pattern of its real neighbours, built once per
 model with numpy.  A chain keeps its spin list and one key per vertex; a step
 reads ``probs[key[v]]`` and only a flip touches the keys, XOR-ing v's slot bit
 into each neighbour's key through ``flips[v]``.  No step sums a field or
-calls the logistic.  The entries are bit-identical to what summing the row
-gives: each is h_v plus c_j x_j over v's real slots, left to right in row
-order, the same float operations, and the padding slots the sum would also
-read add c = 0 times a spin, +-0.0, which moves neither the sum nor the
-logistic.  The table caps at ``HEAT_BATH_TABLE_CAP`` entries and raises
-CapacityError above it.
+calls the logistic.  The table caps at ``HEAT_BATH_TABLE_CAP`` entries and
+raises CapacityError above it.
 
 ``_heat_bath_update`` is the one vectorised kernel, under replica batches,
-the monotone batch coupling and sampler stages, and it stays on summed
-fields.  Its ``einsum`` adds a row's products in another order than the
-table, so it would not reproduce the entries bit for bit.  The staged
-sampler also holds vertices not yet staged at 0, neutral in both conventions
-but not a spin in pm, which no table key encodes; that zero-padded matrix is
-why the sampler calls ``_heat_bath_run`` directly, which checks nothing.
-Every public chain checks its start with ``IsingModel.check_values`` and
-never repairs it.  Pinned vertices hold their value and are never chosen.
+the monotone batch coupling and sampler stages.  It takes P(one) from the
+table's rule, ``model._heat_bath_probability``, over v's whole row; padding
+slots add c = 0 times a spin, +-0.0, so it equals the table's entry bit for
+bit.  The staged sampler holds vertices not yet staged at 0, neutral in both
+conventions but not a spin in pm, which no table key encodes; that
+zero-padded matrix is why the sampler calls ``_heat_bath_run`` directly,
+which checks nothing.  Every public chain checks its start with
+``IsingModel.check_values`` and never repairs it.  Pinned vertices hold
+their value and are never chosen.
+
+The grand coupling halves each chain's Gibbs table in revelation order.  A
+chain keeps the probabilities of the configurations consistent so far, in
+index order, so its unrevealed free vertices are the index bits; revealing
+v keeps the half with v's drawn spin, P(one) being the one half's sum over
+the whole.  That is O(2^f) floats per chain, summed in the order in which
+masking the enumerated rows would sum them.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .model import (
     IsingModel,
     SpinConfiguration,
     _config_values,
-    _one_probability,
+    _heat_bath_probability,
     array_energy,
 )
 from .oracle import GibbsTable, empirical_tv, gibbs_table
@@ -106,20 +110,17 @@ def _lookup_update(model: IsingModel):
     return update
 
 
-def _local_fields(model: IsingModel, values: np.ndarray, base: np.ndarray,
-                  v: np.ndarray) -> np.ndarray:
-    """Local field at vertex v[r] of every replica r, gathered through the flat
-    offsets ``base`` = r * n of the C-ordered (R, n) ``values``; O(R * degree)."""
-    nbr, cpl = model.neighbour_table
-    return np.einsum("rd,rd->r", values.take(base[:, None] + nbr.take(v, axis=0)),
-                     cpl.take(v, axis=0)) + model.field.take(v)
-
-
 def _heat_bath_update(model: IsingModel, values: np.ndarray, base: np.ndarray,
                       v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Resample vertex v[r] of every replica r from its uniform u[r]; returns the new spins."""
+    """Resample vertex v[r] of every replica r from its uniform u[r], gathering
+    through the flat offsets ``base`` = r * n of the C-ordered (R, n) ``values``;
+    O(R * degree).  Returns the new spins."""
     one, zero = SPIN_VALUES[model.convention]
-    p_one = _one_probability(model.convention, _local_fields(model, values, base, v))
+    nbr, cpl = model.neighbour_table
+    # one (R, D) gather and product, copied slot-major: a contiguous row per term
+    terms = np.ascontiguousarray(
+        (values.take(base[:, None] + nbr.take(v, axis=0)) * cpl.take(v, axis=0)).T)
+    p_one = _heat_bath_probability(model.convention, model.field.take(v), terms)
     # one where u <= p_one, else zero; arithmetic, as np.where is slow on random masks
     new = (u <= p_one) * float(one - zero) + zero
     values.put(base + v, new)
@@ -350,9 +351,9 @@ def grand_coupled_update(models, seed: int | None = None, order=None,
         raise InputError("uniforms must hold one value per vertex")
     one, zero = SPIN_VALUES[conv]
 
-    # per-chain spin rows of every table config, and the rows consistent so far
-    rows = [tab.rows() for tab in tables]
-    masks = [np.ones(len(r), dtype=bool) for r in rows]
+    # per chain: the consistent configurations' probabilities and their index bits
+    blocks = [tab.probs for tab in tables]
+    hidden = [list(tab.free) for tab in tables]
     values = [dict(m.pinning) for m in models]
 
     log = []
@@ -360,14 +361,15 @@ def grand_coupled_update(models, seed: int | None = None, order=None,
         v = int(v)
         u = float(uniforms[v])
         outcome = []
-        for ci, tab in enumerate(tables):
+        for ci, block in enumerate(blocks):
             if v not in values[ci]:
-                w_mask = masks[ci]
-                is_one = rows[ci][:, v] == one
-                p_one = float(tab.probs[w_mask & is_one].sum()) / float(tab.probs[w_mask].sum())
-                s = one if u <= p_one else zero
+                j = hidden[ci].index(v)
+                halves = block.reshape(-1, 2, 1 << j)  # [:, 1]: v at 'one'
+                ones = halves[:, 1].ravel()
+                s = one if u <= float(ones.sum()) / float(block.sum()) else zero
                 values[ci][v] = s
-                masks[ci] = w_mask & (is_one if s == one else ~is_one)
+                blocks[ci] = ones if s == one else halves[:, 0].ravel()
+                del hidden[ci][j]
             outcome.append(values[ci][v])
         log.append((v, u, tuple(outcome)))
 

@@ -14,7 +14,9 @@ them is rejected, never repaired.  A model builds two tables once and keeps
 them: ``neighbour_table``, its padded neighbour rows, and ``heat_bath_table``,
 the heat-bath probability of each vertex under each pattern of its neighbour
 spins, which scalar Glauber chains look up.  Models and fields are immutable
-value objects; field sampling takes an explicit seed.
+value objects; field sampling takes an explicit seed.  Every heat-bath
+probability, table entry, replica kernel or first sampled spin, comes from
+one rule, ``_heat_bath_probability``, so equal spins give equal floats.
 """
 
 from __future__ import annotations
@@ -44,9 +46,13 @@ SPIN_VALUES = {PM: (1, -1), ZERO_ONE: (1, 0)}
 HEAT_BATH_TABLE_CAP = 1 << 20
 
 
-def _one_probability(convention: str, local_field):
-    """Heat-bath P(spin = 'one' | local field s): logistic(2s) in pm, logistic(s) in 01."""
-    return special.expit(2.0 * local_field if convention == PM else local_field)
+def _heat_bath_probability(convention: str, field, terms=()):
+    """Heat-bath P(spin = 'one'): logistic(2s) in pm, logistic(s) in 01, where
+    s = h + c_0 x_0 + c_1 x_1 + ... adds the slot-major ``terms`` c_j x_j, each
+    shaped like the fresh array ``field`` = h, into it left to right, in place."""
+    for term in terms:
+        field += term
+    return special.expit(2.0 * field if convention == PM else field)
 
 
 def _check_spins(values: np.ndarray, convention: str) -> None:
@@ -76,12 +82,6 @@ class SpinConfiguration:
 
     def values(self) -> np.ndarray:
         return self._values.copy()
-
-    def to_convention(self, convention: str) -> "SpinConfiguration":
-        if convention == self.convention:
-            return self
-        is_one = self._values == SPIN_VALUES[self.convention][0]
-        return SpinConfiguration(np.where(is_one, *SPIN_VALUES[convention]), convention)
 
     def __eq__(self, other):
         return (
@@ -307,11 +307,8 @@ class IsingModel:
         """The model's ``HeatBathTable``, built once; raises CapacityError, before
         building anything, above ``HEAT_BATH_TABLE_CAP`` entries.
 
-        Entry (v, pattern) is ``_one_probability`` of h_v + c_0 x_0 + c_1 x_1 + ...,
-        summed left to right over v's real slots with x_j the pattern's spin at
-        slot j.  Those are the float operations of a sum over v's whole row, as
-        padding slots add c = 0 times a spin, +-0.0, which changes no sum that
-        is not zero and no probability.
+        Entry (v, pattern) is ``_heat_bath_probability`` of h_v and the terms
+        c_j x_j over v's real slots, x_j the pattern's spin at slot j.
         """
         nbr, cpl = self.neighbour_table
         n, width = nbr.shape
@@ -330,10 +327,10 @@ class IsingModel:
             vs = np.flatnonzero(degree == d)
             offset[vs] = start + (np.arange(len(vs)) << d)
             pattern = np.arange(1 << d)
-            s = np.repeat(self.field[vs, None], 1 << d, axis=1)
-            for j in range(d):
-                s += cpl[vs, j, None] * np.where(pattern >> j & 1, float(one), float(zero))
-            probs[start:start + (len(vs) << d)] = _one_probability(self.convention, s).ravel()
+            terms = (cpl[vs, j, None] * np.where(pattern >> j & 1, float(one), float(zero))
+                     for j in range(d))  # one (len(vs), 2^d) term alive at a time
+            probs[start:start + (len(vs) << d)] = _heat_bath_probability(
+                self.convention, np.repeat(self.field[vs, None], 1 << d, axis=1), terms).ravel()
             start += len(vs) << d
         rows, slots = np.nonzero(real)
         named = nbr[rows, slots]

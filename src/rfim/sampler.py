@@ -32,7 +32,7 @@ from .model import (
     FieldDistribution,
     IsingModel,
     SpinConfiguration,
-    _one_probability,
+    _heat_bath_probability,
     model_from_json_dict,
     model_to_json_dict,
     sample_field,
@@ -94,7 +94,7 @@ def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas:
         staged = np.zeros(model.n, dtype=bool)
         for stage, v_new in enumerate(order, start=1):
             rng = substream(config.seed, SAMPLER, ci, stage)
-            p_one = _one_probability(model.convention, model.field[v_new])
+            p_one = _heat_bath_probability(model.convention, model.field[v_new])
             state[:, v_new] = np.where(rng.random(replicas) <= p_one, one, zero)
             staged[v_new] = True
             if stage == 1:

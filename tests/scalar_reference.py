@@ -10,8 +10,7 @@ tests can require the two routes to agree exactly, step by step.
 
 from __future__ import annotations
 
-from rfim.dynamics import _one_probability
-from rfim.model import SPIN_VALUES, IsingModel
+from rfim.model import SPIN_VALUES, IsingModel, _heat_bath_probability
 from rfim.rng import CHAIN, COUPLING, substream
 
 
@@ -27,7 +26,7 @@ def summed_update(model: IsingModel):
         s = field[v]
         for w, c in rows[v]:
             s += c * values[w]
-        values[v] = one if u <= _one_probability(conv, s) else zero
+        values[v] = one if u <= _heat_bath_probability(conv, s) else zero
 
     return update
 

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfim import (
     InputError,
@@ -17,22 +20,24 @@ from rfim import (
     monotone_coupled_batch,
     monotone_coupled_run,
     path_graph,
+    random_regular_graph,
     run_chain,
     run_chains_batch,
     to_zero_one,
 )
-from rfim.dynamics import _local_fields, _one_probability, empirical_tv_curve, mixing_time_bound
+from rfim.dynamics import _keys, empirical_tv_curve, mixing_time_bound
+from rfim.model import SPIN_VALUES
 from rfim.rng import CHAIN, substream
 
 from conftest import random_field_model, uniform_model
 from dense_reference import transition_matrix
+from strategies import models
 
 
 def one_probability(m, values, v):
-    """Heat-bath P(spin v = 'one' | the rest), through the kernel's local field."""
-    field = _local_fields(m, np.asarray(values, dtype=np.float64)[None, :],
-                          np.zeros(1, dtype=np.int64), np.array([v]))
-    return float(_one_probability(m.convention, field)[0])
+    """Heat-bath P(spin v = 'one' | the rest): v's ``heat_bath_table`` entry, which
+    every kernel's probability equals (``test_heat_bath``)."""
+    return float(m.heat_bath_table.probs[_keys(m, values)[v]])
 
 
 def test_update_probability_symmetric():
@@ -201,6 +206,59 @@ def test_grand_coupling_marginals_match_oracle():
     for emp_row, exact_row in ((emp[0], exact_base), (emp[1], exact_cond)):
         sigma = np.sqrt(exact_row * (1 - exact_row) / runs) + 1e-12
         assert (np.abs(emp_row - exact_row) <= 3.5 * sigma).all()
+
+
+def masked_grand_coupling(chains, order, uniforms):
+    """The grand coupling by masking the enumerated rows of each chain's table to
+    those consistent so far: the reference route.  Returns spin lists and the log."""
+    one, zero = SPIN_VALUES[chains[0].convention]
+    tables = [gibbs_table(m) for m in chains]
+    rows = [tab.rows() for tab in tables]
+    masks = [np.ones(len(r), dtype=bool) for r in rows]
+    values = [dict(m.pinning) for m in chains]
+    log = []
+    for v in order:
+        u = float(uniforms[v])
+        for ci, tab in enumerate(tables):
+            if v not in values[ci]:
+                is_one = rows[ci][:, v] == one
+                p_one = (float(tab.probs[masks[ci] & is_one].sum())
+                         / float(tab.probs[masks[ci]].sum()))
+                values[ci][v] = one if u <= p_one else zero
+                masks[ci] &= is_one if values[ci][v] == one else ~is_one
+        log.append((v, u, tuple(vals[v] for vals in values)))
+    return [[vals[v] for v in range(len(uniforms))] for vals in values], tuple(log)
+
+
+@settings(max_examples=60)
+@given(models(max_n=9), st.data())
+def test_grand_coupling_matches_the_masked_rows(m, data):
+    one, zero = SPIN_VALUES[m.convention]
+    extra = data.draw(st.dictionaries(st.integers(0, m.n - 1), st.sampled_from([one, zero])))
+    chains = [m, m.with_pinning({v: s for v, s in extra.items() if v not in m.pinning}),
+              replace(m, field=-m.field)]
+    order = data.draw(st.permutations(range(m.n)))
+    uniforms = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m.n, max_size=m.n))
+    configs, disagree, log = grand_coupled_update(chains, order=order, uniforms=uniforms)
+    want, want_log = masked_grand_coupling(chains, order, uniforms)
+    assert [c.values().tolist() for c in configs] == want
+    assert log == want_log
+    assert disagree == {v for v in range(m.n) if len({row[v] for row in want}) > 1}
+
+
+def test_grand_coupling_holds_one_table_per_chain():
+    # 16 free vertices: the masked route's (2^16, 16) int8 rows alone take 1 MiB per
+    # chain, with a boolean mask over them, and it peaks at 2.9 MiB here
+    g = random_regular_graph(16, 3, seed=5)
+    m = to_zero_one(random_field_model(g, 0.3, seed=3))
+    pair = [m, m.with_pinning({3: 1})]
+    tracemalloc.start()
+    try:
+        grand_coupled_update(pair, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_grand_coupling_needs_common_space():

@@ -1,6 +1,8 @@
 """Properties of the padded-table heat-bath kernel on random bounded-degree models."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,14 @@ from rfim import (
     run_chains_batch,
 )
 from rfim import dynamics, model as model_module
-from rfim.dynamics import _local_fields, _one_probability
-from rfim.model import HEAT_BATH_TABLE_CAP, SPIN_VALUES, SpinConfiguration, array_energy
+from rfim.dynamics import _heat_bath_update, _keys
+from rfim.model import (
+    HEAT_BATH_TABLE_CAP,
+    SPIN_VALUES,
+    SpinConfiguration,
+    _heat_bath_probability,
+    array_energy,
+)
 from rfim.rng import COUPLING, substream
 
 from scalar_reference import chain_states, coupled_states, row_order_sum
@@ -55,6 +63,38 @@ def edge_scan_field(m, values, v):
     return s
 
 
+def table_entries(m, values, v):
+    """The ``heat_bath_table`` entry of vertex v[r] under the spins of row r of ``values``."""
+    return np.array([m.heat_bath_table.probs[_keys(m, row)[w]] for row, w in zip(values, v)])
+
+
+def kernel_probability_is(m, values, v, p):
+    """Per row r, whether ``_heat_bath_update``'s P(one) at v[r] is exactly p[r]: by
+    the quantile rule it sets 'one' at u = p[r] and 'zero' at the next float up."""
+    one, zero = SPIN_VALUES[m.convention]
+    base = np.arange(len(values)) * m.n
+    at = _heat_bath_update(m, values.copy(), base, v, p)
+    above = _heat_bath_update(m, values.copy(), base, v, np.nextafter(p, 2.0))
+    return (at == one) & (above == zero)
+
+
+@settings(max_examples=60)
+@given(models(min_pairs=2), st.integers(0, 2**31 - 1))
+def test_kernel_probabilities_equal_table_entries(m, seed):
+    replicas = 64
+    values = random_states(m, replicas, seed)
+    rng = np.random.default_rng(seed)
+    free = np.array(m.free_vertices)
+    v = free[rng.integers(len(free), size=replicas)]
+    assert kernel_probability_is(m, values, v, table_entries(m, values, v)).all()
+    # the staged sampler's rows hold 0 at vertices not yet staged, which no table
+    # key encodes: there the reference is the row-order sum with x = 0
+    values[rng.random(values.shape) < 0.3] = 0.0
+    want = [_heat_bath_probability(m.convention, row_order_sum(m, w, row, row[w]))
+            for row, w in zip(values.tolist(), v.tolist())]
+    assert kernel_probability_is(m, values, v, np.array(want)).all()
+
+
 @settings(max_examples=60)
 @given(models(), st.integers(0, 2**31 - 1))
 def test_kernel_matches_conditional_probability(m, seed):
@@ -64,10 +104,9 @@ def test_kernel_matches_conditional_probability(m, seed):
     rng = substream(seed, COUPLING, 5)
     v = free[rng.integers(len(free), size=replicas)]
     u = rng.random(replicas)
-    fields = _local_fields(m, values, np.arange(replicas) * m.n, v)
-    p_one = _one_probability(m.convention, fields)
+    p_one = table_entries(m, values, v)
     for r in range(replicas):
-        want = _one_probability(m.convention, edge_scan_field(m, values[r], v[r]))
+        want = _heat_bath_probability(m.convention, edge_scan_field(m, values[r], v[r]))
         assert abs(p_one[r] - want) <= 1e-12
 
     # one step of the public batch runner reads the same draws and updates only v[r]
@@ -131,7 +170,7 @@ def test_table_entries_are_row_order_sums(m):
             spins = {w: one if pattern >> j & 1 else zero for j, w in enumerate(adj)}
             # the padding slots read v's own spin; either value gives the same entry
             for own in (one, zero):
-                want = _one_probability(m.convention, row_order_sum(m, v, spins, own))
+                want = _heat_bath_probability(m.convention, row_order_sum(m, v, spins, own))
                 assert table.probs[table.offset[v] + pattern] == want
 
 
@@ -175,7 +214,7 @@ def test_scalar_steps_evaluate_no_logistic(monkeypatch):
     def logistic(*args):
         raise AssertionError("a scalar step evaluated the logistic")
 
-    monkeypatch.setattr(dynamics, "_one_probability", logistic)
+    monkeypatch.setattr(dynamics, "_heat_bath_probability", logistic)
     monkeypatch.setattr(model_module.special, "expit", logistic)
     lo, hi = (SpinConfiguration(m.full_values(s), m.convention) for s in (-1, 1))
     run_chain(m, hi, 500, seed=1)
@@ -210,3 +249,38 @@ def test_table_just_under_the_cap_runs():
     start = np.where(np.arange(m.n) % 2 == 0, 1, -1).astype(np.int8)
     state, _ = run_chain(m, SpinConfiguration(start, m.convention), 200, seed=4)
     assert state.config.values().tolist() == chain_states(m, start, 200, 4)[-1]
+
+
+LOGISTICS = {"expit", "_one_probability"}
+
+
+def logistic_uses(tree):
+    """The innermost enclosing function (None at module level) of each reference
+    to a name in ``LOGISTICS``: a call, an attribute, an import or an alias."""
+    uses = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                names = {child.id}
+            elif isinstance(child, ast.Attribute):
+                names = {child.attr}
+            else:
+                names = {child.name, child.asname} if isinstance(child, ast.alias) else set()
+            if names & LOGISTICS:
+                uses.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else where)
+
+    visit(tree, None)
+    return uses
+
+
+def test_one_function_takes_the_heat_bath_logistic():
+    # assumption_params takes the logistic of a constant, its rho, not of a local field
+    allowed = {("model.py", "_heat_bath_probability"), ("model.py", "assumption_params")}
+    found = set()
+    for path in sorted(Path(model_module.__file__).parent.glob("*.py")):
+        found |= {(path.name, where) for where in logistic_uses(ast.parse(path.read_text()))}
+    assert ("model.py", "_heat_bath_probability") in found
+    assert found <= allowed
