@@ -40,7 +40,6 @@ from .model import (
     check_field_assumption,
     edge_tilt,
     hamiltonian,
-    induced_model,
     sample_field,
     theta_star,
     to_zero_one,
@@ -113,7 +112,6 @@ from .slwsm import (
 from .sampler import (
     RunReport,
     SamplerConfig,
-    incremental_sample,
     incremental_sample_batch,
     run_experiment,
     validated_incremental_sample,

@@ -543,12 +543,10 @@ def sample_incremental(model_path, cstar, seed, ordering_seed, validate, replica
                               validate=validate)
     if validate:
         values, report = SA.validated_incremental_sample(m, config, replicas, eps)
-        final = values[0]
     else:
-        cfg, report0 = SA.incremental_sample(m, config)
-        final, report = cfg.values(), report0
+        values, report = SA.incremental_sample_batch(m, config, 1)
     payload = {
-        "final": np.asarray(final).astype(int).tolist(),
+        "final": values[0].astype(int).tolist(),
         "ordering": list(report.ordering),
         "stage_steps": list(report.stage_steps),
         "total_updates": report.total_updates,

@@ -326,11 +326,11 @@ def grand_coupled_update(models, seed: int | None = None, order=None,
     Each model may differ in couplings, fields and pinnings but all share the
     vertex index space and convention; a chain is conditioned by its model's
     pinning alone (condition on a partial state with ``m.with_pinning(state)``).
-    The vertices are revealed in ``order`` (default: ascending index).  At
-    each position one uniform drives every chain's conditional quantile;
-    ``uniforms`` may be supplied, indexed by vertex, to share randomness with
-    an external process.  Conditional laws are computed exactly from Gibbs
-    tables, so oracle capacity applies.
+    The vertices are revealed in ``order``, a permutation of them (default:
+    ascending).  At each position one uniform drives every chain's
+    conditional quantile; ``uniforms`` may be supplied, indexed by vertex,
+    to share randomness with an external process.  Conditional laws are
+    computed exactly from Gibbs tables, so oracle capacity applies.
 
     Returns (configurations, disagreement set, per-vertex revelation log).
     """
@@ -341,6 +341,9 @@ def grand_coupled_update(models, seed: int | None = None, order=None,
     for m in models:
         if m.n != n or m.convention != conv:
             raise InputError("models must share vertex index space and convention")
+    order = list(range(n)) if order is None else [int(v) for v in order]
+    if sorted(order) != list(range(n)):
+        raise InputError(f"order must be a permutation of range({n})")
     tables = [gibbs_table(m) for m in models]
     if uniforms is None:
         if seed is None:
@@ -357,8 +360,7 @@ def grand_coupled_update(models, seed: int | None = None, order=None,
     values = [dict(m.pinning) for m in models]
 
     log = []
-    for v in range(n) if order is None else order:
-        v = int(v)
+    for v in order:
         u = float(uniforms[v])
         outcome = []
         for ci, block in enumerate(blocks):

@@ -12,7 +12,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -43,18 +42,11 @@ class Graph:
         return max(len(nbrs) for nbrs in self.adjacency)
 
     @cached_property
-    def _edge_positions(self) -> MappingProxyType:
-        return MappingProxyType({e: i for i, e in enumerate(self.edges)})
-
-    def edge_index(self) -> MappingProxyType:
-        """Positions of normalized ``(min, max)`` endpoint pairs in ``edges``.
-
-        Built once per graph; the mapping is read-only.
-        """
-        return self._edge_positions
+    def _edge_set(self) -> frozenset:
+        return frozenset(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_positions
+        return (min(u, v), max(u, v)) in self._edge_set
 
     @cached_property
     def endpoints(self) -> np.ndarray:
@@ -182,12 +174,6 @@ def edge_ball(g: Graph, e, l: int) -> frozenset[int]:
     if not g.has_edge(u, v):
         raise InputError(f"({u}, {v}) is not an edge")
     return ball(g, u, l) | ball(g, v, l)
-
-
-def eccentricity(g: Graph, v: int) -> int:
-    """Largest finite distance from v (within its component)."""
-    dist = distances_from(g, v)
-    return int(dist.max(initial=0))
 
 
 def is_connected(g: Graph) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, build_graph, graph_from_json_dict, graph_to_json_dict
+from .graphs import Graph, graph_from_json_dict, graph_to_json_dict
 from .rng import FIELD, substream
 
 PM = "pm"
@@ -511,38 +511,8 @@ def check_field_assumption(dist: FieldDistribution, p0: float, k: float) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Submodels and JSON
+# JSON
 # ---------------------------------------------------------------------------
-
-def induced_model(model: IsingModel, vertices) -> IsingModel:
-    """Model induced on a vertex subset, relabeled to 0..k-1 (sorted order).
-
-    Keeps couplings/field/pinning of the retained vertices; edges leaving the
-    subset are dropped, and the kept edges stay in the parent's edge order.
-    Reads the kept vertices' ``neighbour_table`` rows, so it costs
-    O(k * max degree) however large the parent.
-    """
-    keep = sorted(int(v) for v in set(vertices))
-    for v in keep:
-        if not 0 <= v < model.n:
-            raise InputError(f"vertex {v} out of range")
-    relabel = {v: i for i, v in enumerate(keep)}
-    position = model.graph.edge_index()
-    nbr, cpl = model.neighbour_table
-    found = []
-    for v, row, crow in zip(keep, nbr[keep].tolist(), cpl[keep].tolist()):
-        for w, c in zip(row, crow):
-            if w > v and w in relabel:  # each edge once; padding slots name v itself
-                found.append((position[v, w], relabel[v], relabel[w], c))
-    found.sort()
-    return IsingModel(
-        graph=build_graph(len(keep), [(u, w) for _, u, w, _ in found]),
-        couplings=np.array([c for *_, c in found], dtype=np.float64),
-        field=model.field[keep],
-        convention=model.convention,
-        pinning={i: model.pinning[v] for i, v in enumerate(keep) if v in model.pinning},
-    )
-
 
 def model_to_json_dict(model: IsingModel) -> dict:
     d = {

@@ -3,9 +3,10 @@
 Gibbs tables are full probability vectors over the free-vertex configurations
 of a model, indexed so that bit j of a config index carries the spin of the
 j-th free vertex in ascending vertex order (bit 0 is the least significant).
-``GibbsTable.rows`` and ``GibbsTable.indices`` are the one place outside this
-module that reads or writes this format: every other layer maps between
-config indices and full spin vectors through them.  ``_free_energies``
+Other layers map config indices to and from full spin vectors through
+``GibbsTable.rows`` and ``GibbsTable.indices``, except two that split
+probabilities by a vertex's index bit themselves:
+``dynamics.grand_coupled_update`` and ``slwsm.wsm_delta``.  ``_free_energies``
 enumerates a model, or the model induced on a region of it, once, doubling
 at each free vertex, and ``_normalise`` alone turns energies into
 probabilities and log Z, for one table (``_table``) or for a batch of them
@@ -98,10 +99,6 @@ class GibbsTable:
         """Full vertex -> spin map for configuration ``index`` (pinning included)."""
         return dict(enumerate(self.rows(index)[0].tolist()))
 
-    def as_full_dict(self) -> dict[tuple[int, ...], float]:
-        """Map full spin tuples (over all vertices) to probabilities."""
-        return {tuple(r): float(p) for r, p in zip(self.rows().tolist(), self.probs)}
-
 
 def _free_energies(model: IsingModel, region=None) -> np.ndarray:
     """Hamiltonian of every free-vertex configuration, pinned spins folded in.
@@ -117,7 +114,7 @@ def _free_energies(model: IsingModel, region=None) -> np.ndarray:
     free vertices are the region's unpinned ones, and neighbours outside the
     region are skipped.  The rows are the parent's, whose neighbours ascend as
     the induced model's would, so the float operations are those of
-    ``_free_energies(induced_model(model, region))`` without building it.
+    enumerating that model, relabeled in ascending order, without building it.
     The size is checked against ``GIBBS_CAP`` before anything is allocated.
     """
     if region is None:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import CapacityError, InputError
 from .graphs import Graph, bfs
@@ -96,6 +95,8 @@ def cluster_of_edge(realization: PercolationRealization, e) -> frozenset[int]:
 
 def otter_dwass_pmf(delta: int, p0: float, x) -> np.ndarray | float:
     """P(total progeny = x) for the two-root forest: (2/x) P(Bin((delta-1)x, p0) = x-2)."""
+    from scipy.stats import binom
+
     if delta < 3:
         raise InputError("max degree must be >= 3")
     if not 0.0 < p0 < 1.0:
@@ -103,7 +104,7 @@ def otter_dwass_pmf(delta: int, p0: float, x) -> np.ndarray | float:
     xs = np.asarray(x, dtype=np.int64)
     if (xs < 1).any():
         raise InputError("total progeny starts at 1")
-    pmf = (2.0 / xs) * stats.binom.pmf(xs - 2, (delta - 1) * xs, p0)
+    pmf = (2.0 / xs) * binom.pmf(xs - 2, (delta - 1) * xs, p0)
     return float(pmf) if np.isscalar(x) or xs.ndim == 0 else pmf
 
 
@@ -403,6 +404,8 @@ def mlsi_certificate(n: int, beta: float, delta: int, alpha_star: float,
 
 def _p0_from_alpha_star(alpha_star: float, delta: int) -> float:
     """Invert the strictly monotone alpha*(p0) closed form on (0, 1/(delta-1))."""
+    from scipy.optimize import brentq
+
     lo, hi = 1e-300, 1.0 / (delta - 1) - 1e-12
 
     def f(p):
@@ -410,7 +413,7 @@ def _p0_from_alpha_star(alpha_star: float, delta: int) -> float:
 
     if f(lo) < 0 or f(hi) > 0:
         raise InputError("alpha_star is outside the attainable range for this degree")
-    return float(optimize.brentq(f, lo, hi, xtol=1e-15))
+    return float(brentq(f, lo, hi, xtol=1e-15))
 
 
 @dataclass(frozen=True)

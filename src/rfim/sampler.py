@@ -31,7 +31,6 @@ from .model import (
     SPIN_VALUES,
     FieldDistribution,
     IsingModel,
-    SpinConfiguration,
     _heat_bath_probability,
     model_from_json_dict,
     model_to_json_dict,
@@ -70,12 +69,6 @@ class RunReport:
     ordering: tuple[int, ...]
     tv_vs_oracle: float | None = None
     replicas: int = 1
-
-
-def incremental_sample(model: IsingModel, config: SamplerConfig):
-    """One configuration from the staged warm-start sampler, plus its report."""
-    values, report = incremental_sample_batch(model, config, replicas=1)
-    return SpinConfiguration(values[0].astype(np.int8), model.convention), report
 
 
 def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas: int):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .dynamics import _draw
 from .errors import CapacityError, InputError
@@ -187,6 +186,8 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
     InputError with no field trial, no radius or no vertex, which leave
     nothing to fit.
     """
+    from scipy.optimize import minimize_scalar
+
     if field_trials < 1:
         raise InputError("estimating WSM needs at least one field trial")
     if vertices is None:
@@ -212,7 +213,7 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
         return sum((math.log(m) - (math.log(c) - r / c)) ** 2 for r, m in pts)
 
     if pts:
-        res = optimize.minimize_scalar(loss, bounds=(-6.0, 6.0), method="bounded")
+        res = minimize_scalar(loss, bounds=(-6.0, 6.0), method="bounded")
         fitted = float(math.exp(res.x))
     else:
         fitted = 0.0

@@ -29,7 +29,7 @@ from rfim.model import (
 )
 from rfim.oracle import cor2_matrix, gibbs_table, sup_cor2_over_pinnings, table_from_binary
 from rfim.percolation import gap_certificate, percolate, row_sum_tail_report
-from rfim.sampler import SamplerConfig, incremental_sample
+from rfim.sampler import SamplerConfig, incremental_sample_batch
 from rfim.slwsm import trace_moment_probe
 
 from conftest import random_field_model
@@ -330,8 +330,9 @@ def test_sample_incremental_without_validation(tmp_path, capsys):
     assert run_cli("sample", "incremental", "--model", write_model(tmp_path, m),
                    "--cstar", "1.5", "--seed", "3", "--ordering-seed", "2") == 0
     payload = json.loads(capsys.readouterr().out)
-    cfg, report = incremental_sample(m, SamplerConfig(c_star=1.5, seed=3, ordering_seed=2))
+    values, report = incremental_sample_batch(
+        m, SamplerConfig(c_star=1.5, seed=3, ordering_seed=2), 1)
     assert payload["ordering"] == list(report.ordering)
     assert payload["stage_steps"] == list(report.stage_steps)
-    assert payload["final"] == cfg.values().tolist()
+    assert payload["final"] == values[0].astype(int).tolist()
     assert payload["tv_vs_oracle"] is None

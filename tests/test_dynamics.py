@@ -25,6 +25,7 @@ from rfim import (
     run_chains_batch,
     to_zero_one,
 )
+from rfim import dynamics
 from rfim.dynamics import _keys, empirical_tv_curve, mixing_time_bound
 from rfim.model import SPIN_VALUES
 from rfim.rng import CHAIN, substream
@@ -199,10 +200,8 @@ def test_grand_coupling_marginals_match_oracle():
         for c in range(2):
             counts[c] += configs[c].values() == 1
     emp = counts / runs
-    exact_base = np.array([sum(p for s, p in t_base.as_full_dict().items() if s[v] == 1)
-                           for v in range(3)])
-    exact_cond = np.array([sum(p for s, p in t_cond.as_full_dict().items() if s[v] == 1)
-                           for v in range(3)])
+    exact_base = t_base.probs @ (t_base.rows() == 1)
+    exact_cond = t_cond.probs @ (t_cond.rows() == 1)
     for emp_row, exact_row in ((emp[0], exact_base), (emp[1], exact_cond)):
         sigma = np.sqrt(exact_row * (1 - exact_row) / runs) + 1e-12
         assert (np.abs(emp_row - exact_row) <= 3.5 * sigma).all()
@@ -268,6 +267,18 @@ def test_grand_coupling_needs_common_space():
         grand_coupled_update([a, b], seed=0)
 
 
+def test_grand_coupling_checks_its_order(monkeypatch):
+    m = random_field_model(path_graph(3), 0.2, seed=1)
+
+    def no_table(model):
+        raise AssertionError("a table was built before the order was checked")
+
+    monkeypatch.setattr(dynamics, "gibbs_table", no_table)
+    for order in ([0, 1], [0, 1, 5], [0, 1, 1, 2]):
+        with pytest.raises(InputError, match="permutation"):
+            grand_coupled_update([m], seed=0, order=order)
+
+
 def test_grand_coupling_rejects_a_non_spin_state():
     # a chain is conditioned by pinning, which admits only spins of the convention
     m = random_field_model(path_graph(3), 0.2, seed=1)
@@ -279,7 +290,7 @@ def test_tv_curve_step_zero_point_mass(p3_symmetric):
     table = gibbs_table(p3_symmetric)
     init = SpinConfiguration([1, 1, 1], "pm")
     rows = empirical_tv_curve(p3_symmetric, init, [0], replicas=1000, seed=3)
-    p_init = table.as_full_dict()[(1, 1, 1)]
+    p_init = table.probs[table.indices([1, 1, 1])[0]]
     assert rows[0]["tv"] == pytest.approx(1.0 - p_init, abs=1e-12)
 
 

@@ -23,15 +23,13 @@ from rfim import (
 from rfim.graphs import (
     connected_components,
     distances_from,
-    eccentricity,
     graph_from_edgelist_text,
     graph_from_json_dict,
     graph_to_edgelist_text,
     graph_to_json_dict,
     is_connected,
 )
-from rfim.model import induced_model
-
+from induced_reference import edge_scan_induced
 from strategies import models
 
 
@@ -179,7 +177,7 @@ def test_connected_ordering_of_a_component_matches_its_induced_model(m, seed):
     # The staged sampler orders each component inside the parent graph; the
     # relabelled induced model of the component is the reference route.
     for comp in connected_components(m.graph):
-        local = connected_ordering(induced_model(m, comp).graph, seed)
+        local = connected_ordering(edge_scan_induced(m, comp).graph, seed)
         assert connected_ordering(m.graph, seed, comp) == tuple(comp[i] for i in local)
 
 
@@ -201,7 +199,7 @@ def test_generators_shapes():
 def test_distance_and_eccentricity():
     g = path_graph(5)
     assert graph_distance(g, 0, 4) == 4
-    assert eccentricity(g, 2) == 2
+    assert distances_from(g, 2).max() == 2
     assert is_connected(g)
     comps = connected_components(build_graph(4, [(0, 1)]))
     assert sorted(map(tuple, comps)) == [(0, 1), (2,), (3,)]
@@ -260,4 +258,3 @@ def test_has_edge_agrees_with_edges(g):
     for u in range(g.num_vertices):
         for v in range(g.num_vertices):
             assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
-    assert all(g.edges[i] == e for e, i in g.edge_index().items())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from rfim import (
     CapacityError,
@@ -78,7 +78,9 @@ def kernel_probability_is(m, values, v, p):
     return (at == one) & (above == zero)
 
 
-@settings(max_examples=60)
+# No explain phase: on a failing kernel it takes minutes to report what
+# shrinking has already found in seconds.
+@settings(max_examples=60, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(models(min_pairs=2), st.integers(0, 2**31 - 1))
 def test_kernel_probabilities_equal_table_entries(m, seed):
     replicas = 64

@@ -34,7 +34,7 @@ from rfim import (
     tv_distance,
 )
 from rfim import oracle
-from rfim.model import array_energy, induced_model
+from rfim.model import array_energy
 from rfim.oracle import (
     _centred_moments,
     _entropy,
@@ -47,6 +47,7 @@ from rfim.oracle import (
 
 import dense_reference
 from conftest import random_field_model, uniform_model
+from induced_reference import edge_scan_induced
 from strategies import models
 
 
@@ -65,12 +66,10 @@ def test_gibbs_single_vertex_fielded():
 
 def test_gibbs_p2_hand_enumeration(p2_symmetric):
     t = gibbs_table(p2_symmetric)
-    d = t.as_full_dict()
     z = 2 * math.e + 2 / math.e
-    assert d[(-1, -1)] == pytest.approx(math.e / z, abs=1e-12)
-    assert d[(-1, 1)] == pytest.approx(1 / math.e / z, abs=1e-12)
-    assert d[(1, -1)] == pytest.approx(1 / math.e / z, abs=1e-12)
-    assert d[(1, 1)] == pytest.approx(math.e / z, abs=1e-12)
+    assert t.rows().tolist() == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
+    assert t.probs == pytest.approx([math.e / z, 1 / math.e / z, 1 / math.e / z, math.e / z],
+                                    abs=1e-12)
 
 
 def test_gibbs_capacity():
@@ -107,12 +106,9 @@ def test_conditional_pin_nothing(p3_symmetric):
 def test_conditional_equals_renormalized_slice(k3_fielded):
     t = gibbs_table(k3_fielded)
     cond = gibbs_table(k3_fielded.with_pinning({1: 1}))
-    full = t.as_full_dict()
-    sliced = {k: v for k, v in full.items() if k[1] == 1}
-    z = sum(sliced.values())
-    cd = cond.as_full_dict()
-    for k, v in sliced.items():
-        assert cd[k] == pytest.approx(v / z, abs=1e-12)
+    keep = t.rows()[:, 1] == 1
+    assert np.array_equal(cond.rows(), t.rows()[keep])
+    assert cond.probs == pytest.approx(t.probs[keep] / t.probs[keep].sum(), abs=1e-12)
 
 
 def test_mean_cov_single_spin():
@@ -166,13 +162,13 @@ def test_cor2_dual_enumeration_paths(k3_fielded):
     t = gibbs_table(m01)
     cor = cor2_matrix(t)
     edges = m01.graph.edges
+    base_rows = t.rows()
     for e, (u, v) in enumerate(edges):
         cond = gibbs_table(m01.with_pinning({u: 1, v: 1}))
-        full = cond.as_full_dict()
-        base_full = t.as_full_dict()
+        rows = cond.rows()
         for f, (w, z) in enumerate(edges):
-            p_cond = sum(p for spins, p in full.items() if spins[w] == 1 and spins[z] == 1)
-            p_base = sum(p for spins, p in base_full.items() if spins[w] == 1 and spins[z] == 1)
+            p_cond = cond.probs[(rows[:, w] == 1) & (rows[:, z] == 1)].sum()
+            p_base = t.probs[(base_rows[:, w] == 1) & (base_rows[:, z] == 1)].sum()
             assert cor[e, f] == pytest.approx(p_cond - p_base, abs=1e-12)
 
 
@@ -528,7 +524,7 @@ def test_free_energies_match_array_energy(m):
 @given(models(min_pairs=1), st.data())
 def test_region_energies_equal_the_induced_models(m, data):
     region = sorted(set(data.draw(st.lists(st.integers(0, m.n - 1), max_size=m.n))))
-    assert np.array_equal(_free_energies(m, region), _free_energies(induced_model(m, region)))
+    assert np.array_equal(_free_energies(m, region), _free_energies(edge_scan_induced(m, region)))
 
 
 @settings(max_examples=60)

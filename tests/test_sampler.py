@@ -13,7 +13,6 @@ from rfim import (
     ValidationFailure,
     build_graph,
     gibbs_table,
-    incremental_sample,
     incremental_sample_batch,
     path_graph,
     run_experiment,
@@ -71,8 +70,8 @@ def test_beta_zero_exact_for_any_chain_length():
 def test_single_run_matches_batch_semantics():
     m = random_field_model(path_graph(3), 0.5, seed=9)
     config = SamplerConfig(c_star=2.0, seed=10, ordering_seed=4)
-    cfg, report = incremental_sample(m, config)
-    assert cfg.n == 3
+    values, report = incremental_sample_batch(m, config, 1)
+    assert values.shape == (1, 3)
     assert report.replicas == 1
     assert len(report.stage_steps) == 3
     assert report.total_updates == sum(report.stage_steps)
@@ -105,7 +104,7 @@ def test_validated_sampler_raises_on_tight_eps():
 def test_sampler_rejects_pinned_model():
     m = random_field_model(path_graph(3), 0.5, seed=15).with_pinning({0: 1})
     with pytest.raises(InputError):
-        incremental_sample(m, SamplerConfig(c_star=1.0, seed=1))
+        incremental_sample_batch(m, SamplerConfig(c_star=1.0, seed=1), 1)
 
 
 def test_warm_start_bound_values():

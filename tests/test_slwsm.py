@@ -17,7 +17,6 @@ from rfim import (
     cycle_graph,
     estimate_wsm,
     gibbs_table,
-    induced_model,
     marginals,
     mean_and_covariance,
     path_graph,
@@ -28,7 +27,7 @@ from rfim import (
     wsm_delta,
 )
 from rfim import oracle
-from rfim.graphs import ball, boundary, eccentricity, random_regular_graph, torus_grid
+from rfim.graphs import ball, boundary, distances_from, random_regular_graph, torus_grid
 from rfim.slwsm import (
     averaged_boosted_table,
     magnetization_function,
@@ -36,8 +35,8 @@ from rfim.slwsm import (
 )
 
 from conftest import random_field_model, uniform_model
+from induced_reference import edge_scan_induced
 from strategies import models
-from test_model import _edge_scan_induced
 
 
 def test_sl_boost_identity_at_zero():
@@ -128,7 +127,7 @@ def _two_table_delta(model, u, ell):
         return 0.0
     region = sorted(b | ring)
     pos = region.index(u)
-    sub = _edge_scan_induced(model, region)
+    sub = edge_scan_induced(model, region)
     local_ring = [region.index(v) for v in ring]
     deltas = []
     for sign in (1, -1):
@@ -142,7 +141,7 @@ def _two_table_delta(model, u, ell):
 @given(models(min_pairs=2, convention="pm"), st.data())
 def test_wsm_delta_matches_two_pinned_tables(m, data):
     u = data.draw(st.sampled_from(m.free_vertices))
-    for ell in range(eccentricity(m.graph, u) + 1):  # the last ball leaves an empty ring
+    for ell in range(distances_from(m.graph, u).max() + 1):  # the last ball leaves an empty ring
         ring = boundary(m.graph, ball(m.graph, u, ell))
         if any(v in m.pinning for v in ring):
             with pytest.raises(InputError):
@@ -161,7 +160,7 @@ def _induced_wsm_delta(model, u, ell):
     ring = boundary(model.graph, inside)
     if not ring:
         return 0.0
-    sub = induced_model(model, inside)
+    sub = edge_scan_induced(model, inside)
     energy = oracle._free_energies(sub)
     region = sorted(inside)
     nbr, cpl = model.neighbour_table
@@ -183,7 +182,7 @@ def _ring_cases(m):
     nbr = m.neighbour_table[0]
     cases = []
     for u in range(m.n):
-        for ell in range(eccentricity(m.graph, u)):
+        for ell in range(distances_from(m.graph, u).max()):
             inside = ball(m.graph, u, ell)
             ring = boundary(m.graph, inside)
             touching = [v for v in sorted(inside) if ring & set(nbr[v].tolist())]
