@@ -4,10 +4,12 @@ The measure is mu(sigma) proportional to exp(H(sigma)) with
 H(sigma) = sum_e c_e * sigma_u sigma_v + sum_u h_u sigma_u, either over
 sigma in {-1,+1}^V (convention "pm") or {0,1}^V (convention "01").  Pinning
 lives in the model, not in configurations: a conditional measure is just the
-same model with a larger pinning (``with_pinning``).  The grand coupling, the
-revelation posterior ``edge_tilt(m, t).with_pinning(p)`` and the WSM boundary
-ring all condition this way.  ``_check_spins`` is the one test of the spin
-value set: ``SpinConfiguration`` calls it, and so does
+same model with a larger pinning (``with_pinning``).  The grand coupling and
+the revelation posterior ``edge_tilt(m, t).with_pinning(p)`` condition this
+way.  The WSM boundary ring does not: ``slwsm.wsm_delta`` adds the ring's
+pull on the ball as a linear field term, and the model with the ring pinned
+is only the tests' reference for it.  ``_check_spins`` is the one test of
+the spin value set: ``SpinConfiguration`` calls it, and so does
 ``IsingModel.check_values``, which every chain start and table lookup goes
 through and which also checks the length and the pins.  A start that breaks
 them is rejected, never repaired.  A model builds two tables once and keeps

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as splinalg
 
 from .errors import CapacityError, InputError, ValidationFailure
 from .model import SPIN_VALUES, ZERO_ONE, IsingModel
@@ -45,8 +44,8 @@ BINNING_CAP = 20
 BOOST_CAP = 16
 MLSI_CAP = 10
 PINNING_SWEEP_CAP = 10
-# The sampled sweep holds the (2^n, 1+E+E^2) columns: a 116 MiB peak at n=14
-# on 3-regular graphs, about 4.5x more per two vertices.
+# The sampled sweep holds the (2^n, E) edge events: a 22 MiB peak at n=14 on
+# 3-regular graphs with 1000 codes, most of it per-block Cor2 statistics.
 SAMPLED_SWEEP_CAP = 14
 
 _MAGIC = b"RFIMTBL1"
@@ -276,17 +275,10 @@ def cor2_matrix(table: GibbsTable) -> np.ndarray:
 
     Entry (uv, wz) is mu(wz | uv) - mu(wz) where uv is the event that both
     endpoints of the edge take value 1; rows of zero-probability events are
-    identically zero.
+    identically zero.  The sweep reads its matrices off the same sums.
     """
     z = _edge_event_columns(table)
-    p = table.probs @ z
-    joint = z.T @ (table.probs[:, None] * z)
-    num_edges = z.shape[1]
-    cor = np.zeros((num_edges, num_edges))
-    pos_rows = p > 0.0
-    if pos_rows.any():
-        cor[pos_rows] = joint[pos_rows] / p[pos_rows, None] - p[None, :]
-    return cor
+    return _cor_from_sums(_event_sums(table.probs, z)[None], z.shape[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +384,8 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     routes differ by more than 1e-6 relative: a gap near the absolute floor
     passes the check while its inverse is off by orders of magnitude.
     """
+    from scipy.sparse import linalg as splinalg
+
     energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
     f, size = partners.shape
     root = np.sqrt(probs)
@@ -560,22 +554,29 @@ def _ternary_sums(columns: np.ndarray, lead: int):
     yield sums[:, 0]
 
 
-def _sliced_sums(columns: np.ndarray, weights: np.ndarray, n: int, codes: np.ndarray, chunk: int):
-    """The same sums, of ``weights`` times the rows of ``columns``, for explicit ``codes``.
+def _event_sums(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """[S0, S1, S2] = [sum w, sum w z, z^T (w z)], flattened, over the rows of the events ``z``."""
+    return np.concatenate([w.sum(keepdims=True), w @ z, (z.T @ (w[:, None] * z)).ravel()])
 
-    Each code fixes its pinned axes of the (2,)^n views, axis 0 the highest
-    vertex, and sums the 2^free rows left; ``chunk`` codes go to a block.
+
+def _sliced_sums(weights: np.ndarray, z: np.ndarray, n: int, codes: np.ndarray, chunk: int):
+    """The same sums, by ``_event_sums``, for explicit ``codes``.
+
+    Each code fixes its pinned axes of the (2,)^n views of the weights and of
+    the (2^n, E) edge events ``z``, axis 0 the highest vertex, and sums the
+    2^free rows left; ``chunk`` codes go to a block.
     """
-    cube = columns.reshape((2,) * n + (-1,))
     w = weights.reshape((2,) * n)
+    cube = z.reshape((2,) * n + (-1,))
     for start in range(0, len(codes), chunk):
         digits = (codes[start:start + chunk, None] // 3 ** np.arange(n - 1, -1, -1)) % 3  # (B, n)
         picks = [tuple(d - 1 if d else slice(None) for d in row) for row in digits.tolist()]
-        yield np.array([w[p].reshape(-1) @ cube[p].reshape(-1, columns.shape[1]) for p in picks])
+        yield np.array([_event_sums(w[p].reshape(-1), cube[p].reshape(w[p].size, -1))
+                        for p in picks])
 
 
 def _cor_from_sums(sums: np.ndarray, num_edges: int) -> np.ndarray:
-    """(B, E, E) Cor2 matrices from per-code sums [S0, S1, S2] of the weighted [1, z, z (x) z].
+    """(B, E, E) Cor2 matrices from per-code sums [S0, S1, S2] (``_event_sums``).
 
     Entry (i, j) is mu(j | i) - mu(j) = S2_ij / S1_i - S1_j / S0; rows with
     S1_i = 0 are zero.
@@ -589,15 +590,8 @@ def _cor_from_sums(sums: np.ndarray, num_edges: int) -> np.ndarray:
     return cor
 
 
-def _opnorms(cor: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in the batch."""
-    if not cor.shape[1]:
-        return np.zeros(len(cor))
-    return np.linalg.svd(cor, compute_uv=False)[:, 0]
-
-
 def _live_opnorms(cor: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """``_opnorms`` from each matrix's ``live`` rows and columns alone.
+    """Largest singular value of each matrix, from its ``live`` rows and columns alone.
 
     Deleting a row and a column that are both zero leaves the nonzero
     singular values unchanged, so the codes are grouped by their number k of
@@ -609,7 +603,8 @@ def _live_opnorms(cor: np.ndarray, live: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero(counts == k)
         idx = np.nonzero(live[sel])[1].reshape(len(sel), k)
         block = cor[sel[:, None, None], idx[:, :, None], idx[:, None, :]]
-        out[sel] = np.abs(block[:, 0, 0]) if k == 1 else _opnorms(block)
+        out[sel] = (np.abs(block[:, 0, 0]) if k == 1
+                    else np.linalg.svd(block, compute_uv=False)[:, 0])
     return out
 
 
@@ -620,19 +615,23 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     Pinnings are ternary codes over the vertices (``_pinning_from_code``),
     all 3^n of them by default; pass explicit ``pinning_codes`` for a sampled
     sweep.  At each theta of the grid the configurations weigh
-    exp(H) (1-theta)^{#(1,1)-edges}, and a code's Cor2 matrix is read off the
-    sums S0, S1, S2 of the weighted columns [1, z, z (x) z] (z the edge
-    events) over the configurations consistent with it (``_cor_from_sums``).
+    w = exp(H) (1-theta)^{#(1,1)-edges}, and a code's Cor2 matrix is read
+    off the sums S0, S1, S2 of w [1, z, z (x) z] (z the edge events) over the
+    configurations consistent with it (``_cor_from_sums``), as
+    ``cor2_matrix`` reads its own.  A code whose every weight underflows has
+    S0 = 0 and no matrix: ValidationFailure names theta.
 
-    Exhaustive mode takes the sums of all codes by the ternary zeta transform
+    Exhaustive mode builds the weighted columns w [1, z, z (x) z] for each
+    theta and takes the sums of all codes by the ternary zeta transform
     ``_ternary_sums``, O(3^n (1 + E + E^2)) per theta, in blocks of at most
-    ``chunk`` codes, and runs the SVD on live rows and columns only: an edge
-    with an endpoint pinned to 0, or both pinned to 1, has a zero row and
-    column.  Explicit codes slice off their pinned axes (``_sliced_sums``),
-    O(sum of 2^free (1 + E + E^2)) per theta, with a full SVD; run on
-    ``np.arange(3**n)`` it is the independent check on the transform.  The
+    ``chunk`` codes.  Explicit codes slice their pinned axes off w and off
+    the (2^n, E) events z and sum each slice by ``_event_sums``
+    (``_sliced_sums``), O(sum of 2^free E^2) per theta; run on
+    ``np.arange(3**n)`` it is the independent check on the transform.  Both
+    run the SVD on live rows and columns only: an edge with an endpoint
+    pinned to 0, or both pinned to 1, has a zero row and column.  The
     exhaustive sweep is capped at ``PINNING_SWEEP_CAP`` vertices and the
-    sampled one, which holds all 2^n columns, at ``SAMPLED_SWEEP_CAP``.
+    sampled one at ``SAMPLED_SWEEP_CAP``.
 
     Each statistic is kept per (theta, code) cell.  The report holds its
     maximum, and as argmax the earliest cell (theta in grid order, then code
@@ -671,7 +670,6 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     z = _edge_event_columns(table)  # (configs, E)
     size, num_edges = z.shape
     m_counts = z.sum(axis=1)
-    columns = np.hstack([np.ones((size, 1)), z, (z[:, :, None] * z[:, None, :]).reshape(size, -1)])
 
     stats = np.empty((3, len(thetas), num_codes))  # max row sum, max col sum, opnorm per cell
     per_edge_row = np.zeros(num_edges)
@@ -682,20 +680,21 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
         w = np.exp(log_w - log_w.max())
         if exhaustive:
             lead = n - digits
-            weighted = (columns * w[:, None]).reshape((2,) * lead + (1 << digits, -1))
+            wz = w[:, None] * z
+            wzz = (wz[:, :, None] * z[:, None, :]).reshape(size, -1)
+            weighted = np.hstack([w[:, None], wz, wzz]).reshape((2,) * lead + (1 << digits, -1))
             blocks = _ternary_sums(weighted, lead)
         else:
-            blocks = _sliced_sums(columns, w, n, codes, chunk)
+            blocks = _sliced_sums(w, z, n, codes, chunk)
         start = 0
         for sums in blocks:
+            if not (sums[:, 0] > 0).all():
+                raise ValidationFailure(f"at theta={theta!r} a pinning's weights all underflow")
             cor = _cor_from_sums(sums, num_edges)
             abs_cor = np.abs(cor)
             row_sums = abs_cor.sum(axis=2)  # (B, E)
             col_sums = abs_cor.sum(axis=1)  # (B, E)
-            if exhaustive:
-                opnorms = _live_opnorms(cor, (row_sums > 0) | (col_sums > 0))
-            else:
-                opnorms = _opnorms(cor)
+            opnorms = _live_opnorms(cor, (row_sums > 0) | (col_sums > 0))
             per_edge_row = np.maximum(per_edge_row, row_sums.max(axis=0, initial=0.0))
             per_edge_col = np.maximum(per_edge_col, col_sums.max(axis=0, initial=0.0))
             row_bound = row_sums.max(axis=1, initial=0.0)

@@ -19,10 +19,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-
-import jsonschema
 
 from .errors import InputError, ValidationFailure
 from .graphs import connected_components, connected_ordering, random_regular_graph
@@ -190,31 +189,35 @@ STEP_SCHEMAS = {
 }
 
 
-def _validator(schema: dict) -> jsonschema.Draft202012Validator:
-    """A validator for ``schema``, checked and built once, at import."""
+@cache
+def _validator(kind: str | None):
+    """The validator of step ``kind``, or of the config for None, checked and built on first use.
+
+    jsonschema is imported here, not with the module: only ``run_experiment``
+    validates a schema.
+    """
+    import jsonschema
+
+    schema = CONFIG_SCHEMA if kind is None else STEP_SCHEMAS[kind]
     jsonschema.Draft202012Validator.check_schema(schema)
     return jsonschema.Draft202012Validator(schema)
 
 
-_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
-_STEP_VALIDATORS = {kind: _validator(schema) for kind, schema in STEP_SCHEMAS.items()}
-
-
-def _check(validator: jsonschema.Draft202012Validator, instance) -> None:
-    """Raise the error ``jsonschema.validate`` would raise: the best match among all errors."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 def _validate_config(config: dict) -> None:
+    import jsonschema
+
+    def check(kind, instance):  # raise what jsonschema.validate would: the best match
+        error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(instance))
+        if error is not None:
+            raise error
+
     try:
-        _check(_CONFIG_VALIDATOR, config)
+        check(None, config)
         for i, step in enumerate(config["pipeline"]):
             kind = step.get("kind")
-            if kind not in _STEP_VALIDATORS:
+            if kind not in STEP_SCHEMAS:
                 raise InputError(f"pipeline[{i}].kind: unknown step kind {kind!r}")
-            _check(_STEP_VALIDATORS[kind], step)
+            check(kind, step)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path)
         raise InputError(f"config schema violation at '{path}': {exc.message}") from exc

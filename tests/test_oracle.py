@@ -427,7 +427,7 @@ def test_sweep_checks_inputs_before_enumerating(monkeypatch):
                          ([0.2], {"pinning_codes": [-1]})):
         with pytest.raises(InputError):
             sup_cor2_over_pinnings(m01, grid, **kwargs)
-    # the sampled route holds all 2^n columns, so explicit codes are capped too
+    # the sampled route holds the (2^n, E) edge events, so explicit codes are capped too
     m15 = to_zero_one(uniform_model(path_graph(15), 0.4, np.zeros(15)))
     with pytest.raises(CapacityError):
         sup_cor2_over_pinnings(m15, [0.2], pinning_codes=[0])
@@ -443,8 +443,9 @@ def _free_zero_one(m):
 @given(models(max_n=7).map(_free_zero_one),
        st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2), st.integers(1, 3000), st.data())
 def test_sweep_routes_agree(m01, grid, chunk, data):
-    # Exhaustive mode sums by the ternary transform and runs the SVD on live
-    # edges; explicit codes sum over slices and run the full SVD.
+    # Exhaustive mode sums the weighted columns by the ternary transform;
+    # explicit codes sum slices of the weights and edge events.  Both run the
+    # SVD on live edges.
     exact = sup_cor2_over_pinnings(m01, grid, chunk=chunk)
     sliced = sup_cor2_over_pinnings(m01, grid, pinning_codes=np.arange(3**m01.n), chunk=chunk)
     for key in ("max_row_sum", "max_col_sum", "max_opnorm"):
@@ -469,10 +470,11 @@ def test_sweep_routes_agree(m01, grid, chunk, data):
 
 
 def test_sampled_sweep_holds_no_mask():
-    # The (2^12, 1 + E + E^2) columns and their build take about 25 MiB; any
-    # float array over (codes, 2^12) would add 31 MiB.
-    m01 = to_zero_one(random_field_model(random_regular_graph(12, 3, seed=3), 0.3, seed=4))
-    codes = np.random.default_rng(5).integers(0, 3**12, size=1000)
+    # The (2^14, E) edge events take 2.6 MiB and the per-block Cor2 statistics
+    # of 1000 codes most of the rest; the (2^14, 1 + E + E^2) columns alone
+    # would take 58 MiB, and any float array over (codes, 2^14) 125 MiB.
+    m01 = to_zero_one(random_field_model(random_regular_graph(14, 3, seed=3), 0.3, seed=4))
+    codes = np.random.default_rng(5).integers(0, 3**14, size=1000)
     tracemalloc.start()
     try:
         report = sup_cor2_over_pinnings(m01, [0.0, 0.2, 0.4], pinning_codes=codes)
@@ -480,7 +482,20 @@ def test_sampled_sweep_holds_no_mask():
     finally:
         tracemalloc.stop()
     assert report.matrices_checked == 3000
-    assert peak < 40 << 20
+    assert peak < 24 << 20
+
+
+def test_sweep_refuses_a_pinning_whose_weights_all_underflow():
+    # With fields of +-60 some pinnings allow only configurations more than
+    # 745 nats below the heaviest one, so all their weights round to 0 and
+    # they have no Cor2 matrix; at +-20 every pinning keeps a weight.
+    g = random_regular_graph(8, 3, seed=3)
+    far, near = (to_zero_one(IsingModel.uniform(g, 0.3, h * (-1.0) ** np.arange(8)))
+                 for h in (60.0, 20.0))
+    for codes in (None, np.arange(3**8)):
+        with pytest.raises(ValidationFailure, match="theta=0.3"):
+            sup_cor2_over_pinnings(far, [0.3], pinning_codes=codes)
+        assert sup_cor2_over_pinnings(near, [0.3], pinning_codes=codes).max_row_sum == 5.0
 
 
 def test_fkg_monotone_conditional_means():

@@ -234,6 +234,27 @@ def test_disagreement_containment_cluster_order_on_cycle():
         assert res.contained
 
 
+@given(models(max_n=10, min_pairs=1).map(lambda m: m.graph).filter(lambda g: g.num_edges > 0),
+       st.floats(0.05, 0.5), st.data())
+def test_disagreement_contained_in_the_cluster_on_generated_graphs(g, beta, data):
+    # With K = D beta + 2 a vertex whose |field| exceeds K has a local field
+    # beyond 2 under any neighbour spins and any tilt up to theta*, so its
+    # heat-bath update takes the minority spin with probability below
+    # logistic(-4) < p0 / 4: a closed vertex updates alike in both chains.
+    n, p0 = g.num_vertices, 0.4
+    k = g.max_degree() * beta + 2.0
+    field = np.array(data.draw(st.lists(st.floats(-(k + 2.0), k + 2.0), min_size=n, max_size=n)))
+    theta = data.draw(st.floats(0.0, theta_star(beta)))
+    e = data.draw(st.sampled_from(g.edges))
+    off_edge = [v for v in range(n) if v not in e]
+    pinned = data.draw(st.lists(st.sampled_from(off_edge), unique=True)) if off_edge else []
+    pinning = {v: data.draw(st.integers(0, 1)) for v in pinned}
+    m01 = to_zero_one(IsingModel.uniform(g, beta, field))
+    res = disagreement_experiment(m01, e, theta, pinning, field, k=k, p0=p0,
+                                  seed=data.draw(st.integers(0, 2**32 - 1)), order="cluster")
+    assert res.contained
+
+
 def test_revelation_orders_are_permutations():
     g = cycle_graph(6)
     bfs = revelation_order(g, (0, 1), mode="bfs")
