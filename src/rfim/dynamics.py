@@ -22,7 +22,7 @@ into each neighbour's key through ``flips[v]``.  No step sums a field or
 calls the logistic.  The table caps at ``HEAT_BATH_TABLE_CAP`` entries and
 raises CapacityError above it.
 
-``_heat_bath_update`` is the one vectorised kernel, under replica batches,
+``_heat_bath_update`` is the float replica kernel, under replica batches,
 the monotone batch coupling and sampler stages.  It takes P(one) from the
 table's rule, ``model._heat_bath_probability``, over v's whole row; padding
 slots add c = 0 times a spin, +-0.0, so it equals the table's entry bit for
@@ -32,6 +32,22 @@ zero-padded matrix is why the sampler calls ``_heat_bath_run`` directly,
 which checks nothing.  Every public chain checks its start with
 ``IsingModel.check_values`` and never repairs it.  Pinned vertices hold
 their value and are never chosen.
+
+When the f updated vertices are few, a batch runs on codes instead: each
+replica's spins on them are one int64, and ``_code_table`` gives P(one) for
+every code and updated vertex, each vertex outside the set holding one value
+in every row (a pin, or an unstaged 0).  A step is a gather, a compare and a
+bit set.  It is bit-identical to the float kernel: the table sums the same
+products of the same floats through the same rule in the same slot order,
+and ``_coded_steps`` reads the same draws in the same order.  The size rule
+``_codes_fit`` codes while f * 2^f <= min(R * steps, HEAT_BATH_TABLE_CAP),
+so f <= 16.  It was set on the staged sampler, float kernel against codes
+at factors 1/4 to 8 of R * steps (median ms per call, 2-core Xeon):
+3x4 pm, R = 20,000, k* = 8, 89 -> 34 at every factor from 1/2 up;
+4x4 01, R = 20,000, k* = 10, 160-165 -> 78-80 at 1 and 2, 93-98 at 4 and
+124-132 at 8, where 2^16 x 16 tables cost more than they save; 12x12 pm,
+R = 64, k* = 12, codes to stage 6, equal within noise at every factor;
+a 2-path, R = 10^5, k* = 1024, 3.0 -> 1.6 s.
 
 The grand coupling halves each chain's Gibbs table in revelation order.  A
 chain keeps the probabilities of the configurations consistent so far, in
@@ -49,6 +65,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import (
+    HEAT_BATH_TABLE_CAP,
     SPIN_VALUES,
     IsingModel,
     SpinConfiguration,
@@ -146,6 +163,99 @@ def _heat_bath_run(model: IsingModel, values: np.ndarray, free: np.ndarray, step
     return snapshots
 
 
+def _codes_fit(f: int, work: int) -> bool:
+    """Whether a batch updating f vertices for ``work`` replica updates runs on codes:
+    f * 2^f <= min(work, HEAT_BATH_TABLE_CAP), so f <= 16 and a code fits an int64.
+    The module docstring gives the measurements that set the factor 1 on ``work``."""
+    return f * (1 << f) <= min(work, HEAT_BATH_TABLE_CAP)
+
+
+def _code_table(model: IsingModel, coded: np.ndarray, updated: np.ndarray,
+                outside: np.ndarray) -> np.ndarray:
+    """P(one) of vertex ``updated[i]`` when bit b of the code c holds the spin of
+    ``coded[b]``, as entry (c, i) of a (2^f, len(updated)) array, f = len(coded).
+
+    ``updated`` lies within ``coded``; a neighbour outside it reads its value
+    in the spin vector ``outside``.  The terms are ``_heat_bath_update``'s, one
+    per slot of the padded row, products of the same floats added in the same
+    order, so every entry equals the replica kernel's P(one) bit for bit.
+    Neighbours are gathered through their bit positions, so the build holds
+    O(2^f * f) floats whatever n is.
+    """
+    one, zero = SPIN_VALUES[model.convention]
+    coded = np.asarray(coded, dtype=np.int64)
+    updated = np.asarray(updated, dtype=np.int64)
+    nbr, cpl = (a.take(updated, axis=0) for a in model.neighbour_table)
+    sorter = np.argsort(coded)
+    bit = sorter[np.searchsorted(coded, nbr, sorter=sorter).clip(max=len(coded) - 1)]
+    inside = coded[bit] == nbr
+    spins = np.where(np.arange(1 << len(coded))[:, None] >> np.arange(len(coded)) & 1,
+                     float(one), float(zero))
+
+    def terms():  # one (2^f, len(updated)) term alive at a time
+        for j in range(nbr.shape[1]):
+            x = spins.take(bit[:, j], axis=1)
+            out = ~inside[:, j]
+            x[:, out] = outside.take(nbr[out, j])
+            x *= cpl[:, j]
+            yield x
+
+    field = np.repeat(model.field.take(updated)[None, :], 1 << len(coded), axis=0)
+    return _heat_bath_probability(model.convention, field, terms())
+
+
+def _encode(values: np.ndarray, coded: np.ndarray, one: float) -> np.ndarray:
+    """Per row of ``values``, the int64 code whose bit b is set iff ``coded[b]`` holds 'one'."""
+    codes = np.zeros(len(values), dtype=np.int64)
+    for b, v in enumerate(coded.tolist()):
+        codes |= (values[:, v] == one).astype(np.int64) << b
+    return codes
+
+
+def _decode(codes: np.ndarray, coded: np.ndarray, values: np.ndarray, one, zero) -> None:
+    """Write the spins of ``codes`` into the ``coded`` columns of ``values``, a column at a time."""
+    for b, v in enumerate(coded.tolist()):
+        values[:, v] = (codes >> b & 1) * (one - zero) + zero
+
+
+def _coded_steps(table: np.ndarray, bitpos: np.ndarray, codes: np.ndarray, steps: int,
+                 rng: np.random.Generator) -> None:
+    """Advance ``codes`` in place by ``steps`` heat-bath updates, drawing per step
+    every replica's column j of ``table``, then its uniform, as ``_heat_bath_run``
+    draws its index into the free list; the update sets bit ``bitpos[j]``."""
+    replicas, f = len(codes), table.shape[1]
+    probs = table.ravel()
+    masks = np.left_shift(1, bitpos.astype(np.int64))
+    for _ in range(steps):
+        j = rng.integers(f, size=replicas)
+        u = rng.random(replicas)
+        m = masks.take(j)
+        new = u <= probs.take(codes * f + j)
+        codes &= ~m
+        codes |= new * m
+
+
+def _heat_bath_coded_run(model: IsingModel, values: np.ndarray, free: np.ndarray, steps: int,
+                         rng: np.random.Generator, snapshot_steps=()) -> dict:
+    """``_heat_bath_run`` on int64 codes over ``free``, bit for bit; every vertex
+    outside ``free`` must hold the same value in each row.  Encodes once, decodes
+    into ``values`` at each snapshot step and at the end."""
+    one, zero = SPIN_VALUES[model.convention]
+    table = _code_table(model, free, free, values[0])
+    bitpos = np.arange(len(free))
+    codes = _encode(values, free, one)
+    want = set(int(s) for s in snapshot_steps)
+    snapshots = {}
+    done = 0
+    for k in sorted(s for s in want | {steps} if 0 <= s <= steps):
+        _coded_steps(table, bitpos, codes, k - done, rng)
+        done = k
+        _decode(codes, free, values, one, zero)
+        if k in want:
+            snapshots[k] = values.copy()
+    return snapshots
+
+
 def _scalar_run(model: IsingModel, values: list, steps: int, seed: int, chain_index: int,
                 record_every: int | None = None) -> list | None:
     """Advance the spin list ``values`` in place by ``steps`` updates of chain
@@ -223,14 +333,21 @@ def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, see
     ``model.check_values``, so starts are checked, never repaired.  One
     substream feeds the whole batch; replica r reads column r of each per-step
     draw, so the run is deterministic given (seed, stream_path).  Snapshots are
-    copies of the state matrix taken after the requested step counts.
+    copies of the state matrix taken after the requested step counts, each
+    between 0 and ``steps``.  A batch whose free set is small for its work
+    runs on codes (``_codes_fit``) with the same draws and the same output.
     """
+    if steps < 0:
+        raise InputError("steps must be nonnegative")
+    if any(not 0 <= int(s) <= steps for s in snapshot_steps):
+        raise InputError(f"snapshot steps must lie between 0 and steps = {steps}")
     values = np.array(model.check_values(init_values), dtype=np.float64, order="C")
     if values.ndim != 2:
         raise InputError("init_values must have shape (replicas, n)")
     free = _free_vertices(model)
-    snapshots = _heat_bath_run(model, values, free, steps,
-                               substream(seed, COUPLING, *stream_path), snapshot_steps)
+    run = _heat_bath_coded_run if _codes_fit(len(free), len(values) * steps) else _heat_bath_run
+    snapshots = run(model, values, free, steps, substream(seed, COUPLING, *stream_path),
+                    snapshot_steps)
     return values, snapshots
 
 
@@ -289,6 +406,8 @@ def monotone_coupled_batch(model: IsingModel, steps: int, runs: int, seed: int) 
     Each run's count of disagreeing sites is updated as its step changes it,
     so a step costs O(runs * degree).
     """
+    if steps < 0 or runs < 0:
+        raise InputError("steps and runs must be nonnegative")
     if not model.ferromagnetic:
         raise InputError("monotone coupling requires a ferromagnetic model")
     n = model.n
@@ -394,6 +513,8 @@ def empirical_tv_curve(model: IsingModel, init: SpinConfiguration, step_grid,
     grid = sorted(set(int(s) for s in step_grid))
     if not grid:
         raise InputError("the step grid is empty")
+    if grid[0] < 0:
+        raise InputError("grid steps must be nonnegative")
     init_vals = np.tile(_config_values(model, init).astype(np.float64), (replicas, 1))
     table = gibbs_table(model)
     _, snapshots = run_chains_batch(model, init_vals, max(grid), seed, snapshot_steps=grid)

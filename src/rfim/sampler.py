@@ -9,6 +9,13 @@ nothing to a local field in either convention, and each stage updates only
 the staged vertices, so no induced model is built.  Stage 1 is exact; every
 other stage is a chain from a warm start.  Disconnected graphs are staged one
 component at a time in the same matrix; no edge joins two components.
+
+While a component's prefix is small for the stage's work (``_codes_fit``),
+its stages keep each replica's prefix spins as one int64 code, bit i the
+spin of the i-th vertex staged: a stage sets the new vertex's bit, builds
+the prefix's P(one) table and runs k* coded steps, bit-identical to the
+float kernel.  The codes are decoded into the matrix once, at the end of the
+component or at the one stage from which its tables would be too large.
 """
 
 from __future__ import annotations
@@ -35,7 +42,14 @@ from .model import (
     model_to_json_dict,
     sample_field,
 )
-from .dynamics import _heat_bath_run
+from .dynamics import (
+    _code_table,
+    _coded_steps,
+    _codes_fit,
+    _decode,
+    _encode,
+    _heat_bath_run,
+)
 from .oracle import empirical_tv, gibbs_table
 from .percolation import gap_certificate
 from .rng import COUPLING, SAMPLER, substream
@@ -74,27 +88,47 @@ def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas:
     """Many independent runs advanced in lockstep; rows are final configurations."""
     if model.pinning:
         raise InputError("the incremental sampler expects an unpinned model")
+    if replicas < 0:
+        raise InputError("replicas must be nonnegative")
     start = time.perf_counter()
     k = config.k_star(model.n)  # every stage's step count comes from the whole graph
     one, zero = SPIN_VALUES[model.convention]
     state = np.zeros((replicas, model.n))  # vertices not yet staged hold 0
+    absent = np.zeros(model.n)
     stage_steps: list[int] = []
     full_order: list[int] = []
     for ci, comp in enumerate(connected_components(model.graph)):
-        order = connected_ordering(model.graph, config.ordering_seed + ci, comp)
-        full_order.extend(order)
-        staged = np.zeros(model.n, dtype=bool)
-        for stage, v_new in enumerate(order, start=1):
+        order = np.array(connected_ordering(model.graph, config.ordering_seed + ci, comp))
+        full_order.extend(order.tolist())
+        codes = None  # while the prefix is small, bit i holds the spin of order[i]
+        for stage, v_new in enumerate(order.tolist(), start=1):
             rng = substream(config.seed, SAMPLER, ci, stage)
             p_one = _heat_bath_probability(model.convention, model.field[v_new])
-            state[:, v_new] = np.where(rng.random(replicas) <= p_one, one, zero)
-            staged[v_new] = True
+            new = rng.random(replicas) <= p_one
+            if codes is None:
+                state[:, v_new] = np.where(new, one, zero)
+            else:
+                codes |= new.astype(np.int64) << (stage - 1)
             if stage == 1:
                 stage_steps.append(0)  # the first spin is an exact sample
                 continue
-            _heat_bath_run(model, state, np.flatnonzero(staged), k,
-                           substream(config.seed, COUPLING, SAMPLER, ci, stage))
+            staged = order[:stage]
+            fits = _codes_fit(stage, replicas * k)  # false from some stage on, if ever
+            if codes is None and fits and stage == 2:
+                codes = _encode(state, staged, one)
+            elif codes is not None and not fits:
+                _decode(codes, staged, state, one, zero)
+                codes = None
+            stream = substream(config.seed, COUPLING, SAMPLER, ci, stage)
+            if codes is None:
+                _heat_bath_run(model, state, np.sort(staged), k, stream)
+            else:
+                bitpos = np.argsort(staged)  # the ascending free list's bits
+                table = _code_table(model, staged, staged[bitpos], absent)
+                _coded_steps(table, bitpos, codes, k, stream)
             stage_steps.append(k)
+        if codes is not None:
+            _decode(codes, order, state, one, zero)
     report = RunReport(stage_steps=tuple(stage_steps), total_updates=int(sum(stage_steps)),
                        wall_time=time.perf_counter() - start, ordering=tuple(full_order),
                        replicas=replicas)

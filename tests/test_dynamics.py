@@ -333,6 +333,36 @@ def test_batch_runner_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_batch_rejects_a_negative_step_count():
+    m = random_field_model(path_graph(3), 0.4, seed=3)
+    with pytest.raises(InputError):
+        run_chains_batch(m, np.ones((2, 3)), -3, seed=1)
+    final, snapshots = run_chains_batch(m, np.ones((0, 3)), 4, seed=1)  # an empty batch runs
+    assert final.shape == (0, 3) and snapshots == {}
+
+
+def test_batch_rejects_a_snapshot_past_its_steps():
+    m = random_field_model(path_graph(3), 0.4, seed=3)
+    with pytest.raises(InputError):
+        run_chains_batch(m, np.ones((2, 3)), 5, seed=1, snapshot_steps=(7,))
+    with pytest.raises(InputError):
+        run_chains_batch(m, np.ones((2, 3)), 5, seed=1, snapshot_steps=(-1,))
+
+
+def test_coupled_batch_rejects_negative_sizes():
+    m = random_field_model(path_graph(3), 0.4, seed=3)
+    with pytest.raises(InputError):
+        monotone_coupled_batch(m, -2, 3, 1)
+    with pytest.raises(InputError):
+        monotone_coupled_batch(m, 2, -3, 1)
+
+
+def test_tv_curve_rejects_a_negative_step(p3_symmetric):
+    with pytest.raises(InputError):
+        empirical_tv_curve(p3_symmetric, SpinConfiguration([1, 1, 1], "pm"), [-1, 3],
+                           replicas=10, seed=1)
+
+
 def test_batch_checks_its_start_and_never_repairs_it():
     m01 = to_zero_one(random_field_model(grid_graph(2, 3), 0.4, seed=3))
     with pytest.raises(InputError):  # a -1 on a 01 model

@@ -157,6 +157,45 @@ def test_coupled_batch_keeps_order_at_every_step(m, seed):
     assert report["final_disagreements"] == int((lows[steps] != highs[steps]).any(axis=1).sum())
 
 
+@settings(max_examples=60, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(models(min_pairs=2), st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(0, 30),
+       st.data())
+def test_coded_run_equals_the_float_kernel(m, seed, replicas, steps, data):
+    values = random_states(m, replicas, seed)
+    snapshot_steps = data.draw(st.lists(st.integers(0, steps), max_size=4))
+    free = dynamics._free_vertices(m)
+    # every table entry is the float kernel's P(one), bit for bit, at each start row
+    table = dynamics._code_table(m, free, free, values[0])
+    codes = dynamics._encode(values, free, SPIN_VALUES[m.convention][0])
+    for j, v in enumerate(free):
+        assert kernel_probability_is(m, values, np.full(replicas, v), table[codes, j]).all()
+    floats, coded = values.copy(), values.copy()
+    want = dynamics._heat_bath_run(m, floats, free, steps, substream(seed, COUPLING),
+                                   snapshot_steps)
+    got = dynamics._heat_bath_coded_run(m, coded, free, steps, substream(seed, COUPLING),
+                                        snapshot_steps)
+    assert np.array_equal(floats, coded)
+    assert want.keys() == got.keys()
+    assert all(np.array_equal(want[k], got[k]) for k in want)
+
+
+def test_code_table_build_stays_local():
+    # a 14-vertex path among 50,000 vertices: a (2^14, n) array would take 6.5 GB
+    n, path = 50_000, np.arange(20_000, 20_014)
+    m = IsingModel.uniform(build_graph(n, list(zip(path[:-1], path[1:]))), 0.4,
+                           np.linspace(-1.0, 1.0, n))
+    m.neighbour_table
+    outside = np.zeros(n)
+    tracemalloc.start()
+    try:
+        table = dynamics._code_table(m, path, path, outside)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1 << 14, 14)
+    assert peak < 16 << 20
+
+
 @settings(max_examples=60)
 @given(models(min_pairs=2))
 def test_table_entries_are_row_order_sums(m):

@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -234,6 +234,9 @@ def test_disagreement_containment_cluster_order_on_cycle():
         assert res.contained
 
 
+# No shrink or explain phase: they took two minutes to report a failure that
+# generation finds in a second.
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(models(max_n=10, min_pairs=1).map(lambda m: m.graph).filter(lambda g: g.num_edges > 0),
        st.floats(0.05, 0.5), st.data())
 def test_disagreement_contained_in_the_cluster_on_generated_graphs(g, beta, data):

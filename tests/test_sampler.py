@@ -17,10 +17,12 @@ from rfim import (
     path_graph,
     run_experiment,
     sample_field,
+    to_zero_one,
     validated_incremental_sample,
     warm_start_density_bound,
     warm_start_tv_bound,
 )
+from rfim import sampler as sampler_module
 from rfim.model import model_to_json_dict
 from rfim.oracle import empirical_tv
 from rfim.sampler import CONFIG_SCHEMA, STEP_SCHEMAS, _validate_config
@@ -86,6 +88,33 @@ def test_disconnected_graph_runs_per_component():
     assert sorted(report.ordering) == [0, 1, 2, 3]
     tv = empirical_tv(gibbs_table(m), values)
     assert tv <= 0.02
+
+
+@pytest.mark.parametrize("convention", ["pm", "01"])
+@pytest.mark.parametrize("edges, n, c_star, replicas", [
+    ([(0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 5), (5, 6), (6, 7)],
+     8, 0.5, 50),  # 2x4 grid, k* = 3: codes to stage 4, the float kernel from stage 5
+    ([(0, 1), (1, 2), (4, 5), (5, 6), (6, 7), (4, 7)], 8, 1.0, 400),  # path, isolated, cycle
+])
+def test_coded_stages_equal_the_float_kernel(monkeypatch, convention, edges, n, c_star,
+                                             replicas):
+    m = random_field_model(build_graph(n, edges), 0.7, seed=19)
+    m = m if convention == "pm" else to_zero_one(m)
+    config = SamplerConfig(c_star=c_star, seed=20, ordering_seed=3)
+    coded, report = incremental_sample_batch(m, config, replicas)
+    monkeypatch.setattr(sampler_module, "_codes_fit", lambda f, work: False)
+    floats, float_report = incremental_sample_batch(m, config, replicas)
+    assert np.array_equal(coded, floats)
+    assert report.stage_steps == float_report.stage_steps
+    assert report.ordering == float_report.ordering
+
+
+def test_sampler_rejects_a_negative_replica_count():
+    m = random_field_model(path_graph(3), 0.5, seed=13)
+    with pytest.raises(InputError):
+        incremental_sample_batch(m, SamplerConfig(c_star=1.0, seed=14), -1)
+    values, report = incremental_sample_batch(m, SamplerConfig(c_star=1.0, seed=14), 0)
+    assert values.shape == (0, 3) and report.replicas == 0
 
 
 def test_validated_sampler_needs_a_sample():
