@@ -12,11 +12,14 @@ at each free vertex, and ``_normalise`` alone turns energies into
 probabilities and log Z, for one table (``_table``) or for a batch of them
 along an axis.  The spectral routines share one
 single-flip enumeration, ``_single_flips``, and each builds its own weights.
-The single-flip operators are CSR matrices with f+1 nonzeros per row.
-``glauber_gap`` reads the gap two independent ways, both by ARPACK (``eigsh``)
-from the fixed start ``_start_vector``: from the symmetrized transition
-matrix, and from the Dirichlet form against the variance; up to 128
-configurations both run dense solvers on the same matrices instead.  Its
+The single-flip operators are CSR matrices with f+1 nonzeros per row, each
+built in one ``_single_flip_csr`` call with no sparse products; the
+heat-bath move probability is written once, in ``_moves``.  ``glauber_gap``
+reads the gap two independent ways, both by ARPACK (``eigsh``) from the fixed
+start ``_start_vector``: from the symmetrized transition matrix with its
+known top eigenpair (1, sqrt(mu)) deflated, and from the variance-normalised
+Dirichlet form with sqrt(mu) lifted to 1; up to 128 configurations both run
+dense solvers on the same matrices instead.  Its
 report also carries the approximate-tensorization constant, which for
 heat-bath Glauber is exactly 1/(f * gap), so no routine here builds a dense
 2^f x 2^f matrix above that size.  Everything here is deterministic and
@@ -323,26 +326,54 @@ def _single_flip_csr(partners: np.ndarray, off: np.ndarray, diag: np.ndarray) ->
     return sparse.csr_array((np.vstack([off, diag]).ravel(), (rows, cols)), shape=(size, size))
 
 
-def _transition(energy: np.ndarray, partners: np.ndarray) -> sparse.csr_array:
-    """Heat-bath transition matrix over the single flips ``partners``, as CSR."""
-    f = len(partners)
-    # move prob = mu(partner)/(mu(here)+mu(partner)), stable logistic form
+def _moves(energy: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """Heat-bath move probabilities, shape (f, configs), over the single flips ``partners``.
+
+    Entry (j, x) is the chance that a step picks free vertex j and moves x to
+    y = partners[j, x]: mu(y)/(mu(x)+mu(y)) / f, in stable logistic form.
+    """
     with np.errstate(over="ignore"):
         move = 1.0 / (1.0 + np.exp(energy - energy[partners]))
-    move /= f
+    move /= len(partners)
+    return move
+
+
+def _transition(energy: np.ndarray, partners: np.ndarray) -> sparse.csr_array:
+    """Heat-bath transition matrix over the single flips ``partners``, as CSR."""
+    move = _moves(energy, partners)
     return _single_flip_csr(partners, move, 1.0 - move.sum(axis=0))
 
 
+def _symmetrized_transition(energy: np.ndarray, root: np.ndarray,
+                            partners: np.ndarray) -> sparse.csr_array:
+    """S = D^1/2 P D^-1/2, as CSR, with D = diag(mu), ``root`` = sqrt(mu) and P the transition.
+
+    Off-diagonals are move * sqrt(mu(x)) / sqrt(mu(y)); reversibility makes
+    them symmetric, and each is averaged with its partner's entry so that
+    they are so exactly.  The diagonal is P's.
+    """
+    move = _moves(energy, partners)
+    off = move * root / root[partners]
+    off += np.take_along_axis(off, partners, axis=1)
+    off *= 0.5
+    return _single_flip_csr(partners, off, 1.0 - move.sum(axis=0))
+
+
 def _dirichlet_matrix(energy: np.ndarray, log_z: float, partners: np.ndarray) -> sparse.csr_array:
-    """PSD matrix A, as CSR, with phi^T A phi equal to the Glauber Dirichlet form.
+    """D^-1/2 A D^-1/2, as CSR, with phi^T A phi the Glauber Dirichlet form and D = diag(mu).
 
     The form is (1/(2f)) * sum over ordered single-flip pairs of
-    mu(x)mu(y)/(mu(x)+mu(y)) (phi(x)-phi(y))^2, built directly from the
-    weights rather than from the transition matrix.
+    w = mu(x)mu(y)/(mu(x)+mu(y)) (phi(x)-phi(y))^2, so A has -w off the
+    diagonal and the row sums of w on it; both are taken from the weights,
+    not from the transition matrix, and divided by sqrt(mu(x) mu(y)) as they
+    are built.  In psi = sqrt(mu) phi the variance of a centred phi is
+    |psi|^2, so the gap is the lowest eigenvalue orthogonal to sqrt(mu).
     """
     log_w = energy + energy[partners] - np.logaddexp(energy, energy[partners]) - log_z
     w = np.exp(log_w) / len(partners)
-    return _single_flip_csr(partners, -w, w.sum(axis=0))
+    probs = np.exp(energy - log_z)
+    root = np.sqrt(probs)
+    return _single_flip_csr(partners, -w / (root * root[partners]), w.sum(axis=0) / probs)
 
 
 def _start_vector(size: int) -> np.ndarray:
@@ -358,23 +389,34 @@ def _start_vector(size: int) -> np.ndarray:
 def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralReport:
     """Spectral gap computed two independent ways and cross-checked.
 
-    (a) 1 minus the second-largest eigenvalue of the CSR transition matrix P,
-    symmetrized by the reversibility similarity transform to S, by ARPACK
-    (``eigsh``, k=2, largest algebraic), read off as the Rayleigh quotient of
-    I - S at that eigenvalue's Ritz vector.  (b) The smallest value of the
-    Dirichlet form against the variance over non-constant functions, i.e. the
-    lowest eigenvalue of D^-1/2 A D^-1/2 (A from ``_dirichlet_matrix``,
-    D = diag(mu)) orthogonal to sqrt(mu), by ARPACK (k=1, smallest algebraic)
-    with sqrt(mu) lifted to eigenvalue 2, read off as the quotient at the
-    Ritz vector.  The routes share no matrix.  (Single-vector LOBPCG stalls
-    on the clustered spectra of strong fields, f eigenvalues within 2e-4 of
-    the gap at fields of +-5, and then misses the cross-check.)  Both solvers
-    start from the fixed ``_start_vector`` with 3f Lanczos vectors, so
-    repeated calls return the same bits and such clusters do not stall the
-    restarts.  Up to 128 configurations, where dense is faster, both routes
-    run dense ``eigvalsh`` on the same two matrices.  Raises
-    ValidationFailure if the routes disagree beyond 1e-9 (or either is NaN);
-    pass ``cross_validate=False`` to skip route (b) in bulk certificate scans.
+    (a) 1 minus the second-largest eigenvalue of the transition matrix P,
+    symmetrized by the reversibility similarity transform to S
+    (``_symmetrized_transition``).  The top eigenpair of S is known, 1 at
+    sqrt(mu), so ARPACK (``eigsh``, k=1, largest algebraic) runs on the
+    deflated x -> S x - sqrt(mu) (sqrt(mu) . x), whose largest eigenvalue is
+    lambda_2; the gap is the Rayleigh quotient of I - S at its Ritz vector.
+    (b) The smallest value of the Dirichlet form against the variance over
+    non-constant functions, i.e. the lowest eigenvalue of D^-1/2 A D^-1/2
+    (``_dirichlet_matrix``, D = diag(mu)) orthogonal to sqrt(mu), by ARPACK
+    (k=1, smallest algebraic) with sqrt(mu) lifted from 0 to 1, read off as
+    the quotient at the Ritz vector.  Heat-bath P is an average of
+    mu-orthogonal projections, so it is positive semidefinite and the
+    spectrum of I - S lies in [0, 1]: a lift to 1 keeps sqrt(mu) off the
+    bottom, and unlike a lift to 2 it does not double the spread Lanczos
+    must cover.  Both matrices are built directly in CSR, and the routes
+    share none.  (Single-vector LOBPCG stalls on the clustered spectra of
+    strong fields, f eigenvalues within 2e-4 of the gap at fields of +-5,
+    and then misses the cross-check.)  Both solvers start from the fixed
+    ``_start_vector`` with 3f Lanczos vectors, so repeated calls return the
+    same bits and such clusters do not stall the restarts.  Matvecs per gap,
+    before the deflation and the lower lift -> now, route (a) / route (b):
+    on the pipeline's n=10 models with +-5 fields (20 models), 235 / 121 ->
+    109 / 114 on average; on two n=12 models at beta 1.5 with +-5 fields,
+    797 / 199 and 698 / 199 -> 181 / 199 and 181 / 181.  Up to 128
+    configurations, where dense is faster, both routes run dense
+    ``eigvalsh`` on the same two matrices.  Raises ValidationFailure if the
+    routes disagree beyond 1e-9 (or either is NaN); pass
+    ``cross_validate=False`` to skip route (b) in bulk certificate scans.
 
     The report also carries the approximate-tensorization constant
     sup_phi Var(phi) / sum_i E[Var(phi | X_{-i})].  Each heat-bath resampling
@@ -389,12 +431,16 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
     f, size = partners.shape
     root = np.sqrt(probs)
-    sym = sparse.diags_array(root) @ _transition(energy, partners) @ sparse.diags_array(1.0 / root)
-    sym = 0.5 * (sym + sym.T)
+    sym = _symmetrized_transition(energy, root, partners)
     iterative = size > 128
     if iterative:
-        vals, vecs = splinalg.eigsh(sym, k=2, which="LA", ncv=3 * f, v0=_start_vector(size))
-        ritz = vecs[:, vals.argmin()]  # unit norm; the quotient avoids cancelling in 1 - lambda_2
+        def deflated(x):  # sqrt(mu), eigenvalue 1, goes to 0, so lambda_2 is the largest
+            x = x.ravel()
+            return sym @ x - root * (root @ x)
+
+        op = splinalg.LinearOperator(sym.shape, matvec=deflated, dtype=np.float64)
+        _, vecs = splinalg.eigsh(op, k=1, which="LA", ncv=3 * f, v0=_start_vector(size))
+        ritz = vecs[:, 0]  # unit norm; the quotient avoids cancelling in 1 - lambda_2
         gap = float(ritz @ (ritz - sym @ ritz))
     else:
         gap = float(1.0 - np.linalg.eigvalsh(sym.toarray())[-2])
@@ -403,13 +449,11 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     if not cross_validate:
         return SpectralReport(gap=gap, at_variance_constant=at, notes=notes)
 
-    # In psi = sqrt(mu) phi the variance of a centred phi is |psi|^2.
-    inv_root = sparse.diags_array(1.0 / root)
-    form = inv_root @ _dirichlet_matrix(energy, log_z, partners) @ inv_root
+    form = _dirichlet_matrix(energy, log_z, partners)
     if iterative:
         def lifted(x):  # the spectrum lies in [0, 1], so the gap becomes the lowest eigenvalue
             x = x.ravel()
-            return form @ x + 2.0 * root * (root @ x)
+            return form @ x + root * (root @ x)
 
         op = splinalg.LinearOperator(form.shape, matvec=lifted, dtype=np.float64)
         _, vecs = splinalg.eigsh(op, k=1, which="SA", ncv=3 * f, v0=_start_vector(size))

@@ -3,8 +3,9 @@
 ``rfim.oracle`` computes the Glauber gap on sparse operators and reads the
 approximate-tensorization (AT) constant off it as 1/(f * gap).  The routines
 here build the full 2^f x 2^f matrices instead, so tests can check the sparse
-routes against an independent dense computation.  Their memory grows as 4^f
-and their time as 8^f, hence ``DENSE_CAP``.
+routes, the gap and the AT constant, against an independent dense
+computation.  Their memory grows as 4^f and their time as 8^f, hence
+``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,23 @@ def transition_matrix(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """
     energy, probs, _, partners = _single_flips(model, DENSE_CAP)
     return _transition(energy, partners).toarray(), probs
+
+
+def symmetrized_eigenvalues(model: IsingModel) -> np.ndarray:
+    """Ascending eigenvalues of the dense transition matrix, symmetrized by sqrt(mu).
+
+    Reversibility makes D^1/2 P D^-1/2 symmetric, with D = diag(mu); it is
+    averaged with its transpose so that it is so exactly.
+    """
+    p_mat, probs = transition_matrix(model)
+    root = np.sqrt(probs)
+    sym = p_mat * (root[:, None] / root[None, :])
+    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+
+
+def dense_gap(model: IsingModel) -> float:
+    """1 - lambda_2 of the symmetrized dense transition matrix."""
+    return float(1.0 - symmetrized_eigenvalues(model)[-2])
 
 
 def at_variance_constant(model: IsingModel) -> float:

@@ -248,18 +248,20 @@ def test_gap_past_the_dense_reference_cap():
     assert report.at_variance_constant == 1.0 / (13 * report.gap)
 
 
-def _dense_gap(m):
-    """1 - lambda_2 of the symmetrized dense transition matrix."""
-    p_mat, probs = dense_reference.transition_matrix(m)
-    root = np.sqrt(probs)
-    sym = p_mat * (root[:, None] / root[None, :])
-    return 1.0 - np.linalg.eigvalsh(0.5 * (sym + sym.T))[-2]
-
-
 @settings(max_examples=30)
 @given(models(max_n=8))
 def test_gap_matches_dense_eigenvalues(m):
-    assert abs(glauber_gap(m).gap - _dense_gap(m)) <= 1e-12
+    assert abs(glauber_gap(m).gap - dense_reference.dense_gap(m)) <= 1e-12
+
+
+def test_gap_matches_dense_eigenvalues_on_a_clustered_spectrum():
+    # Fields of +-5 all but freeze each spin, so the ten single-site
+    # relaxations crowd next to lambda_2; ARPACK must still resolve it.
+    field = sample_field(FieldDistribution.two_point(5.0), 10, 102).values
+    m = IsingModel.uniform(random_regular_graph(10, 3, 2), 0.5, field)
+    eigenvalues = dense_reference.symmetrized_eigenvalues(m)
+    assert (eigenvalues[:-1] >= eigenvalues[-2] - 2e-4).sum() >= 10
+    assert abs(glauber_gap(m).gap - (1.0 - eigenvalues[-2])) <= 1e-12
 
 
 def test_gap_repeats_bit_for_bit():
@@ -276,6 +278,18 @@ def test_gap_cross_check_is_live(monkeypatch):
         return dirichlet(energy, log_z, partners) * 1.01
 
     monkeypatch.setattr(oracle, "_dirichlet_matrix", scaled)
+    for n in (6, 8):  # 64 configurations run dense, 256 run ARPACK
+        with pytest.raises(ValidationFailure):
+            glauber_gap(random_field_model(random_regular_graph(n, 3, 9), 0.4, seed=10))
+
+
+def test_gap_eigenvalue_route_is_live(monkeypatch):
+    symmetrized = oracle._symmetrized_transition
+
+    def scaled(energy, root, partners):
+        return symmetrized(energy, root, partners) * 1.01
+
+    monkeypatch.setattr(oracle, "_symmetrized_transition", scaled)
     for n in (6, 8):  # 64 configurations run dense, 256 run ARPACK
         with pytest.raises(ValidationFailure):
             glauber_gap(random_field_model(random_regular_graph(n, 3, 9), 0.4, seed=10))
