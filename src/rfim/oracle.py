@@ -303,7 +303,9 @@ def _single_flips(model: IsingModel, cap: int):
     Returns (energies, probabilities, log Z, partners) where row j of the
     ``(f, configs)`` array ``partners`` is ``idx ^ (1 << j)``: each config
     with free bit j flipped.  Raises CapacityError above ``cap`` free
-    vertices and InputError when there are none.
+    vertices and InputError when there are none.  Raises ValidationFailure,
+    naming how many, when some configuration's probability underflows to 0,
+    before any solver divides by it.
     """
     f = len(model.free_vertices)
     if f > cap:
@@ -312,6 +314,8 @@ def _single_flips(model: IsingModel, cap: int):
         raise InputError("model has no free vertices")
     energy = _free_energies(model)
     table = _table(model, energy)
+    if underflowed := int(np.count_nonzero(table.probs == 0)):
+        raise ValidationFailure(f"{underflowed} of {1 << f} configurations have probability 0")
     idx = np.arange(1 << f)
     partners = idx[None, :] ^ (1 << np.arange(f))[:, None]
     return energy, table.probs, table.log_partition, partners

@@ -76,6 +76,12 @@ def test_run_chain_rejects_a_negative_record_interval():
         run_chain(m, SpinConfiguration([1, -1, 1, -1], "pm"), 10, seed=2, record_every=-1)
 
 
+def test_run_chain_rejects_negative_steps():
+    m = random_field_model(path_graph(4), 0.5, seed=1)
+    with pytest.raises(InputError, match="steps"):
+        run_chain(m, SpinConfiguration([1, -1, 1, -1], "pm"), -1, seed=0)
+
+
 def test_run_chain_deterministic():
     m = random_field_model(path_graph(4), 0.5, seed=1)
     init = SpinConfiguration([1, 1, 1, 1], "pm")
@@ -162,6 +168,13 @@ def test_monotone_run_checks_its_starts():
                              (m, SpinConfiguration([-1] * 3, "pm"), hi)):
         with pytest.raises(InputError):
             monotone_coupled_run(model, low, high, 200, seed=3)
+
+
+def test_monotone_run_rejects_negative_steps():
+    m = uniform_model(path_graph(3), 0.5, np.zeros(3))
+    lo, hi = (SpinConfiguration([s] * 3, "pm") for s in (-1, 1))
+    with pytest.raises(InputError, match="steps"):
+        monotone_coupled_run(m, lo, hi, -3, seed=0)
 
 
 def test_monotone_beta_zero_coalesces_on_first_update():

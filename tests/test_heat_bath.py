@@ -2,6 +2,7 @@
 
 import ast
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from rfim.model import (
 )
 from rfim.rng import COUPLING, substream
 
+import scalar_reference
 from scalar_reference import chain_states, coupled_states, row_order_sum
 from strategies import models
 
@@ -229,6 +231,37 @@ def test_run_chain_replays_summed_fields_step_by_step(m, seed, record_every):
     want = [(k, float(sum(states[k])), array_energy(m, np.array(states[k], dtype=np.float64)))
             for k in range(0, steps + 1, record_every)]
     assert trajectory == want
+
+
+class TableUniforms:
+    """A chain's substream whose uniforms are replaced by entries of the model's
+    heat-bath table, so that some land exactly on their step's probability;
+    on a table of one entry, such as a lone free vertex's, every one does."""
+
+    def __init__(self, model, *key):
+        self.rng = substream(*key)
+        self.probs = model.heat_bath_table.probs
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        return self.probs[self.rng.integers(len(self.probs), size=size)]
+
+
+@settings(max_examples=60)
+@given(models(), st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 40), st.booleans())
+def test_glauber_draw_replays_summed_fields_step_by_step(m, seed, index, steps, ties):
+    zeros = m.full_values(SPIN_VALUES[m.convention][1]).astype(np.int8)
+    with pytest.MonkeyPatch.context() as patch:
+        if ties:  # a uniform equal to its probability sets 'one'
+            stream = partial(TableUniforms, m)
+            patch.setattr(dynamics, "substream", stream)
+            patch.setattr(scalar_reference, "substream", stream)
+        drawn = dynamics._draw(m, None, "glauber", seed, index, steps, None)
+        want = chain_states(m, zeros, steps, seed, index)[-1]
+    assert drawn.dtype == np.int8
+    assert drawn.tolist() == want
 
 
 @settings(max_examples=40)

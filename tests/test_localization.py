@@ -52,6 +52,11 @@ def test_trace_revealed_endpoints():
         assert all(a <= b for a, b in zip(sets, sets[1:]))
 
 
+def test_glauber_trace_rejects_a_negative_burn_in():
+    with pytest.raises(InputError, match="steps"):
+        sample_noising_trace(_k3_01(), seed=5, sampler="glauber", burn_steps=-5)
+
+
 def test_trace_nonempty_probability_matches_event_mass():
     # independent spins with strongly negative 01-fields: revealed(1) nonempty
     # exactly when both endpoints are 1, an event of known mass

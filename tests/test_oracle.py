@@ -303,6 +303,21 @@ def test_gap_solvers_do_not_warn(f):
     assert 0.0 < report.gap <= 1.0
 
 
+def test_spectral_routines_refuse_an_underflowed_measure(monkeypatch):
+    # Fields of +-80 at beta 0.5 leave 7 of the 64 configurations at probability 0,
+    # where the gap's routes would divide by sqrt(mu).
+    m = IsingModel.uniform(random_regular_graph(6, 3, 3), 0.5, np.array([80.0, -80.0] * 3))
+
+    def solver(*args):
+        raise AssertionError("a solver ran on an underflowed measure")
+
+    for name in ("_symmetrized_transition", "_dirichlet_matrix", "_transition"):
+        monkeypatch.setattr(oracle, name, solver)
+    for routine in (glauber_gap, lambda model: mlsi_lower_estimate(model, 2, seed=0)):
+        with pytest.raises(ValidationFailure, match="7 of 64 configurations"):
+            routine(m)
+
+
 def test_spectral_caps():
     with pytest.raises(CapacityError):
         at_variance_constant(uniform_model(path_graph(17), 0.2, np.zeros(17)))

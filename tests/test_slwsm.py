@@ -46,6 +46,12 @@ def test_sl_boost_identity_at_zero():
     assert np.allclose(real.y, 0.0)
 
 
+def test_sl_boost_rejects_a_negative_burn_in():
+    m = random_field_model(path_graph(3), 0.5, seed=1)
+    with pytest.raises(InputError, match="steps"):
+        sl_boost(m, 0.5, seed=2, sampler="glauber", burn_steps=-5)
+
+
 def test_sl_boost_consistency():
     m = random_field_model(path_graph(3), 0.5, seed=1)
     real = sl_boost(m, 2.0, seed=3)
