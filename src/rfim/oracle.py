@@ -14,12 +14,14 @@ along an axis.  The spectral routines share one
 single-flip enumeration, ``_single_flips``, and each builds its own weights.
 The single-flip operators are CSR matrices with f+1 nonzeros per row, each
 built in one ``_single_flip_csr`` call with no sparse products; the
-heat-bath move probability is written once, in ``_moves``.  ``glauber_gap``
-reads the gap two independent ways, both by ARPACK (``eigsh``) from the fixed
-start ``_start_vector``: from the symmetrized transition matrix with its
-known top eigenpair (1, sqrt(mu)) deflated, and from the variance-normalised
-Dirichlet form with sqrt(mu) lifted to 1; up to 128 configurations both run
-dense solvers on the same matrices instead.  Its
+heat-bath move probability is written once, in ``_moves``.  ``scipy.sparse``
+loads on the first ``_single_flip_csr`` call and ``scipy.sparse.linalg`` on
+the first ``glauber_gap`` call, so tables, marginals and the Cor2 sweep load
+no scipy.  ``glauber_gap`` reads the gap two independent ways, both by ARPACK
+(``eigsh``) from the fixed start ``_start_vector``: from the symmetrized
+transition matrix with its known top eigenpair (1, sqrt(mu)) deflated, and
+from the variance-normalised Dirichlet form with sqrt(mu) lifted to 1; up to
+128 configurations both run dense solvers on the same matrices instead.  Its
 report also carries the approximate-tensorization constant, which for
 heat-bath Glauber is exactly 1/(f * gap), so no routine here builds a dense
 2^f x 2^f matrix above that size.  Everything here is deterministic and
@@ -31,13 +33,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, InputError, ValidationFailure
 from .model import SPIN_VALUES, ZERO_ONE, IsingModel
 from .rng import PROBE, substream
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 GIBBS_CAP = 24
 SPECTRAL_CAP = 16
@@ -323,6 +328,8 @@ def _single_flips(model: IsingModel, cap: int):
 
 def _single_flip_csr(partners: np.ndarray, off: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
     """CSR matrix with ``off[j, x]`` at (x, partners[j, x]) and ``diag[x]`` at (x, x)."""
+    from scipy import sparse
+
     size = partners.shape[1]
     idx = np.arange(size)
     rows = np.broadcast_to(idx, (len(partners) + 1, size)).ravel()

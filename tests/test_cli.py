@@ -219,6 +219,15 @@ def test_sample_experiment(tmp_path, capsys):
     assert run_cli("sample", "experiment", "--config", str(bad)) == 4
 
 
+def test_experiment_field_without_its_parameter_exit_code(tmp_path, capsys):
+    step = {"kind": "gap_vs_exact", "count": 1, "n": 4, "beta": 0.2, "degree": 3,
+            "p0": 0.1, "k": 1.0, "field": {"kind": "gaussian"}}
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"seed": 1, "pipeline": [step]}))
+    assert run_cli("sample", "experiment", "--config", str(cpath)) == 4
+    assert "'sigma'" in capsys.readouterr().err
+
+
 def write_graph(tmp_path, *args, name="g.txt"):
     path = tmp_path / name
     assert run_cli("graph", "gen", *args, "-o", str(path)) == 0

@@ -2,12 +2,14 @@
 
 import ast
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from scipy.special import expit
 
 from rfim import (
     CapacityError,
@@ -289,7 +291,7 @@ def test_scalar_steps_evaluate_no_logistic(monkeypatch):
         raise AssertionError("a scalar step evaluated the logistic")
 
     monkeypatch.setattr(dynamics, "_heat_bath_probability", logistic)
-    monkeypatch.setattr(model_module.special, "expit", logistic)
+    monkeypatch.setattr(np, "tanh", logistic)  # the rule's ufunc, however it is reached
     lo, hi = (SpinConfiguration(m.full_values(s), m.convention) for s in (-1, 1))
     run_chain(m, hi, 500, seed=1)
     monotone_coupled_run(m, lo, hi, 500, seed=1)
@@ -325,7 +327,27 @@ def test_table_just_under_the_cap_runs():
     assert state.config.values().tolist() == chain_states(m, start, 200, 4)[-1]
 
 
-LOGISTICS = {"expit", "_one_probability"}
+# |s| > 355 overflows exp(2s) in pm and |s| > 709 exp(s) in 01
+OVERFLOWING = [-1e6, -710.0, -356.0, 356.0, 710.0, 1e6]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(SPIN_VALUES)),
+       st.lists(st.floats(-1e6, 1e6) | st.floats(-40.0, 40.0), max_size=40))
+def test_rule_is_a_bounded_monotone_logistic(convention, fields):
+    s = np.sort(np.array(fields + OVERFLOWING))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = _heat_bath_probability(convention, s.copy())
+    assert ((p >= 0.0) & (p <= 1.0)).all()
+    assert (np.diff(p) >= 0.0).all()
+    want = expit(2.0 * s if convention == "pm" else s)
+    assert np.abs(p - want).max() <= 4.5e-16
+
+
+# names that evaluate a logistic: numpy's tanh, which the rule calls, scipy's expit
+# and ``_one_probability``
+LOGISTICS = {"tanh", "expit", "_one_probability"}
 
 
 def logistic_uses(tree):

@@ -180,6 +180,31 @@ def test_shifted_field_kind():
     assert dist.mass_within(1.0) == pytest.approx(0.5)
 
 
+def test_field_json_without_its_parameter_is_an_input_error():
+    with pytest.raises(InputError, match="'sigma'"):
+        FieldDistribution.from_json_dict({"kind": "gaussian"})
+
+
+def test_field_json_with_a_non_numeric_parameter_is_an_input_error():
+    with pytest.raises(InputError, match="sigma"):
+        FieldDistribution.from_json_dict({"kind": "gaussian", "sigma": "a"})
+
+
+def test_shifted_field_json_without_its_base_is_an_input_error():
+    with pytest.raises(InputError, match="'base'"):
+        FieldDistribution.from_json_dict({"kind": "shifted", "offsets": [1]})
+
+
+@pytest.mark.parametrize("make", [FieldDistribution.gaussian, FieldDistribution.uniform_symmetric,
+                                  FieldDistribution.two_point])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_field_parameters_must_be_finite(make, value):
+    with pytest.raises(InputError, match="finite"):
+        make(value)
+    with pytest.raises(InputError, match="finite"):
+        FieldDistribution.shifted(FieldDistribution.two_point(1.0), [0.0, value])
+
+
 def test_spin_configuration_roundtrip():
     cfg = SpinConfiguration([1, -1, 1, 1, -1], "pm")
     assert cfg.values().tolist() == [1, -1, 1, 1, -1]
