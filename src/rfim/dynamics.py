@@ -43,12 +43,17 @@ which checks nothing.  Every public chain checks its start with
 their value and are never chosen.
 
 When the f updated vertices are few, a batch runs on codes instead: each
-replica's spins on them are one int64, and ``_code_table`` gives P(one) for
-every code and updated vertex, each vertex outside the set holding one value
-in every row (a pin, or an unstaged 0).  A step is a gather, a compare and a
-bit set.  It is bit-identical to the float kernel: the table sums the same
-products of the same floats through the same rule in the same slot order,
-and ``_coded_steps`` reads the same draws in the same order.  The size rule
+replica's spins on them are one int64 in the layout of Gibbs table indices,
+bit j the spin of the j-th updated vertex in ascending order, written and
+read by ``oracle._encode`` and ``oracle._decode``.  ``_code_table`` gives
+P(one) for every code and updated vertex, each vertex outside the set
+holding one value in every row (a pin, or an unstaged 0).  A step is a
+gather, a compare and a bit set.  It is bit-identical to the float kernel:
+the table sums the same products of the same floats through the same rule
+in the same slot order, and ``_coded_steps`` reads the same draws in the
+same order.  ``run_chains_batch`` holds the one snapshot loop: it builds
+the table once and advances the codes, or the float kernel, from one
+snapshot step to the next.  The size rule
 ``_codes_fit`` codes while f * 2^f <= min(R * steps, HEAT_BATH_TABLE_CAP),
 so f <= 16.  It was set on the staged sampler, float kernel against codes
 at factors 1/4 to 8 of R * steps (median ms per call, 2-core Xeon):
@@ -83,7 +88,7 @@ from .model import (
     _heat_bath_probability,
     array_energy,
 )
-from .oracle import GibbsTable, empirical_tv, gibbs_table
+from .oracle import GibbsTable, _decode, _encode, empirical_tv, gibbs_table
 from .rng import CHAIN, COUPLING, substream
 
 
@@ -137,22 +142,16 @@ def _heat_bath_update(model: IsingModel, values: np.ndarray, base: np.ndarray,
 
 
 def _heat_bath_run(model: IsingModel, values: np.ndarray, free: np.ndarray, steps: int,
-                   rng: np.random.Generator, snapshot_steps=()) -> dict:
+                   rng: np.random.Generator) -> None:
     """Advance every row of ``values`` by ``steps`` updates at vertices drawn from ``free``.
 
     Each step draws all replicas' vertex indices, then their uniforms.
-    Returns copies of the state after the ``snapshot_steps``.
     """
     replicas = len(values)
     base = np.arange(replicas) * values.shape[1]
-    want = set(int(s) for s in snapshot_steps)
-    snapshots = {0: values.copy()} if 0 in want else {}
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         v = free[rng.integers(len(free), size=replicas)]
         _heat_bath_update(model, values, base, v, rng.random(replicas))
-        if k in want:
-            snapshots[k] = values.copy()
-    return snapshots
 
 
 def _codes_fit(f: int, work: int) -> bool:
@@ -162,24 +161,21 @@ def _codes_fit(f: int, work: int) -> bool:
     return f * (1 << f) <= min(work, HEAT_BATH_TABLE_CAP)
 
 
-def _code_table(model: IsingModel, coded: np.ndarray, updated: np.ndarray,
-                outside: np.ndarray) -> np.ndarray:
-    """P(one) of vertex ``updated[i]`` when bit b of the code c holds the spin of
-    ``coded[b]``, as entry (c, i) of a (2^f, len(updated)) array, f = len(coded).
+def _code_table(model: IsingModel, coded: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """P(one) of vertex ``coded[j]`` when bit b of the code c holds the spin of
+    ``coded[b]``, as entry (c, j) of a (2^f, f) array, f = len(coded).
 
-    ``updated`` lies within ``coded``; a neighbour outside it reads its value
-    in the spin vector ``outside``.  The terms are ``_heat_bath_update``'s, one
-    per slot of the padded row, products of the same floats added in the same
-    order, so every entry equals the replica kernel's P(one) bit for bit.
-    Neighbours are gathered through their bit positions, so the build holds
-    O(2^f * f) floats whatever n is.
+    ``coded`` ascends, so the codes are ``oracle._encode``'s; a neighbour
+    outside it reads its value in the spin vector ``outside``.  The terms are
+    ``_heat_bath_update``'s, one per slot of the padded row, products of the
+    same floats added in the same order, so every entry equals the replica
+    kernel's P(one) bit for bit.  Neighbours are gathered through their bit
+    positions, so the build holds O(2^f * f) floats whatever n is.
     """
     one, zero = SPIN_VALUES[model.convention]
     coded = np.asarray(coded, dtype=np.int64)
-    updated = np.asarray(updated, dtype=np.int64)
-    nbr, cpl = (a.take(updated, axis=0) for a in model.neighbour_table)
-    sorter = np.argsort(coded)
-    bit = sorter[np.searchsorted(coded, nbr, sorter=sorter).clip(max=len(coded) - 1)]
+    nbr, cpl = (a.take(coded, axis=0) for a in model.neighbour_table)
+    bit = np.searchsorted(coded, nbr).clip(max=len(coded) - 1)
     inside = coded[bit] == nbr
     spins = np.where(np.arange(1 << len(coded))[:, None] >> np.arange(len(coded)) & 1,
                      float(one), float(zero))
@@ -192,60 +188,24 @@ def _code_table(model: IsingModel, coded: np.ndarray, updated: np.ndarray,
             x *= cpl[:, j]
             yield x
 
-    field = np.repeat(model.field.take(updated)[None, :], 1 << len(coded), axis=0)
+    field = np.repeat(model.field.take(coded)[None, :], 1 << len(coded), axis=0)
     return _heat_bath_probability(model.convention, field, terms())
 
 
-def _encode(values: np.ndarray, coded: np.ndarray, one: float) -> np.ndarray:
-    """Per row of ``values``, the int64 code whose bit b is set iff ``coded[b]`` holds 'one'."""
-    codes = np.zeros(len(values), dtype=np.int64)
-    for b, v in enumerate(coded.tolist()):
-        codes |= (values[:, v] == one).astype(np.int64) << b
-    return codes
-
-
-def _decode(codes: np.ndarray, coded: np.ndarray, values: np.ndarray, one, zero) -> None:
-    """Write the spins of ``codes`` into the ``coded`` columns of ``values``, a column at a time."""
-    for b, v in enumerate(coded.tolist()):
-        values[:, v] = (codes >> b & 1) * (one - zero) + zero
-
-
-def _coded_steps(table: np.ndarray, bitpos: np.ndarray, codes: np.ndarray, steps: int,
+def _coded_steps(table: np.ndarray, codes: np.ndarray, steps: int,
                  rng: np.random.Generator) -> None:
     """Advance ``codes`` in place by ``steps`` heat-bath updates, drawing per step
     every replica's column j of ``table``, then its uniform, as ``_heat_bath_run``
-    draws its index into the free list; the update sets bit ``bitpos[j]``."""
+    draws its index into the free list; the update sets bit j."""
     replicas, f = len(codes), table.shape[1]
     probs = table.ravel()
-    masks = np.left_shift(1, bitpos.astype(np.int64))
     for _ in range(steps):
         j = rng.integers(f, size=replicas)
         u = rng.random(replicas)
-        m = masks.take(j)
+        m = 1 << j
         new = u <= probs.take(codes * f + j)
         codes &= ~m
         codes |= new * m
-
-
-def _heat_bath_coded_run(model: IsingModel, values: np.ndarray, free: np.ndarray, steps: int,
-                         rng: np.random.Generator, snapshot_steps=()) -> dict:
-    """``_heat_bath_run`` on int64 codes over ``free``, bit for bit; every vertex
-    outside ``free`` must hold the same value in each row.  Encodes once, decodes
-    into ``values`` at each snapshot step and at the end."""
-    one, zero = SPIN_VALUES[model.convention]
-    table = _code_table(model, free, free, values[0])
-    bitpos = np.arange(len(free))
-    codes = _encode(values, free, one)
-    want = set(int(s) for s in snapshot_steps)
-    snapshots = {}
-    done = 0
-    for k in sorted(s for s in want | {steps} if 0 <= s <= steps):
-        _coded_steps(table, bitpos, codes, k - done, rng)
-        done = k
-        _decode(codes, free, values, one, zero)
-        if k in want:
-            snapshots[k] = values.copy()
-    return snapshots
 
 
 def _scalar_run(model: IsingModel, values: list, steps: int, seed: int, chain_index: int,
@@ -344,9 +304,24 @@ def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, see
     if values.ndim != 2:
         raise InputError("init_values must have shape (replicas, n)")
     free = _free_vertices(model)
-    run = _heat_bath_coded_run if _codes_fit(len(free), len(values) * steps) else _heat_bath_run
-    snapshots = run(model, values, free, steps, substream(seed, COUPLING, *stream_path),
-                    snapshot_steps)
+    rng = substream(seed, COUPLING, *stream_path)
+    one, zero = SPIN_VALUES[model.convention]
+    on_codes = _codes_fit(len(free), len(values) * steps)
+    if on_codes:  # every vertex outside ``free`` is pinned, so row 0 holds its value
+        table = _code_table(model, free, values[0])
+        codes = _encode(values, free, one)
+    want = set(int(s) for s in snapshot_steps)
+    snapshots = {}
+    done = 0
+    for k in sorted(want | {steps}):
+        if on_codes:
+            _coded_steps(table, codes, k - done, rng)
+            _decode(codes, free, values, one, zero)
+        else:
+            _heat_bath_run(model, values, free, k - done, rng)
+        done = k
+        if k in want:
+            snapshots[k] = values.copy()
     return values, snapshots
 
 

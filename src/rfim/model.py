@@ -182,7 +182,7 @@ class FieldDistribution:
 
     def mass_within(self, k: float) -> float:
         """P(|h| <= k); for the shifted kind, the worst (largest) per-vertex mass."""
-        if k < 0:
+        if _finite("threshold", k) < 0:
             raise InputError("threshold must be nonnegative")
         if self.kind == "shifted":
             return max(self.base._mass_shifted(k, c) for c in self.offsets)
@@ -523,12 +523,14 @@ def gamma_star_value(p0: float, delta: int) -> float:
 
 
 def assumption_params(p0: float, k: float, beta: float, delta: int) -> AssumptionParams:
-    """Compute rho, xi*, alpha*, gamma* and the validity flag."""
+    """Compute rho, xi*, alpha*, gamma* and the validity flag.
+
+    Raises InputError unless p0, K and beta are finite numbers in range."""
     if delta < 3:
         raise InputError("max degree must be >= 3")
-    if not (0.0 < p0 < 1.0):
+    if not (0.0 < _finite("p0", p0) < 1.0):
         raise InputError("p0 must lie in (0, 1)")
-    if beta <= 0 or k <= 0:
+    if _finite("beta", beta) <= 0 or _finite("K", k) <= 0:
         raise InputError("beta and K must be positive")
     from scipy import special
 

@@ -3,15 +3,18 @@
 Gibbs tables are full probability vectors over the free-vertex configurations
 of a model, indexed so that bit j of a config index carries the spin of the
 j-th free vertex in ascending vertex order (bit 0 is the least significant).
-Other layers map config indices to and from full spin vectors through
-``GibbsTable.rows`` and ``GibbsTable.indices``, except two that split
-probabilities by a vertex's index bit themselves:
-``dynamics.grand_coupled_update`` and ``slwsm.wsm_delta``.  ``_free_energies``
-enumerates a model, or the model induced on a region of it, once, doubling
-at each free vertex, and ``_normalise`` alone turns energies into
-probabilities and log Z, for one table (``_table``) or for a batch of them
-along an axis.  The spectral routines share one
-single-flip enumeration, ``_single_flips``, and each builds its own weights.
+That is the one layout of every spin code in the package, and ``_encode`` and
+``_decode`` are the one map between spin rows and codes: ``GibbsTable.rows``
+and ``GibbsTable.indices`` call them, and so do the coded replica batches of
+``dynamics`` and the coded stages of ``sampler``, whose codes index the
+ascending list of the vertices they update.  Two layers split probabilities
+by a vertex's index bit themselves: ``dynamics.grand_coupled_update`` and
+``slwsm.wsm_delta``.  ``_free_energies`` enumerates a model, or the model
+induced on a region of it, once, doubling at each free vertex, and
+``_normalise`` alone turns energies into probabilities and log Z, for one
+table (``_table``) or for a batch of them along an axis.  The spectral
+routines share one single-flip enumeration, ``_single_flips``, and each
+builds its own weights.
 The single-flip operators are CSR matrices with f+1 nonzeros per row, each
 built in one ``_single_flip_csr`` call with no sparse products; the
 heat-bath move probability is written once, in ``_moves``.  ``scipy.sparse``
@@ -83,12 +86,10 @@ class GibbsTable:
         Pinned vertices carry their pinned value; built one free vertex at a time.
         """
         idx = np.arange(len(self.probs)) if indices is None else np.asarray(indices).reshape(-1)
-        spins = np.array(SPIN_VALUES[self.model.convention][::-1], dtype=np.int8)  # [zero, one]
         out = np.empty((len(idx), self.model.n), dtype=np.int8)
         for v, s in self.model.pinning.items():
             out[:, v] = s
-        for j, v in enumerate(self.free):
-            out[:, v] = spins.take((idx >> j) & 1)
+        _decode(idx, self.free, out, *SPIN_VALUES[self.model.convention])
         return out
 
     def indices(self, values) -> np.ndarray:
@@ -97,14 +98,27 @@ class GibbsTable:
         Raises InputError unless every row passes ``model.check_values``.
         """
         vals = self.model.check_values(values).reshape(-1, self.model.n)
-        idx = np.zeros(len(vals), dtype=np.int64)
-        for j, v in enumerate(self.free):
-            idx |= (vals[:, v] == 1).astype(np.int64) << j  # +1 in pm, 1 in 01
-        return idx
+        return _encode(vals, self.free, SPIN_VALUES[self.model.convention][0])
 
     def assignment(self, index: int) -> dict[int, int]:
         """Full vertex -> spin map for configuration ``index`` (pinning included)."""
         return dict(enumerate(self.rows(index)[0].tolist()))
+
+
+def _encode(values: np.ndarray, vertices, one) -> np.ndarray:
+    """Per row of ``values``, the int64 code whose bit j is set iff ``vertices[j]``
+    holds ``one``."""
+    codes = np.zeros(len(values), dtype=np.int64)
+    for j, v in enumerate(vertices):
+        codes |= (values[:, v] == one).astype(np.int64) << j
+    return codes
+
+
+def _decode(codes: np.ndarray, vertices, values: np.ndarray, one, zero) -> None:
+    """Write the spins of ``codes`` into the ``vertices`` columns of ``values``, bit j
+    into column ``vertices[j]``, a column at a time."""
+    for j, v in enumerate(vertices):
+        values[:, v] = (codes >> j & 1) * (one - zero) + zero
 
 
 def _free_energies(model: IsingModel, region=None) -> np.ndarray:

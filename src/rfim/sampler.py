@@ -12,10 +12,12 @@ component at a time in the same matrix; no edge joins two components.
 
 While a component's prefix is small for the stage's work (``_codes_fit``),
 its stages keep each replica's prefix spins as one int64 code, bit i the
-spin of the i-th vertex staged: a stage sets the new vertex's bit, builds
-the prefix's P(one) table and runs k* coded steps, bit-identical to the
-float kernel.  The codes are decoded into the matrix once, at the end of the
-component or at the one stage from which its tables would be too large.
+spin of the i-th staged vertex in ascending order, as in a Gibbs table
+index: a stage opens bit i at the new vertex's rank i among the staged
+ones, shifting the bits above it up, builds the prefix's P(one) table and
+runs k* coded steps, bit-identical to the float kernel.  The codes are
+decoded into the matrix once, at the end of the component or at the one
+stage from which its tables would be too large.
 """
 
 from __future__ import annotations
@@ -42,15 +44,8 @@ from .model import (
     model_to_json_dict,
     sample_field,
 )
-from .dynamics import (
-    _code_table,
-    _coded_steps,
-    _codes_fit,
-    _decode,
-    _encode,
-    _heat_bath_run,
-)
-from .oracle import empirical_tv, gibbs_table
+from .dynamics import _code_table, _coded_steps, _codes_fit, _heat_bath_run
+from .oracle import _decode, _encode, empirical_tv, gibbs_table
 from .percolation import gap_certificate
 from .rng import COUPLING, SAMPLER, substream
 
@@ -100,35 +95,34 @@ def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas:
     for ci, comp in enumerate(connected_components(model.graph)):
         order = np.array(connected_ordering(model.graph, config.ordering_seed + ci, comp))
         full_order.extend(order.tolist())
-        codes = None  # while the prefix is small, bit i holds the spin of order[i]
+        codes = None  # while the prefix is small, bit i holds the spin of staged[i]
         for stage, v_new in enumerate(order.tolist(), start=1):
             rng = substream(config.seed, SAMPLER, ci, stage)
             p_one = _heat_bath_probability(model.convention, model.field[v_new])
             new = rng.random(replicas) <= p_one
+            staged = np.sort(order[:stage])
             if codes is None:
                 state[:, v_new] = np.where(new, one, zero)
-            else:
-                codes |= new.astype(np.int64) << (stage - 1)
+            else:  # open bit i at v_new's rank i
+                i = int(staged.searchsorted(v_new))
+                codes = (codes >> i << i + 1) | (codes & (1 << i) - 1) | new.astype(np.int64) << i
             if stage == 1:
                 stage_steps.append(0)  # the first spin is an exact sample
                 continue
-            staged = order[:stage]
             fits = _codes_fit(stage, replicas * k)  # false from some stage on, if ever
-            if codes is None and fits and stage == 2:
+            if codes is None and fits:
                 codes = _encode(state, staged, one)
             elif codes is not None and not fits:
                 _decode(codes, staged, state, one, zero)
                 codes = None
             stream = substream(config.seed, COUPLING, SAMPLER, ci, stage)
             if codes is None:
-                _heat_bath_run(model, state, np.sort(staged), k, stream)
+                _heat_bath_run(model, state, staged, k, stream)
             else:
-                bitpos = np.argsort(staged)  # the ascending free list's bits
-                table = _code_table(model, staged, staged[bitpos], absent)
-                _coded_steps(table, bitpos, codes, k, stream)
+                _coded_steps(_code_table(model, staged, absent), codes, k, stream)
             stage_steps.append(k)
         if codes is not None:
-            _decode(codes, order, state, one, zero)
+            _decode(codes, staged, state, one, zero)
     report = RunReport(stage_steps=tuple(stage_steps), total_updates=int(sum(stage_steps)),
                        wall_time=time.perf_counter() - start, ordering=tuple(full_order),
                        replicas=replicas)

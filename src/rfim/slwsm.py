@@ -100,21 +100,6 @@ def _check_boost_size(model: IsingModel) -> None:
         raise CapacityError("batch boosting needs a small model")
 
 
-def averaged_boosted_table(model: IsingModel, t: float, realizations: int, seed: int):
-    """Mean and per-config standard error of boosted tables over realizations.
-
-    By the martingale property of the localization, the mean reproduces the
-    base table up to Monte Carlo error.  Needs two realizations for a standard error.
-    """
-    if realizations < 2:
-        raise InputError("averaging boosted tables needs at least 2 realizations")
-    blocks, _, table = _boosted_prob_blocks(model, t, realizations, seed)
-    probs = np.concatenate(list(blocks))
-    mean = probs.mean(axis=0)
-    stderr = probs.std(axis=0, ddof=1) / math.sqrt(realizations)
-    return mean, stderr, table
-
-
 # ---------------------------------------------------------------------------
 # Weak spatial mixing
 # ---------------------------------------------------------------------------
@@ -436,15 +421,3 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
                                     ok=lhs <= rhs * (1 + 1e-12)))
     return WeakPoincareReport(t_value=float(t_value), delta=float(delta), c0=float(c0),
                               p_exponent=float(p_exp), rows=tuple(rows))
-
-
-def magnetization_function(table: GibbsTable) -> np.ndarray:
-    """Sum of free-vertex spins per config, as a test function vector."""
-    return table.rows()[:, list(table.free)].sum(axis=1, dtype=np.float64)
-
-
-def single_site_function(table: GibbsTable, v: int) -> np.ndarray:
-    """Spin at one free vertex per config, as a test function vector."""
-    if v not in table.free:
-        raise InputError(f"vertex {v} is not free")
-    return table.rows()[:, v].astype(np.float64)

@@ -32,6 +32,11 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-if __name__ == "__main__":
+def package_lines() -> int:
+    """The number of code lines in ``src/rfim/*.py``, in total."""
     package = Path(__file__).resolve().parent.parent / "src" / "rfim"
-    print(sum(code_lines(path.read_text()) for path in package.glob("*.py")))
+    return sum(code_lines(path.read_text()) for path in package.glob("*.py"))
+
+
+if __name__ == "__main__":
+    print(package_lines())

@@ -127,6 +127,12 @@ def test_input_error_exit_code(tmp_path):
     assert run_cli("graph", "gen", "--kind", "cycle", "--n", "2") == 4
 
 
+def test_model_assume_with_a_nan_k_exit_code(capsys):
+    assert run_cli("model", "assume", "--p0", "0.1", "--k", "nan", "--beta", "0.3",
+                   "--delta", "3") == 4
+    assert "finite" in capsys.readouterr().err
+
+
 def test_mix_and_localize(tmp_path, capsys):
     m = random_field_model(path_graph(3), 0.5, seed=6)
     mpath = write_model(tmp_path, m)

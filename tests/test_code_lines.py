@@ -1,4 +1,7 @@
-from code_lines import code_lines
+from code_lines import code_lines, package_lines
+
+# Raise it only with the reason stated in CHANGES.md.
+CEILING = 3019
 
 SNIPPET = '''"""Module docstring."""
 
@@ -23,3 +26,7 @@ class A:
 def test_counts_code_lines_only():
     # import, class, def, the two lines of y and the two non-blank lines of the return
     assert code_lines(SNIPPET) == 7
+
+
+def test_library_stays_under_its_code_line_ceiling():
+    assert package_lines() <= CEILING

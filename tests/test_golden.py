@@ -69,7 +69,7 @@ from rfim import (
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
 from rfim.rng import substream
-from rfim.slwsm import averaged_boosted_table, magnetization_function
+from rfim.slwsm import _boosted_prob_blocks
 
 from dense_reference import transition_matrix
 
@@ -319,8 +319,9 @@ def moments_pinned():
 
 
 def boosted_average():
-    mean, stderr, _ = averaged_boosted_table(_model(grid_graph(2, 3), 0.4, 41), 0.8, 200, 42)
-    return mean, stderr
+    blocks, _, _ = _boosted_prob_blocks(_model(grid_graph(2, 3), 0.4, 41), 0.8, 200, 42)
+    probs = np.concatenate(list(blocks))
+    return probs.mean(axis=0), probs.std(axis=0, ddof=1) / np.sqrt(200)
 
 
 def noising_traces_oracle():
@@ -348,7 +349,8 @@ def trace_moments_grid():
 
 def weak_poincare_magnetization():
     m = _model(grid_graph(2, 3), 0.4, 50)
-    phi = magnetization_function(gibbs_table(m))
+    table = gibbs_table(m)
+    phi = table.rows()[:, list(table.free)].sum(axis=1, dtype=np.float64)
     report = weak_poincare_probe(m, 0.5, 0.5, [("magnetization", phi)], 200, 51)
     return report.c0, report.p_exponent, [(r.name, r.lhs_variance, r.rhs_bound, r.ok)
                                           for r in report.rows]

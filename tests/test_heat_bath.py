@@ -29,6 +29,7 @@ from rfim.model import (
     _heat_bath_probability,
     array_energy,
 )
+from rfim.oracle import _encode
 from rfim.rng import COUPLING, substream
 
 import scalar_reference
@@ -169,15 +170,16 @@ def test_coded_run_equals_the_float_kernel(m, seed, replicas, steps, data):
     snapshot_steps = data.draw(st.lists(st.integers(0, steps), max_size=4))
     free = dynamics._free_vertices(m)
     # every table entry is the float kernel's P(one), bit for bit, at each start row
-    table = dynamics._code_table(m, free, free, values[0])
-    codes = dynamics._encode(values, free, SPIN_VALUES[m.convention][0])
+    table = dynamics._code_table(m, free, values[0])
+    codes = _encode(values, free, SPIN_VALUES[m.convention][0])
     for j, v in enumerate(free):
         assert kernel_probability_is(m, values, np.full(replicas, v), table[codes, j]).all()
-    floats, coded = values.copy(), values.copy()
-    want = dynamics._heat_bath_run(m, floats, free, steps, substream(seed, COUPLING),
-                                   snapshot_steps)
-    got = dynamics._heat_bath_coded_run(m, coded, free, steps, substream(seed, COUPLING),
-                                        snapshot_steps)
+    runs = []
+    for fits in (True, False):  # the batch on codes, then on the float kernel
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_codes_fit", lambda f, work: fits)
+            runs.append(run_chains_batch(m, values, steps, seed, snapshot_steps))
+    (coded, got), (floats, want) = runs
     assert np.array_equal(floats, coded)
     assert want.keys() == got.keys()
     assert all(np.array_equal(want[k], got[k]) for k in want)
@@ -192,7 +194,7 @@ def test_code_table_build_stays_local():
     outside = np.zeros(n)
     tracemalloc.start()
     try:
-        table = dynamics._code_table(m, path, path, outside)
+        table = dynamics._code_table(m, path, outside)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

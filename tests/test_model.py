@@ -171,6 +171,18 @@ def test_check_field_assumption_examples():
     assert mass == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), abs=1e-12)
 
 
+@pytest.mark.parametrize("p0, k, beta", [(math.nan, 1.0, 0.3), (0.1, math.nan, 0.3),
+                                          (0.1, math.inf, 0.3), (0.1, 1.0, math.inf)])
+def test_assumption_params_must_be_finite(p0, k, beta):
+    with pytest.raises(InputError, match="finite"):
+        assumption_params(p0, k, beta, 3)
+
+
+def test_field_assumption_threshold_must_be_finite():
+    with pytest.raises(InputError, match="finite"):
+        check_field_assumption(FieldDistribution.gaussian(1.0), 0.1, math.nan)
+
+
 def test_shifted_field_kind():
     base = FieldDistribution.two_point(2.0)
     dist = FieldDistribution.shifted(base, [0.0, 1.0, -3.0])

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from rfim import (
     FieldDistribution,
@@ -28,6 +30,7 @@ from rfim.oracle import empirical_tv
 from rfim.sampler import CONFIG_SCHEMA, STEP_SCHEMAS, _validate_config
 
 from conftest import random_field_model, uniform_model
+from strategies import models
 
 
 def test_sampler_config_validation():
@@ -107,6 +110,24 @@ def test_coded_stages_equal_the_float_kernel(monkeypatch, convention, edges, n, 
     assert np.array_equal(coded, floats)
     assert report.stage_steps == float_report.stage_steps
     assert report.ordering == float_report.ordering
+
+
+# Up to 40 replicas and k* = 12^1.5 put the switch to the float kernel
+# anywhere from stage 2 to stage 8, so often inside a component.  No explain
+# phase: on a failing kernel it takes minutes to report what shrinking found.
+@pytest.mark.parametrize("convention", ["pm", "01"])
+@settings(max_examples=30, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data(), replicas=st.integers(1, 40), c_star=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2**31 - 1), ordering_seed=st.integers(0, 2**31 - 1))
+def test_coded_stages_equal_the_float_kernel_on_random_models(convention, data, replicas,
+                                                              c_star, seed, ordering_seed):
+    m = replace(data.draw(models(min_pairs=1, convention=convention)), pinning={})
+    config = SamplerConfig(c_star=c_star, seed=seed, ordering_seed=ordering_seed)
+    coded, _ = incremental_sample_batch(m, config, replicas)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler_module, "_codes_fit", lambda f, work: False)
+        floats, _ = incremental_sample_batch(m, config, replicas)
+    assert np.array_equal(coded, floats)
 
 
 def test_sampler_rejects_a_negative_replica_count():

@@ -28,15 +28,24 @@ from rfim import (
 )
 from rfim import oracle
 from rfim.graphs import ball, boundary, distances_from, random_regular_graph, torus_grid
-from rfim.slwsm import (
-    averaged_boosted_table,
-    magnetization_function,
-    single_site_function,
-)
+from rfim.slwsm import _boosted_prob_blocks
 
 from conftest import random_field_model, uniform_model
 from induced_reference import edge_scan_induced
 from strategies import models
+
+
+def boosted_mean_and_stderr(m, t, realizations, seed):
+    """Mean and per-config standard error of ``realizations`` boosted tables, and the
+    base table."""
+    blocks, _, table = _boosted_prob_blocks(m, t, realizations, seed)
+    probs = np.concatenate(list(blocks))
+    return probs.mean(axis=0), probs.std(axis=0, ddof=1) / math.sqrt(realizations), table
+
+
+def magnetization(table):
+    """The sum of the free spins of each configuration of ``table``."""
+    return table.rows()[:, list(table.free)].sum(axis=1, dtype=np.float64)
 
 
 def test_sl_boost_identity_at_zero():
@@ -75,7 +84,7 @@ def test_sl_boost_large_t_overwhelms_field():
 
 def test_sl_boost_martingale():
     m = random_field_model(path_graph(3), 0.5, seed=5)
-    mean, stderr, table = averaged_boosted_table(m, 2.0, 10_000, seed=6)
+    mean, stderr, table = boosted_mean_and_stderr(m, 2.0, 10_000, seed=6)
     z = np.abs(mean - table.probs) / (stderr + 1e-15)
     assert z.max() <= 4.0
 
@@ -83,16 +92,10 @@ def test_sl_boost_martingale():
 def test_boosted_average_with_an_underflowed_probability():
     # exp(-800) underflows, so the base table holds exact zeros
     m = uniform_model(path_graph(3), 0.5, [400.0, 0.0, 0.0])
-    mean, stderr, table = averaged_boosted_table(m, 1.0, 50, seed=3)
+    mean, stderr, table = boosted_mean_and_stderr(m, 1.0, 50, seed=3)
     assert (table.probs == 0.0).any()
     assert np.isfinite(mean).all() and np.isfinite(stderr).all()
     assert mean.sum() == pytest.approx(1.0)
-
-
-def test_boosted_average_needs_two_realizations():
-    m = random_field_model(path_graph(3), 0.5, seed=5)
-    with pytest.raises(InputError):
-        averaged_boosted_table(m, 2.0, 1, seed=6)
 
 
 def test_wsm_delta_zero_at_independence():
@@ -339,7 +342,7 @@ def test_boosted_probes_hold_one_block_of_tables():
     # realizations and 62.5 MiB at 500.
     g = random_regular_graph(14, 3, seed=5)
     m = IsingModel.uniform(g, 0.3, sample_field(FieldDistribution.gaussian(0.6), 14, 6).values)
-    phi = magnetization_function(gibbs_table(m))
+    phi = magnetization(gibbs_table(m))
     for probe in (lambda: trace_moment_probe(m, 2, [0.5], realizations=200, seed=1),
                   lambda: weak_poincare_probe(m, 0.5, 0.5, [("m", phi)], realizations=500,
                                               seed=2, c0=1.0)):
@@ -364,7 +367,7 @@ def test_weak_poincare_constant_function():
 def test_weak_poincare_t_zero_equality():
     m = random_field_model(path_graph(4), 0.5, seed=17)
     table = gibbs_table(m)
-    phi = single_site_function(table, 1)
+    phi = table.rows()[:, 1].astype(np.float64)
     rep = weak_poincare_probe(m, 0.0, 0.5, [("site", phi)], realizations=100, seed=18)
     assert rep.p_exponent == 1.0
     assert rep.rows[0].rhs_bound == pytest.approx(rep.rows[0].lhs_variance, rel=1e-12)
@@ -379,14 +382,14 @@ def test_weak_poincare_magnetization_frequency():
     dist = FieldDistribution.uniform_symmetric(1.0)
     first = random_field_model(g, 0.5, seed=100)
     c0 = weak_poincare_probe(first, t_value, delta,
-                             [("m", magnetization_function(gibbs_table(first)))],
+                             [("m", magnetization(gibbs_table(first)))],
                              realizations=300, seed=19).c0
     ok = 0
     trials = 400
     for i in range(trials):
         field = sample_field(dist, 4, seed=3000 + i)
         m = IsingModel.uniform(g, 0.5, field.values)
-        phi = magnetization_function(gibbs_table(m))
+        phi = magnetization(gibbs_table(m))
         rep = weak_poincare_probe(m, t_value, delta, [("m", phi)],
                                   realizations=300, seed=20 + i, c0=c0)
         ok += rep.rows[0].ok
@@ -400,7 +403,7 @@ def test_boosting_caps_before_enumerating(monkeypatch):
     monkeypatch.setattr(oracle, "_free_energies", enumerate_anyway)
     n = oracle.BOOST_CAP + 1
     m = uniform_model(path_graph(n), 0.3, np.zeros(n))
-    for boost in (lambda: averaged_boosted_table(m, 1.0, 10, seed=1),
+    for boost in (lambda: _boosted_prob_blocks(m, 1.0, 10, seed=1),
                   lambda: trace_moment_probe(m, 2, [0.0, 1.0], realizations=10, seed=1),
                   lambda: weak_poincare_probe(m, 1.0, 0.5, [], realizations=10, seed=1)):
         with pytest.raises(CapacityError):
