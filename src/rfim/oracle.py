@@ -10,9 +10,12 @@ and ``GibbsTable.indices`` call them, and so do the coded replica batches of
 ascending list of the vertices they update.  Two layers split probabilities
 by a vertex's index bit themselves: ``dynamics.grand_coupled_update`` and
 ``slwsm.wsm_delta``.  ``_free_energies`` enumerates a model, or the model
-induced on a region of it, once, doubling at each free vertex, and
-``_normalise`` alone turns energies into probabilities and log Z, for one
-table (``_table``) or for a batch of them along an axis.  The spectral
+induced on a region of it, once, doubling at each free vertex; given rows of
+fields, the same pass gives each row the energies of the model with that
+field, float for float, which is how ``slwsm.estimate_wsm`` serves every
+field trial of a ball.  ``_normalise`` alone turns energies into
+probabilities and log Z, for one table (``_table``) or for a batch of them
+along an axis.  The spectral
 routines share one single-flip enumeration, ``_single_flips``, and each
 builds its own weights.
 The single-flip operators are CSR matrices with f+1 nonzeros per row, each
@@ -121,7 +124,7 @@ def _decode(codes: np.ndarray, vertices, values: np.ndarray, one, zero) -> None:
         values[:, v] = (codes >> j & 1) * (one - zero) + zero
 
 
-def _free_energies(model: IsingModel, region=None) -> np.ndarray:
+def _free_energies(model: IsingModel, region=None, fields=None) -> np.ndarray:
     """Hamiltonian of every free-vertex configuration, pinned spins folded in.
 
     Doubles over the free vertices in ascending order: the j-th free vertex v
@@ -136,45 +139,50 @@ def _free_energies(model: IsingModel, region=None) -> np.ndarray:
     region are skipped.  The rows are the parent's, whose neighbours ascend as
     the induced model's would, so the float operations are those of
     enumerating that model, relabeled in ascending order, without building it.
-    The size is checked against ``GIBBS_CAP`` before anything is allocated.
+
+    With ``fields`` of shape (rows, n), returns (rows, 2^f) energies, row r
+    equal float for float to those of ``replace(model, field=fields[r])``: one
+    doubling pass serves every row, each step running the same operations in
+    the same order on a leading row axis.  The free vertices' neighbour rows
+    are read once, and the size is checked against ``GIBBS_CAP`` before
+    anything is allocated.
     """
-    if region is None:
-        free, pinned = model.free_vertices, model.pinning
-    else:
-        free = [v for v in region if v not in model.pinning]
-        pinned = {v: model.pinning[v] for v in region if v in model.pinning}
+    region = range(model.n) if region is None else region  # a model is induced on all its vertices
+    free = [v for v in region if v not in model.pinning]
+    pinned = {v: model.pinning[v] for v in region if v in model.pinning}
     if len(free) > GIBBS_CAP:
         raise CapacityError(f"{len(free)} free vertices exceeds the enumeration cap {GIBBS_CAP}")
     spins = np.array(SPIN_VALUES[model.convention][::-1], dtype=np.float64)  # [zero, one]
+    field = model.field[None, :] if fields is None else np.asarray(fields, dtype=np.float64)
     pos = {v: j for j, v in enumerate(free)}
-    nbr, cpl = model.neighbour_table
-    energy = np.zeros(1)
-    for j, v in enumerate(free):
-        base = float(model.field[v])
+    nbr, cpl = (table[free].tolist() for table in model.neighbour_table)
+    energy = np.zeros((len(field), 1))
+    for j, (v, row, cpls) in enumerate(zip(free, nbr, cpl)):
+        local = field[:, v, None].repeat(1 << j, axis=1)
         earlier = []
-        for w, c in zip(nbr[v].tolist(), cpl[v].tolist()):
+        for w, c in zip(row, cpls):
             if w in pinned:
-                base += c * pinned[w]
+                local += c * pinned[w]
             elif pos.get(w, j) < j:  # padding slots name v itself; w outside the region is skipped
                 earlier.append((pos[w], c))
-        local = np.full(1 << j, base)
         for k, c in earlier:
-            runs = local.reshape(-1, 2, 1 << k)  # runs of 2^k prefixes with bit k at 0, 1
+            runs = local.reshape(len(field), -1, 2, 1 << k)  # runs of 2^k prefixes, bit k at 0, 1
             runs += c * spins[:, None]
         energy = _extend(energy, spins, local)
-    return energy
+    return energy if fields is not None else energy[0]
 
 
 def _extend(energy: np.ndarray, spins: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """``energy`` over 2^j prefixes, doubled by one more vertex as bit j.
+    """``energy`` over 2^j prefixes (last axis), doubled by one more vertex as bit j.
 
     ``spins`` holds the [zero, one] spin values and ``local`` the vertex's
     local field per prefix; the "zero" half comes first, then the "one"
     half, each the prefix's energy plus the spin times its local field.
+    Leading axes of ``energy`` and ``local`` are rows, doubled independently.
     """
-    doubled = np.multiply.outer(spins, local)
-    doubled += energy
-    return doubled.reshape(-1)
+    doubled = spins[:, None] * local[..., None, :]
+    doubled += energy[..., None, :]
+    return doubled.reshape(*energy.shape[:-1], -1)
 
 
 def _normalise(energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

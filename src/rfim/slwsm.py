@@ -22,9 +22,9 @@ from .graphs import Graph, ball, boundary, distances_from
 from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, sample_field
 from .oracle import (
     BOOST_CAP,
+    GIBBS_CAP,
     GibbsTable,
     _centred_moments,
-    _extend,
     _free_energies,
     _normalise,
     _table,
@@ -113,37 +113,53 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     where b_v is the sum of v's couplings into R, plus a constant that
     normalising cancels.  So B is enumerated once, without the ring, by
     ``_free_energies`` over the region B of the parent model (no induced
-    model is built), the linear term b.x is built from the same neighbour
-    rows by the same doubling step, and the two energies E + b.x and E - b.x
-    are normalised to read u's marginal under each sign.  Raises InputError
+    model is built), the linear term b.x is built by the same doubling, and
+    the two energies E + b.x and E - b.x are normalised to read u's marginal
+    under each sign.  A one-row call of ``_ball_deltas``.  Raises InputError
     when u is pinned, and when a ring vertex is pinned, since its pin
     conflicts with one of the signs; raises CapacityError, before
     enumerating, when B has more than ``GIBBS_CAP`` free vertices.
     """
+    return float(_ball_deltas(model, u, ell, model.field[None, :])[0])
+
+
+def _ball_deltas(model: IsingModel, u: int, ell: int, fields: np.ndarray) -> np.ndarray:
+    """``wsm_delta(replace(model, field=fields[r]), u, ell)`` for each row r of ``fields``.
+
+    The ball, the ring, the pin checks and the ring's linear term are built
+    once; then one ``_free_energies`` pass and one ``_normalise`` over the
+    (2, rows, 2^f) energies serve a block of field rows, about
+    ``BOOST_BLOCK / (2^f * f)`` of them for f free ball vertices (one row from
+    f = 16 up), so memory does not grow with the number of rows.
+    """
     if model.convention != PM:
         raise InputError("wsm_delta works in the +-1 convention")
-    inside = ball(model.graph, u, ell)
+    region = sorted(ball(model.graph, u, ell))
     if u in model.pinning:
         raise InputError(f"vertex {u} is pinned, so it has no influence to measure")
-    ring = boundary(model.graph, inside)
+    ring = boundary(model.graph, region)
     if not ring:
-        return 0.0
-    for v in sorted(ring):
-        if v in model.pinning:
-            raise InputError(f"ring vertex {v} is pinned against one of the boundary signs")
-    region = sorted(inside)
-    energy = _free_energies(model, region)
+        return np.zeros(len(fields))
+    if ring & model.pinning.keys():
+        raise InputError(f"ring vertex {min(ring & model.pinning.keys())} is pinned against a sign")
     free = [v for v in region if v not in model.pinning]  # ascending, as _free_energies doubles
-    nbr, cpl = model.neighbour_table
-    spins = np.array([-1.0, 1.0])  # [zero, one] in pm
-    linear = np.zeros(1)
-    for v in free:
-        into_ring = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
-        linear = _extend(linear, spins, np.full(len(linear), into_ring))
-    probs, _ = _normalise(np.stack([energy + linear, energy - linear]))
+    if len(free) > GIBBS_CAP:
+        raise CapacityError(f"{len(free)} free vertices exceeds the enumeration cap {GIBBS_CAP}")
+    nbr, cpl = (table[free].tolist() for table in model.neighbour_table)
+    linear = np.zeros(1)  # b.x, doubled as _extend would with spins [-1, 1]
+    for row, cpls in zip(nbr, cpl):
+        into_ring = sum(c for w, c in zip(row, cpls) if w in ring)
+        linear = np.concatenate([linear - into_ring, linear + into_ring])
+    linear = np.stack([linear, -linear])[:, None]  # the all-plus and the all-minus ring
     j = free.index(u)
-    plus, minus = probs.reshape(2, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
-    return float(abs(plus - minus))
+    rows = max(1, BOOST_BLOCK // (linear.shape[-1] * len(free)))
+    deltas = []
+    for lo in range(0, len(fields), rows):
+        energy = _free_energies(model, region, fields[lo:lo + rows])
+        probs, _ = _normalise(energy + linear)  # E + b.x and E - b.x
+        plus, minus = probs.reshape(2, len(energy), -1, 2, 1 << j)[:, :, :, 1].sum(axis=(2, 3))
+        deltas.append(np.abs(plus - minus))
+    return np.concatenate(deltas)
 
 
 @dataclass(frozen=True)
@@ -166,28 +182,32 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
                  field_trials: int, seed: int, vertices=None) -> WsmReport:
     """Average wsm_delta over quenched fields and fit the decay constant.
 
-    The fit minimizes squared residuals of log mean-delta against
-    log C - r / C over the measured radii (zeros are skipped).  Raises
-    InputError with no field trial, no radius or no vertex, which leave
-    nothing to fit.
+    Every trial's field is drawn first, trial t from seed ``seed * 99991 + t``;
+    then each (vertex, radius) ball is enumerated once for all the trials by
+    ``_ball_deltas``, in blocks of trials that keep memory independent of
+    their number, and each trial's delta equals ``wsm_delta`` on the model
+    with that trial's field, float for float.  The fit minimizes squared
+    residuals of log mean-delta against log C - r / C over the measured radii
+    (zeros are skipped).  Raises InputError when a trial count, radius or
+    vertex is not an integer, and with no field trial, no radius or no
+    vertex, which leave nothing to fit.
     """
     from scipy.optimize import minimize_scalar
 
-    if field_trials < 1:
-        raise InputError("estimating WSM needs at least one field trial")
-    if vertices is None:
-        vertices = tuple(range(graph.num_vertices))
-    vertices = tuple(int(v) for v in vertices)
-    radii = tuple(int(r) for r in radii)
-    if not radii or not vertices:
-        raise InputError("estimating WSM needs at least one radius and one vertex")
+    vertices = tuple(range(graph.num_vertices) if vertices is None else vertices)
+    radii = tuple(radii)
+    if not all(isinstance(x, (int, np.integer)) for x in (field_trials, *radii, *vertices)):
+        raise InputError("field trials, radii and vertices must be integers")
+    if field_trials < 1 or not radii or not vertices:
+        raise InputError("estimating WSM needs a field trial, a radius and a vertex")
+    vertices, radii = tuple(map(int, vertices)), tuple(map(int, radii))
+    fields = np.array([sample_field(field_dist, graph.num_vertices, seed * 99991 + t).values
+                       for t in range(field_trials)])
+    model = IsingModel.uniform(graph, beta, fields[0], convention=PM)  # each ball reads `fields`
     deltas = np.zeros((field_trials, len(vertices), len(radii)))
-    for trial in range(field_trials):
-        field = sample_field(field_dist, graph.num_vertices, seed * 99991 + trial)
-        model = IsingModel.uniform(graph, beta, field.values, convention=PM)
-        for i, v in enumerate(vertices):
-            for j, r in enumerate(radii):
-                deltas[trial, i, j] = wsm_delta(model, v, r)
+    for i, v in enumerate(vertices):
+        for j, r in enumerate(radii):
+            deltas[:, i, j] = _ball_deltas(model, v, r, fields)
     mean = deltas.mean(axis=0)
     stderr = np.sqrt(((deltas - mean) ** 2).mean(axis=0) / field_trials)
 
@@ -197,11 +217,8 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
         c = math.exp(log_c)
         return sum((math.log(m) - (math.log(c) - r / c)) ** 2 for r, m in pts)
 
-    if pts:
-        res = minimize_scalar(loss, bounds=(-6.0, 6.0), method="bounded")
-        fitted = float(math.exp(res.x))
-    else:
-        fitted = 0.0
+    fitted = (float(math.exp(minimize_scalar(loss, bounds=(-6.0, 6.0), method="bounded").x))
+              if pts else 0.0)
     return WsmReport(vertices=vertices, radii=radii, mean_delta=mean, stderr=stderr,
                      fitted_c=fitted)
 

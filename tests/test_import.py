@@ -58,6 +58,23 @@ def test_chains_samplers_and_tables_load_no_scipy():
     assert _scipy(_modules_after(DYNAMICS)) == []
 
 
+def test_wsm_delta_and_field_rows_load_no_scipy():
+    # Only estimate_wsm's fit needs scipy; the enumeration behind it does not.
+    loaded = _modules_after(
+        "import numpy as np\n"
+        "from rfim import IsingModel, oracle, torus_grid, wsm_delta\n"
+        "m = IsingModel.uniform(torus_grid(4, 4), 0.3, np.linspace(-1, 1, 16))\n"
+        "wsm_delta(m, 0, 1)\n"
+        "oracle._free_energies(m, [0, 1, 4, 5], np.ones((3, 16)))")
+    assert _scipy(loaded) == []
+
+
+def test_estimate_wsm_loads_scipy_optimize_for_its_fit():
+    loaded = _modules_after("rfim.estimate_wsm(rfim.torus_grid(4, 4), 0.3, "
+                            "rfim.FieldDistribution.gaussian(0.5), [1], 2, seed=1)")
+    assert "scipy.optimize" in loaded
+
+
 def test_glauber_gap_loads_scipy_sparse():
     loaded = _modules_after("rfim.glauber_gap(rfim.IsingModel.uniform(rfim.path_graph(4), 0.3, "
                             "[0.1, -0.2, 0.3, 0.0]))")

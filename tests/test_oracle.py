@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from rfim import (
@@ -569,6 +569,21 @@ def test_free_energies_match_array_energy(m):
 def test_region_energies_equal_the_induced_models(m, data):
     region = sorted(set(data.draw(st.lists(st.integers(0, m.n - 1), max_size=m.n))))
     assert np.array_equal(_free_energies(m, region), _free_energies(edge_scan_induced(m, region)))
+
+
+# No explain phase: a failing enumeration takes minutes to explain.
+@settings(max_examples=60, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(models(), st.data())
+def test_field_rows_equal_one_model_per_row(m, data):
+    region = data.draw(st.none() | st.lists(st.integers(0, m.n - 1), max_size=m.n).map(
+        lambda vs: sorted(set(vs))))
+    rows = data.draw(st.integers(1, 4))
+    fields = np.array(data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=m.n,
+                                                  max_size=m.n), min_size=rows, max_size=rows)))
+    energies = _free_energies(m, region, fields)
+    assert energies.shape[0] == rows
+    for row, field in zip(energies, fields):
+        assert np.array_equal(row, _free_energies(replace(m, field=field), region))
 
 
 @settings(max_examples=60)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from rfim import (
     CapacityError,
@@ -28,7 +28,7 @@ from rfim import (
 )
 from rfim import oracle
 from rfim.graphs import ball, boundary, distances_from, random_regular_graph, torus_grid
-from rfim.slwsm import _boosted_prob_blocks
+from rfim.slwsm import _ball_deltas, _boosted_prob_blocks
 
 from conftest import random_field_model, uniform_model
 from induced_reference import edge_scan_induced
@@ -260,6 +260,71 @@ def test_estimate_wsm_needs_a_radius_and_a_vertex():
         with pytest.raises(InputError):
             estimate_wsm(path_graph(4), beta=0.5, field_dist=FieldDistribution.gaussian(0.5),
                          radii=radii, field_trials=2, seed=1, vertices=vertices)
+
+
+@pytest.mark.parametrize("radii, vertices, trials", [((1.5,), [0], 2), ((1,), [1.7], 2),
+                                                     ((1,), [0], 2.5)])
+def test_estimate_wsm_rejects_a_non_integer(radii, vertices, trials):
+    # int() measured radius 1 for 1.5 and vertex 1 for 1.7; 2.5 trials raised a TypeError
+    with pytest.raises(InputError):
+        estimate_wsm(torus_grid(6, 6), beta=0.5, field_dist=FieldDistribution.gaussian(0.5),
+                     radii=radii, field_trials=trials, seed=1, vertices=vertices)
+
+
+# No explain phase: a failing enumeration takes minutes to explain.
+@settings(max_examples=60, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(models(min_pairs=2, convention="pm"), st.data())
+def test_ball_delta_rows_equal_the_induced_model_route(m, data):
+    # Row r of one pass over the ball is wsm_delta of the model with field r.
+    cases = _ring_cases(m)
+    assume(cases)
+    u, ell, ring, touching = data.draw(st.sampled_from(cases))
+    freed = {u} | ring | set(data.draw(st.permutations(touching))[:2])
+    m = replace(m, pinning={v: s for v, s in m.pinning.items() if v not in freed})
+    rows = data.draw(st.integers(1, 3))
+    fields = np.array(data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=m.n,
+                                                  max_size=m.n), min_size=rows, max_size=rows)))
+    deltas = _ball_deltas(m, u, ell, fields)
+    assert deltas.shape == (rows,)
+    for delta, field in zip(deltas, fields):
+        assert delta == _induced_wsm_delta(replace(m, field=field), u, ell)
+
+
+@settings(max_examples=30, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(models(min_pairs=1, convention="pm"), st.data())
+def test_estimate_wsm_equals_a_loop_of_wsm_delta(m, data):
+    g = m.graph
+    beta = data.draw(st.floats(-1.0, 1.0))
+    trials = data.draw(st.integers(1, 3))
+    radii = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    vertices = data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=4))
+    dist = FieldDistribution.gaussian(0.8)
+    report = estimate_wsm(g, beta, dist, radii, trials, seed=5, vertices=vertices)
+    deltas = np.zeros((trials, len(vertices), len(radii)))
+    for t in range(trials):
+        model = IsingModel.uniform(g, beta, sample_field(dist, g.num_vertices, 5 * 99991 + t).values)
+        for i, v in enumerate(vertices):
+            for j, r in enumerate(radii):
+                deltas[t, i, j] = wsm_delta(model, v, r)
+    mean = deltas.mean(axis=0)
+    assert np.array_equal(report.mean_delta, mean)
+    assert np.array_equal(report.stderr, np.sqrt(((deltas - mean) ** 2).mean(axis=0) / trials))
+
+
+def test_estimate_wsm_memory_does_not_grow_with_trials():
+    # The end of a path: an 18-vertex ball, 2^18 configurations, one free ring
+    # vertex.  Held at once, 50 trials' energies would be 100 MiB per array.
+    g = path_graph(19)
+    peaks = []
+    for trials in (1, 50):
+        tracemalloc.start()
+        try:
+            estimate_wsm(g, 0.3, FieldDistribution.gaussian(0.5), [17], trials, seed=3,
+                         vertices=[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_separation_plan_hand_trace():
