@@ -8,6 +8,19 @@ between chains on ferromagnetic models and lets many conditioned chains ride
 the same uniforms.  Replicas use disjoint RNG substreams; a coupled trace
 advances all of its chains in lockstep.
 
+Every kernel reads its random choices from ``_draws``.  A run of ``steps``
+updates of R replicas (R = 1 for a scalar chain and for the coupled pair)
+is drawn in blocks of b = max(1, DRAW_BLOCK // R) steps, the last block
+shorter: per block, the (b, R) indices into the free list, then the (b, R)
+uniforms, so a kernel makes two RNG calls per block, and row k of a block is
+step k's.  The layout depends only on (steps, R), never on snapshots or
+segments, so a run is a fixed function of its substream address.  DRAW_BLOCK
+= 2^13 replica-steps keeps a block's (b, max degree, R) gathers near 0.25 MB
+at degree 4, and each block's arrays are freed before the next is drawn: on
+the 50x50 torus batches the bench's peak RSS read 77.1-77.25 MB at 2^14,
+the parent's level, and 75.5-75.6 MB at 2^13.  The staged sampler at R = 64
+draws each stage's k* updates in one block either way.
+
 Local fields come from the model's padded neighbour table: (n, max degree)
 neighbour indices and couplings, padding slots having coupling 0, so an
 update costs O(max degree) whatever n is.
@@ -20,27 +33,28 @@ model with numpy.  A chain keeps its spin list and one key per vertex; a step
 reads ``probs[key[v]]`` and only a flip touches the keys, XOR-ing v's slot bit
 into each neighbour's key through ``flips[v]``.  No step sums a field or
 calls the logistic, and none calls a function: the step is written out in
-the loop of ``_scalar_run``, which serves ``run_chain`` and ``_draw`` and
-draws all its vertex choices, then all its uniforms, before the loop, and
-in the loop of ``monotone_coupled_run``, which draws a vertex and a uniform
-per step and applies the step to both chains.  Against a call per update,
-100 chains of 2000 updates on a 3x4 grid went from 105 to 80 ms and one
-chain of 50,000 updates on a 50x50 torus from 26 to 18 ms (CPU time,
-2-core Xeon).  ``probs`` is a memoryview of the table: a list of it was
-faster on the grid (66 ms) but slower on the torus (22 ms), where it holds
-40,000 Python floats.  The table caps at ``HEAT_BATH_TABLE_CAP`` entries
-and raises CapacityError above it.
+the loop of ``_scalar_run``, which serves ``run_chain`` and ``_draw``, and
+in the loop of ``monotone_coupled_run``, which applies it to both chains.
+Against a call per update, 100 chains of 2000 updates on a 3x4 grid went
+from 105 to 80 ms and one chain of 50,000 updates on a 50x50 torus from 26
+to 18 ms (CPU time, 2-core Xeon).  ``probs`` is a memoryview of the table: a
+list of it was faster on the grid (66 ms) but slower on the torus (22 ms),
+where it holds 40,000 Python floats.  The table caps at
+``HEAT_BATH_TABLE_CAP`` entries and raises CapacityError above it.
 
-``_heat_bath_update`` is the float replica kernel, under replica batches,
-the monotone batch coupling and sampler stages.  It takes P(one) from the
-table's rule, ``model._heat_bath_probability``, over v's whole row; padding
-slots add c = 0 times a spin, +-0.0, so it equals the table's entry bit for
-bit.  The staged sampler holds vertices not yet staged at 0, neutral in both
-conventions but not a spin in pm, which no table key encodes; that
-zero-padded matrix is why the sampler calls ``_heat_bath_run`` directly,
-which checks nothing.  Every public chain checks its start with
-``IsingModel.check_values`` and never repairs it.  Pinned vertices hold
-their value and are never chosen.
+``_float_steps`` is the float replica kernel, under replica batches, the
+monotone batch coupling (both chains stacked in one state) and sampler
+stages.  Once a block's vertices are known it gathers what depends on them
+alone: the flat write targets, the neighbour indices and couplings
+slot-major, (b, D, R), and the fields.  A step is then one spin gather, one
+product, the D in-place adds of ``model._heat_bath_probability``, the
+compare and the put.  It sums v's whole row; padding slots add c = 0 times a
+spin, +-0.0, so its P(one) equals the table's entry bit for bit.  The staged
+sampler holds vertices not yet staged at 0, neutral in both conventions but
+not a spin in pm, which no table key encodes; that zero-padded matrix is why
+the sampler calls ``_float_steps`` directly, which checks nothing.  Every
+public chain checks its start with ``IsingModel.check_values`` and never
+repairs it.  Pinned vertices hold their value and are never chosen.
 
 When the f updated vertices are few, a batch runs on codes instead: each
 replica's spins on them are one int64 in the layout of Gibbs table indices,
@@ -50,10 +64,10 @@ P(one) for every code and updated vertex, each vertex outside the set
 holding one value in every row (a pin, or an unstaged 0).  A step is a
 gather, a compare and a bit set.  It is bit-identical to the float kernel:
 the table sums the same products of the same floats through the same rule
-in the same slot order, and ``_coded_steps`` reads the same draws in the
-same order.  ``run_chains_batch`` holds the one snapshot loop: it builds
-the table once and advances the codes, or the float kernel, from one
-snapshot step to the next.  The size rule
+in the same slot order, and ``_coded_steps`` reads the same draws.  Both
+kernels yield after every step, so ``run_chains_batch`` holds the one
+snapshot loop: it builds the table once and advances the codes, or the
+float kernel, from one snapshot step to the next.  The size rule
 ``_codes_fit`` codes while f * 2^f <= min(R * steps, HEAT_BATH_TABLE_CAP),
 so f <= 16.  It was set on the staged sampler, float kernel against codes
 at factors 1/4 to 8 of R * steps (median ms per call, 2-core Xeon):
@@ -73,8 +87,9 @@ masking the enumerated rows would sum them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -124,34 +139,43 @@ def _keys(model: IsingModel, values) -> list[int]:
     return (table.offset + (is_one[model.neighbour_table[0]] * table.weight).sum(axis=1)).tolist()
 
 
-def _heat_bath_update(model: IsingModel, values: np.ndarray, base: np.ndarray,
-                      v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Resample vertex v[r] of every replica r from its uniform u[r], gathering
-    through the flat offsets ``base`` = r * n of the C-ordered (R, n) ``values``;
-    O(R * degree).  Returns the new spins."""
+DRAW_BLOCK = 1 << 13  # replica-steps drawn at once; the module docstring gives the layout
+
+
+def _draws(rng: np.random.Generator, count: int, replicas: int, steps: int):
+    """The (indices into ``count`` vertices, uniforms) of ``steps`` updates of
+    ``replicas`` replicas, in blocks of shape (b, replicas), each drawing all its
+    indices, then all its uniforms; b = max(1, DRAW_BLOCK // replicas)."""
+    rows = max(1, DRAW_BLOCK // max(replicas, 1))
+    for done in range(0, steps, rows):
+        size = (min(rows, steps - done), replicas)
+        yield rng.integers(count, size=size), rng.random(size)
+
+
+def _float_steps(model: IsingModel, values: np.ndarray, free: np.ndarray, blocks):
+    """Advance the C-ordered (R, n) float ``values`` by the updates of ``blocks``,
+    ``_draws`` blocks of indices into ``free``, yielding after each update its
+    flat write targets r * n + v[r] and the new spins; O(R * degree) per update."""
     one, zero = SPIN_VALUES[model.convention]
     nbr, cpl = model.neighbour_table
-    # one (R, D) gather and product, copied slot-major: a contiguous row per term
-    terms = np.ascontiguousarray(
-        (values.take(base[:, None] + nbr.take(v, axis=0)) * cpl.take(v, axis=0)).T)
-    p_one = _heat_bath_probability(model.convention, model.field.take(v), terms)
-    # one where u <= p_one, else zero; arithmetic, as np.where is slow on random masks
-    new = (u <= p_one) * float(one - zero) + zero
-    values.put(base + v, new)
-    return new
-
-
-def _heat_bath_run(model: IsingModel, values: np.ndarray, free: np.ndarray, steps: int,
-                   rng: np.random.Generator) -> None:
-    """Advance every row of ``values`` by ``steps`` updates at vertices drawn from ``free``.
-
-    Each step draws all replicas' vertex indices, then their uniforms.
-    """
-    replicas = len(values)
-    base = np.arange(replicas) * values.shape[1]
-    for _ in range(steps):
-        v = free[rng.integers(len(free), size=replicas)]
-        _heat_bath_update(model, values, base, v, rng.random(replicas))
+    base = np.arange(len(values)) * values.shape[1]
+    for j, u in blocks:
+        at = free.take(j)
+        # slot-major (b, D, R), so that each term is a contiguous row
+        gather, coupling = (np.ascontiguousarray(a.take(at, axis=0).transpose(0, 2, 1))
+                            for a in (nbr, cpl))
+        gather += base
+        field = model.field.take(at)  # row k is step k's, summed into in place
+        at += base  # the vertices become the flat write targets
+        for k in range(len(u)):
+            terms = values.take(gather[k])
+            terms *= coupling[k]
+            p_one = _heat_bath_probability(model.convention, field[k], terms)
+            # one where u <= p_one, else zero; arithmetic, as np.where is slow on random masks
+            new = (u[k] <= p_one) * float(one - zero) + zero
+            values.put(at[k], new)
+            yield at[k], new
+        del gather, coupling, field, at  # before the next block is drawn
 
 
 def _codes_fit(f: int, work: int) -> bool:
@@ -167,7 +191,7 @@ def _code_table(model: IsingModel, coded: np.ndarray, outside: np.ndarray) -> np
 
     ``coded`` ascends, so the codes are ``oracle._encode``'s; a neighbour
     outside it reads its value in the spin vector ``outside``.  The terms are
-    ``_heat_bath_update``'s, one per slot of the padded row, products of the
+    ``_float_steps``'s, one per slot of the padded row, products of the
     same floats added in the same order, so every entry equals the replica
     kernel's P(one) bit for bit.  Neighbours are gathered through their bit
     positions, so the build holds O(2^f * f) floats whatever n is.
@@ -192,37 +216,35 @@ def _code_table(model: IsingModel, coded: np.ndarray, outside: np.ndarray) -> np
     return _heat_bath_probability(model.convention, field, terms())
 
 
-def _coded_steps(table: np.ndarray, codes: np.ndarray, steps: int,
-                 rng: np.random.Generator) -> None:
-    """Advance ``codes`` in place by ``steps`` heat-bath updates, drawing per step
-    every replica's column j of ``table``, then its uniform, as ``_heat_bath_run``
-    draws its index into the free list; the update sets bit j."""
-    replicas, f = len(codes), table.shape[1]
+def _coded_steps(table: np.ndarray, codes: np.ndarray, blocks):
+    """Advance ``codes`` in place by the updates of ``blocks``, ``_draws`` blocks of
+    columns j of ``table``, as ``_float_steps`` reads its indices into the free
+    list; an update sets bit j.  Yields after each update."""
+    f = table.shape[1]
     probs = table.ravel()
-    for _ in range(steps):
-        j = rng.integers(f, size=replicas)
-        u = rng.random(replicas)
-        m = 1 << j
-        new = u <= probs.take(codes * f + j)
-        codes &= ~m
-        codes |= new * m
+    for j, u in blocks:
+        bit = 1 << j
+        for k in range(len(u)):
+            new = u[k] <= probs.take(codes * f + j[k])
+            codes &= ~bit[k]
+            codes |= new * bit[k]
+            yield
 
 
-def _scalar_run(model: IsingModel, values: list, steps: int, seed: int, chain_index: int,
+def _scalar_run(model: IsingModel, values: list, steps: int, rng: np.random.Generator,
                 record_every: int | None = None) -> list | None:
-    """Advance the spin list ``values`` in place by ``steps`` updates of chain
-    ``chain_index`` of ``seed``, which draws every vertex choice, then every
-    uniform.  Returns (step, magnetization, energy) rows at step 0 and every
-    ``record_every`` steps when that is set, else None.  Raises InputError,
-    before drawing, when either count is negative."""
+    """Advance the spin list ``values`` in place by ``steps`` updates drawn from
+    ``rng`` by ``_draws`` with one replica.  Returns (step, magnetization,
+    energy) rows at step 0 and every ``record_every`` steps when that is set,
+    else None.  Raises InputError, before drawing, when either count is negative."""
     if steps < 0 or (record_every or 0) < 0:
         raise InputError("steps and record_every must be nonnegative")
     free = _free_vertices(model)
     probs, flips = memoryview(model.heat_bath_table.probs), model.heat_bath_table.flips
     one, zero = SPIN_VALUES[model.convention]
     keys = _keys(model, values)
-    rng = substream(seed, CHAIN, chain_index)
-    draws = zip(free[rng.integers(len(free), size=steps)].tolist(), rng.random(steps).tolist())
+    draws = chain.from_iterable(zip(free.take(j).ravel().tolist(), u.ravel().tolist())
+                                for j, u in _draws(rng, len(free), 1, steps))
 
     def observables(step):
         vals = np.array(values, dtype=np.float64)
@@ -246,30 +268,33 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
               record_every: int | None = None, chain_index: int = 0):
     """Run one chain for ``steps`` updates; deterministic given the seed.
 
-    Chain ``chain_index`` of ``seed`` draws every vertex choice, then every
-    uniform, and one loop applies them with the heat-bath step written out:
-    it reads the probability of its vertex from the model's ``heat_bath_table``
-    at the vertex's key, and a flip XORs the vertex's slot bit into its
-    neighbours' keys, so no local field is summed, no logistic is evaluated
-    and no function is called per update.  The table holds the probabilities
-    that summing the field over the neighbour row would give, bit for bit.
-    Returns the final ChainState, plus a time series of (step, magnetization,
-    energy) rows when ``record_every`` is set.  Raises InputError when
-    ``steps`` or ``record_every`` is negative, and CapacityError when the
-    model's table would exceed ``HEAT_BATH_TABLE_CAP`` entries.
+    Chain ``chain_index`` of ``seed`` reads substream (seed, CHAIN,
+    chain_index) in ``_draws`` blocks, and one loop applies the updates with
+    the heat-bath step written out: it reads the probability of its vertex
+    from the model's ``heat_bath_table`` at the vertex's key, and a flip XORs
+    the vertex's slot bit into its neighbours' keys, so no local field is
+    summed, no logistic is evaluated and no function is called per update.
+    The table holds the probabilities that summing the field over the
+    neighbour row would give, bit for bit.  Returns the final ChainState,
+    plus a time series of (step, magnetization, energy) rows when
+    ``record_every`` is set.  Raises InputError when ``steps`` or
+    ``record_every`` is negative, and CapacityError when the model's table
+    would exceed ``HEAT_BATH_TABLE_CAP`` entries.
     """
     values = _config_values(model, init).tolist()
-    trajectory = _scalar_run(model, values, steps, seed, chain_index, record_every)
+    trajectory = _scalar_run(model, values, steps, substream(seed, CHAIN, chain_index),
+                             record_every)
     return ChainState(SpinConfiguration(values, model.convention), steps), trajectory
 
 
-def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, index: int,
+def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, path: tuple,
           burn_steps: int | None, table: GibbsTable | None) -> np.ndarray:
     """One configuration of ``model`` as a spin vector.
 
     "oracle" draws it exactly from ``table`` (enumerated when None) with
-    ``rng``.  "glauber" runs chain ``index`` of ``seed`` for ``burn_steps``
-    updates from the all-'zero' start and leaves ``rng`` untouched.
+    ``rng``.  "glauber" runs the chain at substream (seed, CHAIN, *path) for
+    ``burn_steps`` updates from the all-'zero' start and leaves ``rng``
+    untouched; each caller passes its own ``path``.
     """
     if sampler == "oracle":
         if table is None:
@@ -279,7 +304,7 @@ def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, 
         if not burn_steps:
             raise InputError("glauber sampler needs burn_steps")
         values = model.full_values(SPIN_VALUES[model.convention][1]).astype(np.int8).tolist()
-        _scalar_run(model, values, burn_steps, seed, index)
+        _scalar_run(model, values, burn_steps, substream(seed, CHAIN, *path))
         return np.array(values, dtype=np.int8)
     raise InputError(f"unknown sampler {sampler!r}")
 
@@ -289,10 +314,11 @@ def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, see
     """Advance many replicas in lockstep (vectorized across replicas).
 
     ``init_values`` has shape (replicas, n); every row must pass
-    ``model.check_values``, so starts are checked, never repaired.  One
-    substream feeds the whole batch; replica r reads column r of each per-step
-    draw, so the run is deterministic given (seed, stream_path).  Snapshots are
-    copies of the state matrix taken after the requested step counts, each
+    ``model.check_values``, so starts are checked, never repaired.  Substream
+    (seed, COUPLING, *stream_path) feeds the whole batch in ``_draws`` blocks;
+    replica r reads column r of each block's rows, so the run is deterministic
+    given (seed, stream_path) and the snapshots do not change it.  Snapshots
+    are copies of the state matrix taken after the requested step counts, each
     between 0 and ``steps``.  A batch whose free set is small for its work
     runs on codes (``_codes_fit``) with the same draws and the same output.
     """
@@ -304,21 +330,21 @@ def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, see
     if values.ndim != 2:
         raise InputError("init_values must have shape (replicas, n)")
     free = _free_vertices(model)
-    rng = substream(seed, COUPLING, *stream_path)
+    blocks = _draws(substream(seed, COUPLING, *stream_path), len(free), len(values), steps)
     one, zero = SPIN_VALUES[model.convention]
     on_codes = _codes_fit(len(free), len(values) * steps)
     if on_codes:  # every vertex outside ``free`` is pinned, so row 0 holds its value
-        table = _code_table(model, free, values[0])
         codes = _encode(values, free, one)
+        updates = _coded_steps(_code_table(model, free, values[0]), codes, blocks)
+    else:
+        updates = _float_steps(model, values, free, blocks)
     want = set(int(s) for s in snapshot_steps)
     snapshots = {}
     done = 0
     for k in sorted(want | {steps}):
+        deque(islice(updates, k - done), maxlen=0)
         if on_codes:
-            _coded_steps(table, codes, k - done, rng)
             _decode(codes, free, values, one, zero)
-        else:
-            _heat_bath_run(model, values, free, k - done, rng)
         done = k
         if k in want:
             snapshots[k] = values.copy()
@@ -335,8 +361,8 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
 
     Requires a ferromagnetic model, low <= high pointwise and ``steps`` >= 0;
     the pointwise order is asserted after every step (a violation raises, it
-    is never tolerated statistically).  Each step draws its vertex, then its
-    uniform, from the COUPLING substream of ``seed``, and one loop applies it
+    is never tolerated statistically).  The updates are drawn from substream
+    (seed, COUPLING) by ``_draws`` with one replica, and one loop applies each
     to both chains with the step written out, as ``run_chain``'s loop does:
     both read the one ``heat_bath_table`` of the model, each through its own
     key list.
@@ -348,17 +374,16 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
     lo, hi = (_config_values(model, x).tolist() for x in (low, high))
     if any(a > b for a, b in zip(lo, hi)):
         raise InputError("initial states must satisfy low <= high pointwise")
-    free = _free_vertices(model).tolist()
+    free = _free_vertices(model)
     probs, flips = memoryview(model.heat_bath_table.probs), model.heat_bath_table.flips
     one, zero = SPIN_VALUES[model.convention]
     chains = (lo, _keys(model, lo)), (hi, _keys(model, hi))
-    rng = substream(seed, COUPLING)
+    draws = chain.from_iterable(zip(free.take(j).ravel().tolist(), u.ravel().tolist())
+                                for j, u in _draws(substream(seed, COUPLING), len(free), 1, steps))
     log = [] if log_uniforms else None
     apart = sum(a != b for a, b in zip(lo, hi))  # sites where the chains disagree
     coalescence = 0 if apart == 0 else None
-    for k in range(steps):
-        v = free[int(rng.integers(len(free)))]
-        u = float(rng.random())
+    for k, (v, u) in enumerate(draws):
         was_apart = lo[v] != hi[v]
         for values, keys in chains:
             s = one if u <= probs[keys[v]] else zero
@@ -373,52 +398,46 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
             log.append((k + 1, v, u))
         if coalescence is None and apart == 0:
             coalescence = k + 1
+    states = tuple(ChainState(SpinConfiguration(x, model.convention), steps) for x in (lo, hi))
     disagree = frozenset(i for i, (a, b) in enumerate(zip(lo, hi)) if a != b)
-    return CouplingTrace(
-        states=tuple(ChainState(SpinConfiguration(x, model.convention), steps) for x in (lo, hi)),
-        disagreement_set=disagree,
-        coalescence_step=coalescence,
-        shared_uniform_log=tuple(log) if log is not None else None,
-    )
+    return CouplingTrace(states=states, disagreement_set=disagree, coalescence_step=coalescence,
+                         shared_uniform_log=tuple(log) if log is not None else None)
 
 
 def monotone_coupled_batch(model: IsingModel, steps: int, runs: int, seed: int) -> dict:
     """Vectorized all-minus vs all-plus coupling over many independent runs.
 
     Returns order-violation and coalescence counts; any violation raises.
-    Each run's count of disagreeing sites is updated as its step changes it,
-    so a step costs O(runs * degree).
+    Both chains of every run are rows of one (2 runs, n) state, the low ones
+    first, advanced by ``_float_steps``; run r's two rows read column r of
+    the ``_draws`` blocks of substream (seed, COUPLING), as ``runs``
+    replicas of ``run_chains_batch`` on the stream path () would.  Each
+    run's count of disagreeing sites is updated as its step changes it, so a
+    step costs O(runs * degree).
     """
     if steps < 0 or runs < 0:
         raise InputError("steps and runs must be nonnegative")
     if not model.ferromagnetic:
         raise InputError("monotone coupling requires a ferromagnetic model")
-    n = model.n
     one, zero = SPIN_VALUES[model.convention]
-    lo, hi = (np.tile(model.full_values(s), (runs, 1)) for s in (zero, one))
-    free = _free_vertices(model)
-    rng = substream(seed, COUPLING)
-    base = np.arange(runs) * n
-    apart = (lo != hi).sum(axis=1)
+    values = np.repeat([model.full_values(zero), model.full_values(one)], runs, axis=0)
+    differs = values[:runs] != values[runs:]
+    apart = differs.sum(axis=1)
     coalesced_at = np.full(runs, -1, dtype=np.int64)
-    for k in range(1, steps + 1):
-        v = free[rng.integers(len(free), size=runs)]
-        u = rng.random(runs)
-        was_apart = lo.take(base + v) != hi.take(base + v)
-        new_lo = _heat_bath_update(model, lo, base, v, u)
-        new_hi = _heat_bath_update(model, hi, base, v, u)
-        if (new_lo > new_hi).any():
+    free = _free_vertices(model)
+    blocks = ((np.tile(j, 2), np.tile(u, 2))
+              for j, u in _draws(substream(seed, COUPLING), len(free), runs, steps))
+    for k, (at, new) in enumerate(_float_steps(model, values, free, blocks), start=1):
+        if (new[:runs] > new[runs:]).any():
             raise AssertionError(f"monotone coupling violated order at step {k}")
-        apart += (new_lo != new_hi).astype(np.int64) - was_apart
+        now = new[:runs] != new[runs:]
+        apart += now
+        apart -= differs.take(at[:runs])  # the low rows' targets index ``differs`` too
+        differs.put(at[:runs], now)
         coalesced_at[(coalesced_at < 0) & (apart == 0)] = k
-    return {
-        "runs": runs,
-        "steps": steps,
-        "order_violations": 0,
-        "coalesced": int((coalesced_at >= 0).sum()),
-        "coalesced_at": coalesced_at,
-        "final_disagreements": int((apart > 0).sum()),
-    }
+    return {"runs": runs, "steps": steps, "order_violations": 0,
+            "coalesced": int((coalesced_at >= 0).sum()), "coalesced_at": coalesced_at,
+            "final_disagreements": int((apart > 0).sum())}
 
 
 def grand_coupled_update(models, seed: int | None = None, order=None,
@@ -491,16 +510,16 @@ def empirical_tv_curve(model: IsingModel, init: SpinConfiguration, step_grid,
     """Empirical TV to the exact table at each grid step, with a noise floor.
 
     The noise floor is the expected TV of a perfect multinomial sample of the
-    same size, 0.5 * sum sqrt(2 p (1-p) / (pi R)).
+    same size, 0.5 * sum sqrt(2 p (1-p) / (pi R)).  Raises InputError on an
+    empty grid and, from ``run_chains_batch``, on a negative step, before
+    enumerating the table.
     """
     grid = sorted(set(int(s) for s in step_grid))
     if not grid:
         raise InputError("the step grid is empty")
-    if grid[0] < 0:
-        raise InputError("grid steps must be nonnegative")
     init_vals = np.tile(_config_values(model, init).astype(np.float64), (replicas, 1))
-    table = gibbs_table(model)
     _, snapshots = run_chains_batch(model, init_vals, max(grid), seed, snapshot_steps=grid)
+    table = gibbs_table(model)
     tvs = [empirical_tv(table, snapshots[step]) for step in grid]  # raises on no replicas
     noise = 0.5 * float(np.sqrt(2 * table.probs * (1 - table.probs) / (np.pi * replicas)).sum())
     return [{"step": step, "tv": tv, "noise_floor": noise} for step, tv in zip(grid, tvs)]

@@ -230,20 +230,21 @@ def growth_profile(g: Graph, alpha: float, c_alpha: float) -> GrowthProfile:
     return GrowthProfile(alpha=alpha, c_alpha=c_alpha, per_radius_max_ball=tuple(rows), satisfied=ok)
 
 
-def connected_ordering(g: Graph, seed: int, vertices=None) -> tuple[int, ...]:
+def connected_ordering(g: Graph, seed: int, vertices=None, *path: int) -> tuple[int, ...]:
     """Order of ``vertices`` (default: all) whose every prefix induces a connected subgraph.
 
-    Randomized BFS/DFS frontier selection, deterministic given ``seed``: the
-    start is drawn uniformly from the sorted vertices and each next vertex
-    uniformly from the sorted frontier.  Only edges inside ``vertices`` count,
-    so the order is that of the induced subgraph relabelled in sorted order.
+    Randomized BFS/DFS frontier selection, deterministic given the substream
+    (seed, ORDERING, *path): the start is drawn uniformly from the sorted
+    vertices and each next vertex uniformly from the sorted frontier.  Only
+    edges inside ``vertices`` count, so the order is that of the induced
+    subgraph relabelled in sorted order.
     """
     for v in () if vertices is None else vertices:
         _check_vertex(g, v)
     keep = range(g.num_vertices) if vertices is None else sorted({int(v) for v in vertices})
     if not keep:
         return ()
-    rng = substream(seed, ORDERING)
+    rng = substream(seed, ORDERING, *path)
     start = keep[int(rng.integers(len(keep)))]
     inside = set(keep)
     order = [start]
@@ -310,8 +311,9 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return build_graph(rows * cols, edges)
 
 
-def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
-    """Uniform-ish random ``degree``-regular simple graph via the pairing model.
+def random_regular_graph(n: int, degree: int, seed: int, *path: int) -> Graph:
+    """Uniform-ish random ``degree``-regular simple graph via the pairing model,
+    drawn from the substream (seed, GENERATOR, *path).
 
     Rejects pairings with self-loops or parallel edges and retries, up to
     PAIRING_TRIES times.
@@ -320,7 +322,7 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
         raise InputError("need 0 <= degree < n")
     if (n * degree) % 2 != 0:
         raise InputError("n * degree must be even")
-    rng = substream(seed, GENERATOR)
+    rng = substream(seed, GENERATOR, *path)
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(PAIRING_TRIES):
         perm = rng.permutation(stubs)

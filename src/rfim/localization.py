@@ -64,10 +64,10 @@ def sample_noising_trace(model01: IsingModel, seed: int, sampler: str = "oracle"
     if model01.convention != ZERO_ONE:
         raise InputError("noising traces need a 01-convention model")
     rng = substream(seed, TRACE, trace_index)
-    x = SpinConfiguration(_draw(model01, rng, sampler, seed, trace_index, burn_steps, table),
-                          ZERO_ONE)
+    x = _draw(model01, rng, sampler, seed, (TRACE, trace_index), burn_steps, table)
     uniforms = rng.random(model01.graph.num_edges)
-    return DenoisingTrace(base_model=model01, x_sample=x, edge_uniforms=uniforms)
+    return DenoisingTrace(base_model=model01, x_sample=SpinConfiguration(x, ZERO_ONE),
+                          edge_uniforms=uniforms)
 
 
 def posterior_model(model01: IsingModel, t: float, revealed) -> IsingModel:

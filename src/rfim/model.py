@@ -237,11 +237,11 @@ class QuenchedField:
         object.__setattr__(self, "values", vals)
 
 
-def sample_field(dist: FieldDistribution, n: int, seed: int) -> QuenchedField:
-    """n i.i.d. draws from ``dist``, reproducible per seed."""
+def sample_field(dist: FieldDistribution, n: int, seed: int, *path: int) -> QuenchedField:
+    """n i.i.d. draws from ``dist`` at the substream (seed, FIELD, *path)."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    rng = substream(seed, FIELD)
+    rng = substream(seed, FIELD, *path)
     return QuenchedField(values=dist.sample(n, rng), distribution_spec=dist, seed=int(seed))
 
 

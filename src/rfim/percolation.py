@@ -280,7 +280,7 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
     col_sups = np.zeros((trials, num_edges))
     interpolation_ok = True
     for tr in range(trials):
-        field = sample_field(field_dist, n, seed * 100003 + tr)
+        field = sample_field(field_dist, n, seed, PERCOLATION, tr)
         base = IsingModel.uniform(g, beta, field.values, convention=PM)
         model01 = to_zero_one(base)
         codes = None

@@ -9,6 +9,9 @@ nothing to a local field in either convention, and each stage updates only
 the staged vertices, so no induced model is built.  Stage 1 is exact; every
 other stage is a chain from a warm start.  Disconnected graphs are staged one
 component at a time in the same matrix; no edge joins two components.
+Component ci reads one substream, (seed, SAMPLER, ci): each stage draws its
+new vertex's R uniforms from it, then its k* updates in the blocks of
+``dynamics._draws``, so a stage makes two RNG calls per block of updates.
 
 While a component's prefix is small for the stage's work (``_codes_fit``),
 its stages keep each replica's prefix spins as one int64 code, bit i the
@@ -27,6 +30,7 @@ import io
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -44,10 +48,10 @@ from .model import (
     model_to_json_dict,
     sample_field,
 )
-from .dynamics import _code_table, _coded_steps, _codes_fit, _heat_bath_run
+from .dynamics import _code_table, _coded_steps, _codes_fit, _draws, _float_steps
 from .oracle import _decode, _encode, empirical_tv, gibbs_table
 from .percolation import gap_certificate
-from .rng import COUPLING, SAMPLER, substream
+from .rng import PIPELINE, SAMPLER, substream
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,12 @@ def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas:
     stage_steps: list[int] = []
     full_order: list[int] = []
     for ci, comp in enumerate(connected_components(model.graph)):
-        order = np.array(connected_ordering(model.graph, config.ordering_seed + ci, comp))
+        path = (ci,) if ci else ()  # component 0 is ordered at the seed's own address
+        order = np.array(connected_ordering(model.graph, config.ordering_seed, comp, *path))
         full_order.extend(order.tolist())
+        rng = substream(config.seed, SAMPLER, ci)
         codes = None  # while the prefix is small, bit i holds the spin of staged[i]
         for stage, v_new in enumerate(order.tolist(), start=1):
-            rng = substream(config.seed, SAMPLER, ci, stage)
             p_one = _heat_bath_probability(model.convention, model.field[v_new])
             new = rng.random(replicas) <= p_one
             staged = np.sort(order[:stage])
@@ -115,11 +120,9 @@ def incremental_sample_batch(model: IsingModel, config: SamplerConfig, replicas:
             elif codes is not None and not fits:
                 _decode(codes, staged, state, one, zero)
                 codes = None
-            stream = substream(config.seed, COUPLING, SAMPLER, ci, stage)
-            if codes is None:
-                _heat_bath_run(model, state, staged, k, stream)
-            else:
-                _coded_steps(_code_table(model, staged, absent), codes, k, stream)
+            blocks = _draws(rng, stage, replicas, k)
+            deque(_float_steps(model, state, staged, blocks) if codes is None
+                  else _coded_steps(_code_table(model, staged, absent), codes, blocks), maxlen=0)
             stage_steps.append(k)
         if codes is not None:
             _decode(codes, staged, state, one, zero)
@@ -255,7 +258,9 @@ def run_experiment(config: dict, output_dir=None) -> dict:
     """Run a declared pipeline and return (and optionally write) its reports.
 
     The manifest records seeds, versions and per-step outputs; report payloads
-    are deterministic given the config, the manifest timestamp aside.
+    are deterministic given the config, the manifest timestamp aside.  Step i
+    reads its randomness below the address (seed, PIPELINE, i), as the table
+    in ``rfim.rng`` lists.
     """
     from pathlib import Path
 
@@ -274,9 +279,9 @@ def run_experiment(config: dict, output_dir=None) -> dict:
     for i, step in enumerate(config["pipeline"]):
         kind = step["kind"]
         if kind == "gap_vs_exact":
-            report = _gap_vs_exact_step(step, seed + i)
+            report = _gap_vs_exact_step(step, seed, i)
         elif kind == "sample":
-            report = _sample_step(step, seed + i)
+            report = _sample_step(step, seed, i)
         manifest["steps"].append({"index": i, "kind": kind})
         reports.append(report)
     bundle = {"manifest": manifest, "reports": reports}
@@ -298,7 +303,7 @@ def run_experiment(config: dict, output_dir=None) -> dict:
     return bundle
 
 
-def _gap_vs_exact_step(step: dict, seed: int) -> dict:
+def _gap_vs_exact_step(step: dict, seed: int, index: int) -> dict:
     from .model import assumption_params
     from .oracle import glauber_gap
 
@@ -306,8 +311,8 @@ def _gap_vs_exact_step(step: dict, seed: int) -> dict:
     params = assumption_params(step["p0"], step["k"], step["beta"], step["degree"])
     rows = []
     for i in range(step["count"]):
-        g = random_regular_graph(step["n"], step["degree"], seed * 1009 + i)
-        field = sample_field(dist, step["n"], seed * 2003 + i)
+        g = random_regular_graph(step["n"], step["degree"], seed, PIPELINE, index, i)
+        field = sample_field(dist, step["n"], seed, PIPELINE, index, i)
         model = IsingModel.uniform(g, step["beta"], field.values, convention=PM)
         exact = glauber_gap(model).gap
         cert = gap_certificate(step["n"], step["beta"], step["degree"], params.alpha_star)
@@ -326,10 +331,11 @@ def _gap_vs_exact_step(step: dict, seed: int) -> dict:
     }
 
 
-def _sample_step(step: dict, seed: int) -> dict:
+def _sample_step(step: dict, seed: int, index: int) -> dict:
     model = model_from_json_dict(step["model"])
-    config = SamplerConfig(c_star=step["c_star"], seed=seed,
-                           ordering_seed=seed + 7, validate=step.get("validate", False))
+    sampler_seed, ordering_seed = substream(seed, PIPELINE, index).integers(2**63, size=2)
+    config = SamplerConfig(c_star=step["c_star"], seed=int(sampler_seed),
+                           ordering_seed=int(ordering_seed), validate=step.get("validate", False))
     replicas = step["replicas"]
     if config.validate:
         values, report = validated_incremental_sample(

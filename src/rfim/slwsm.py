@@ -31,7 +31,7 @@ from .oracle import (
     gibbs_table,
     mean_and_covariance,
 )
-from .rng import SL, substream
+from .rng import PROBE, SL, substream
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def sl_boost(model: IsingModel, t: float, seed: int, sampler: str = "oracle",
     if t < 0:
         raise InputError("t must be nonnegative")
     rng = substream(seed, SL, index)
-    star = _draw(model, rng, sampler, seed, index, burn_steps, table)
+    star = _draw(model, rng, sampler, seed, (SL, index), burn_steps, table)
     noise = math.sqrt(t) * rng.normal(size=model.n)
     y = t * star.astype(np.float64) + noise
     boosted = replace(model, field=model.field + y)
@@ -65,11 +65,11 @@ def sl_boost(model: IsingModel, t: float, seed: int, sampler: str = "oracle",
 BOOST_BLOCK = 1 << 20  # rows x configs x free vertices held by one block of boosted tables
 
 
-def _boosted_prob_blocks(model: IsingModel, t: float, count: int, seed: int,
+def _boosted_prob_blocks(model: IsingModel, t: float, count: int, rng: np.random.Generator,
                          table: GibbsTable | None = None):
     """Boosted Gibbs tables for ``count`` realizations, a block of rows at a time.
 
-    Every realization's sigma* and noise are drawn first, as one batch, so
+    Every realization's sigma* and noise are drawn first from ``rng``, as one batch, so
     the streams do not depend on the blocking.  The tables are then built
     and normalised about ``BOOST_BLOCK / (configs * f)`` rows at a time, so
     a caller that reduces each row, also through ``_centred_moments`` on
@@ -83,7 +83,6 @@ def _boosted_prob_blocks(model: IsingModel, t: float, count: int, seed: int,
         table = _table(model, energy)
     f = table.num_free
     vals = table.rows()[:, list(table.free)].astype(np.float64, order="C")
-    rng = substream(seed, SL)
     idx = rng.choice(len(table.probs), p=table.probs, size=count)
     star = vals[idx]  # (count, f) free-vertex spins of sigma*
     noise = math.sqrt(t) * rng.normal(size=(count, f))
@@ -182,15 +181,17 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
                  field_trials: int, seed: int, vertices=None) -> WsmReport:
     """Average wsm_delta over quenched fields and fit the decay constant.
 
-    Every trial's field is drawn first, trial t from seed ``seed * 99991 + t``;
+    Every trial's field is drawn first, trial t at the address (seed, FIELD, SL, t);
     then each (vertex, radius) ball is enumerated once for all the trials by
     ``_ball_deltas``, in blocks of trials that keep memory independent of
     their number, and each trial's delta equals ``wsm_delta`` on the model
     with that trial's field, float for float.  The fit minimizes squared
     residuals of log mean-delta against log C - r / C over the measured radii
-    (zeros are skipped).  Raises InputError when a trial count, radius or
-    vertex is not an integer, and with no field trial, no radius or no
-    vertex, which leave nothing to fit.
+    (zeros are skipped).  ``stderr`` is the sample standard deviation (ddof
+    1) of each delta over the T trials over sqrt(T); at T = 1 it is NaN, set
+    so without computing it, so no RuntimeWarning fires.  Raises InputError
+    when a trial count, radius or vertex is not an integer, and with no field
+    trial, no radius or no vertex, which leave nothing to fit.
     """
     from scipy.optimize import minimize_scalar
 
@@ -201,7 +202,7 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
     if field_trials < 1 or not radii or not vertices:
         raise InputError("estimating WSM needs a field trial, a radius and a vertex")
     vertices, radii = tuple(map(int, vertices)), tuple(map(int, radii))
-    fields = np.array([sample_field(field_dist, graph.num_vertices, seed * 99991 + t).values
+    fields = np.array([sample_field(field_dist, graph.num_vertices, seed, SL, t).values
                        for t in range(field_trials)])
     model = IsingModel.uniform(graph, beta, fields[0], convention=PM)  # each ball reads `fields`
     deltas = np.zeros((field_trials, len(vertices), len(radii)))
@@ -209,7 +210,8 @@ def estimate_wsm(graph: Graph, beta: float, field_dist: FieldDistribution, radii
         for j, r in enumerate(radii):
             deltas[:, i, j] = _ball_deltas(model, v, r, fields)
     mean = deltas.mean(axis=0)
-    stderr = np.sqrt(((deltas - mean) ** 2).mean(axis=0) / field_trials)
+    stderr = (deltas.std(axis=0, ddof=1) / math.sqrt(field_trials) if field_trials > 1
+              else np.full(mean.shape, np.nan))
 
     pts = [(r, m) for j, r in enumerate(radii) for m in mean[:, j] if m > 0]
 
@@ -357,8 +359,8 @@ def trace_moment_probe(model: IsingModel, p: int, t_grid, realizations: int,
             _, cov = mean_and_covariance(table)
             traces = np.array([float((np.linalg.eigvalsh(cov) ** p).sum())])
         else:
-            blocks, vals, _ = _boosted_prob_blocks(model, t, realizations, seed * 31 + ti,
-                                                   table=table)
+            blocks, vals, _ = _boosted_prob_blocks(
+                model, t, realizations, substream(seed, SL, PROBE, ti), table=table)
             traces = np.concatenate([
                 (np.linalg.eigvalsh(_centred_moments(probs, vals)[1]) ** p).sum(axis=1)
                 for probs in blocks])
@@ -410,7 +412,7 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
     table = gibbs_table(model)
     if c0 is None:
         fit = trace_moment_probe(model, 2, (0.0, t_value / 2, t_value),
-                                 max(realizations // 2, 100), seed + 1)
+                                 max(realizations // 2, 100), seed)
         c0 = fit.small_c0
     n = model.n
     if t_value == 0:
@@ -419,7 +421,8 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         p_exp = math.exp(2.0 * t_value / c0)
     phis = [(name, np.asarray(phi, dtype=np.float64)[None, :]) for name, phi in test_functions]
     if t_value > 0:  # each function's variance per realization, one block of tables at a time
-        blocks, _, _ = _boosted_prob_blocks(model, t_value, realizations, seed, table=table)
+        blocks, _, _ = _boosted_prob_blocks(model, t_value, realizations, substream(seed, SL),
+                                            table=table)
         per_block = [[_centred_moments(probs, phi)[1][:, 0, 0] for _, phi in phis]
                      for probs in blocks]
         boosted_vars = [float(np.concatenate(v).mean()) for v in zip(*per_block)]

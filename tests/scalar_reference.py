@@ -1,17 +1,35 @@
-"""Scalar Glauber chains by summing local fields, kept out of the library.
+"""Glauber chains by summing local fields one replica at a time, kept out of the library.
 
 ``rfim.dynamics`` looks a scalar chain's heat-bath probabilities up in the
-model's ``heat_bath_table``.  The replays here compute every step the plain
-way instead: sum the local field over the vertex's whole neighbour row,
-padding slots included, then take the logistic.  They read the same random
-streams in the same order as ``run_chain`` and ``monotone_coupled_run``, so
-tests can require the two routes to agree exactly, step by step.
+model's ``heat_bath_table`` and advances replicas with vectorized kernels.
+The replays here compute every step the plain way instead, one replica at a
+time: sum the local field over the vertex's whole neighbour row, padding
+slots included, then take the logistic.  They draw the documented block
+layout of the random streams themselves (``block_draws``), reading
+``dynamics.DRAW_BLOCK`` when called, so tests can require the routes to
+agree exactly, step by step, also when runs cross block edges.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from rfim import dynamics
 from rfim.model import SPIN_VALUES, IsingModel, _heat_bath_probability
 from rfim.rng import CHAIN, COUPLING, substream
+
+
+def block_draws(rng, count: int, replicas: int, steps: int):
+    """The (steps, replicas) indices into ``count`` vertices and uniforms of a run:
+    blocks of b = max(1, DRAW_BLOCK // replicas) rows, the last one shorter, each
+    drawing all its indices and then all its uniforms."""
+    rows = max(1, dynamics.DRAW_BLOCK // max(replicas, 1))
+    index, uniform = [np.zeros((0, replicas), dtype=np.int64)], [np.zeros((0, replicas))]
+    for done in range(0, steps, rows):
+        size = (min(rows, steps - done), replicas)
+        index.append(rng.integers(count, size=size))
+        uniform.append(rng.random(size))
+    return np.concatenate(index), np.concatenate(uniform)
 
 
 def summed_update(model: IsingModel):
@@ -37,13 +55,27 @@ def chain_states(model: IsingModel, start, steps: int, seed: int, chain_index: i
     values = [int(x) for x in start]
     free = list(model.free_vertices)
     update = summed_update(model)
-    rng = substream(seed, CHAIN, chain_index)
-    choices = rng.integers(len(free), size=steps).tolist()
-    uniforms = rng.random(size=steps).tolist()
+    choices, uniforms = block_draws(substream(seed, CHAIN, chain_index), len(free), 1, steps)
     states = [list(values)]
     for k in range(steps):
-        update(values, free[choices[k]], uniforms[k])
+        update(values, free[choices[k, 0]], uniforms[k, 0])
         states.append(list(values))
+    return states
+
+
+def replica_states(model: IsingModel, starts, steps: int, seed: int, stream_path=(0,)):
+    """The (replicas, n) state after each of the ``steps`` updates of ``run_chains_batch``
+    from the rows ``starts``, one replica at a time; entry 0 is the start."""
+    rows = [list(row) for row in np.asarray(starts, dtype=np.float64).tolist()]
+    free = list(model.free_vertices)
+    update = summed_update(model)
+    rng = substream(seed, COUPLING, *stream_path)
+    choices, uniforms = block_draws(rng, len(free), len(rows), steps)
+    states = [np.array(rows).reshape(len(rows), model.n)]
+    for k in range(steps):
+        for r, row in enumerate(rows):
+            update(row, free[choices[k, r]], uniforms[k, r])
+        states.append(np.array(rows).reshape(len(rows), model.n))
     return states
 
 
@@ -53,11 +85,10 @@ def coupled_states(model: IsingModel, low, high, steps: int, seed: int):
     lo, hi = [int(x) for x in low], [int(x) for x in high]
     free = list(model.free_vertices)
     update = summed_update(model)
-    rng = substream(seed, COUPLING)
+    choices, uniforms = block_draws(substream(seed, COUPLING), len(free), 1, steps)
     pairs = [(list(lo), list(hi))]
-    for _ in range(steps):
-        v = free[int(rng.integers(len(free)))]
-        u = float(rng.random())
+    for k in range(steps):
+        v, u = free[choices[k, 0]], uniforms[k, 0]
         update(lo, v, u)
         update(hi, v, u)
         pairs.append((list(lo), list(hi)))

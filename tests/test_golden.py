@@ -10,6 +10,11 @@ and recorded in CHANGES.md with the case that moved and why.
 Print the digests of the current code (to paste into ``GOLDEN``) with
 
     python tests/test_golden.py
+
+and only the cases whose digest differs from ``GOLDEN``, each with its old
+and new digest, with
+
+    python tests/test_golden.py --changed
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from rfim import (
 )
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
-from rfim.rng import substream
+from rfim.rng import SL, substream
 from rfim.slwsm import _boosted_prob_blocks
 
 from dense_reference import transition_matrix
@@ -319,7 +324,8 @@ def moments_pinned():
 
 
 def boosted_average():
-    blocks, _, _ = _boosted_prob_blocks(_model(grid_graph(2, 3), 0.4, 41), 0.8, 200, 42)
+    blocks, _, _ = _boosted_prob_blocks(_model(grid_graph(2, 3), 0.4, 41), 0.8, 200,
+                                        substream(42, SL))
     probs = np.concatenate(list(blocks))
     return probs.mean(axis=0), probs.std(axis=0, ddof=1) / np.sqrt(200)
 
@@ -417,18 +423,18 @@ CASES = {f.__name__: f for f in (
 GOLDEN = {
     "run_chain_pm": "eabb6169573cff215e529b4b20fdbfd3591f38bc351fe930f8ade7fea5a84ac1",
     "run_chain_01_pinned": "d2a5391a0d93ddf2063839d9d887b530229c9d36d771fbe1822e957d419f6d57",
-    "batch_pm": "989aa91f32e4d3c5ded2ac218690e16954129b6f6443ea889a7725f34250c6a2",
-    "batch_01": "d174ef9aad160ba4dd69c4a55043717547e46d7f2ec649fc27e2afa14a092dfe",
-    "batch_pm_pinned": "e61a92a03b0c3cfa04f541b4ab9529773e67d5eb41b175eaf3e8ae97827c59aa",
-    "coupled_run_pm": "497003ba7399d7bfc54f27d70f38597ed6c76d4159d30658e4fa516af3b50898",
-    "coupled_run_01_pinned": "5e6240f4d71138eaa12e64bbad71642476752b2d2769c028f72ea8151acdcd72",
-    "coupled_batch_pm": "ce1ef962f11b8827b9c4617e5a88b2a143891257260d2f54164833f3a4b9ab91",
-    "coupled_batch_01_pinned": "c424be4c01c42a3a1b5f6b75b0f1692025a5f0cb9b37acc7b568900f1fa9c7e0",
-    "sampler_grid": "17cea01c46aceb5f940926bdd58c5d8aef649b37abaf6b9d2a6e82565cc9a732",
-    "sampler_disconnected_01": "ec05650c9c318a78c624b4986aadbc02cf4a702386ab7bcbf82aa1d203b7fd18",
-    "tv_curve": "c933643e31f2fc05450a68141ae5a6dc6b6845ded8e4bf1c0b7ee83efd4de6df",
-    "noising_traces_glauber": "13349104f2b94f9c3090021b33e72dbef73149bc1e00246e86e6cbe46395f1db",
-    "sl_boost_glauber": "2438d9c93ab350a9a6de3b2f31389521d89a56330df6242e276162097477c0cb",
+    "batch_pm": "dd019ef6b5162e33b648bda737b391755ec161ba74cf2981a5b925a505735bbe",
+    "batch_01": "2638cee985350b822c64a8b0d58e6461be51ce03615ca34f9577b85cd8bde28b",
+    "batch_pm_pinned": "a4b24dcaf8db2d6e54dfb4ad284327b46beeb0e2990f22d54df5055305323376",
+    "coupled_run_pm": "a8ede63f3503b75e5683fed3b0e3533003be9fdc314dfb3f0cc7043a0bb5f7da",
+    "coupled_run_01_pinned": "fa486e06792a20adfb4f6b852919c4d0af067d5f2d223094c21de408c62a5a92",
+    "coupled_batch_pm": "397fc95ac627e22844443795dcb7aafce4f7cc0b15093dc36c8ed12b1c5b0bbe",
+    "coupled_batch_01_pinned": "c86e6e63bf98f487159166a94ff787a038008b68a19e4551a23a07931a585dc1",
+    "sampler_grid": "cda872fb6b4403f4e30e0b3d10da5872832ff638f950a1b668381bc5d04f419b",
+    "sampler_disconnected_01": "fa05b498a825325b3a0ff4337314a264245d8312dcedb1e5c25abca20080c179",
+    "tv_curve": "751d9e5e19765fa965d2aec0dde8d7b536e2e6e093feee225e9dca5cafa437f0",
+    "noising_traces_glauber": "e15cfb4b8755abed004680465388fb3916ac471e88b2525bc541923c103e427b",
+    "sl_boost_glauber": "eb5deadae0769d38c5ae2c5d3c4005d6078c5fe562d48790dbcd9fba71436cc2",
     "grand_coupled_pm_pinned": "885a3633272d2d3aad355eb29015cf639caf4f092cb2963a9bcdd84e556f40a3",
     "grand_coupled_01": "6eadaf104eaaf09c2b40e4c5df91ec1a030ce69fbb54f7935db35d8a4df7b00a",
     "disagreement_bfs": "863ead5f823d1c40d3efec5a95d9f0c1bf875008e89af3720b0299c41d97fd27",
@@ -447,16 +453,16 @@ GOLDEN = {
     "boosted_average": "9a5df597a3c8e912c7f0381b7ac774e05476240b97c359de43dfb3aa000b4166",
     "noising_traces_oracle": "6e87c9c06f9aad9924a3de08df163b58b232c4967a84b65cdbf08eaa6b31db97",
     "sl_boost_oracle": "56692ead8f0e0f3d176649df096f9bad89ef836b7978bd2d61a7876412fbce15",
-    "wsm_torus": "e55685e3f0df628db5e9e0e029336d772cbc130f56504fff0f7ec2429c75880e",
-    "trace_moments_grid": "d56c9918d4ff1aa90a216591c9ce3f44035cefac04abad525f156702a33b1880",
+    "wsm_torus": "ff63cc90f01929f3b1dc59e0dcd4c2f023be366c2068c41e6d792a0cdf242e27",
+    "trace_moments_grid": "678f595bd84772c8e6b1ba8b0757f1339425a7f9cfc13a3fad70c1e9f7896641",
     "weak_poincare_magnetization": "ba5c5abfca6fb82af57bdedf55d3d11f1718b0bb7bf3d9b5a0f73e8346084a49",
-    "row_sum_tail_cycle": "8434bd177005025d19e111bad9aaa355284584e4b4d5e7fbaddb093c9c126798",
+    "row_sum_tail_cycle": "0e8c58c7af18a019ff7737355df61b6c530b6f54f8405d27e4849d9a3d46173a",
     "vertex_tilt": "08d0c4c972b7ecd26de085296393b1b6597e13d7f846aa853dbf5e2c03c180c1",
     "gap_pm_n10": "2c2a5fa4f030d4c653aaa0af2b704bb1fed876817a1bd3dd3d4c59019d07ff00",
     "gap_01_pinned_f9": "53bd9d7cab5148ceacb077bdc8bb80cc612287764f126eb26e3005f2092f18da",
     "cor2_sweep_chunked": "150cd2a8179c0a67723810c18639d688fed48a1f82106aedb7c0f0193e63c2ab",
     "cor2_sweep_sampled": "20b9cf8f43f6074584e69b751d5e2424a33132e5aa581edfaa88660f85cc5fa3",
-    "row_sum_tail_sampled": "030a3fed80f6af3ea14ebe1cc59ecb781ea4b623980a6f1720234e1fde1b7574",
+    "row_sum_tail_sampled": "ae652e5f1eb2f742da8e09f4b1629d10b67357209a6cfabf54cedf6cd48892df",
 }
 
 
@@ -470,5 +476,10 @@ def test_golden_digest(name):
 
 
 if __name__ == "__main__":
+    changed = "--changed" in sys.argv[1:]
     for name, case in CASES.items():
-        print(f'    "{name}": "{digest(case())}",')
+        new = digest(case())
+        if not changed:
+            print(f'    "{name}": "{new}",')
+        elif new != GOLDEN.get(name):
+            print(f"{name}: {GOLDEN.get(name)} -> {new}")

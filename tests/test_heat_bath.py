@@ -15,13 +15,14 @@ from rfim import (
     CapacityError,
     IsingModel,
     build_graph,
+    grid_graph,
     monotone_coupled_batch,
     monotone_coupled_run,
     run_chain,
     run_chains_batch,
 )
 from rfim import dynamics, model as model_module
-from rfim.dynamics import _heat_bath_update, _keys
+from rfim.dynamics import _keys
 from rfim.model import (
     HEAT_BATH_TABLE_CAP,
     SPIN_VALUES,
@@ -33,7 +34,7 @@ from rfim.oracle import _encode
 from rfim.rng import COUPLING, substream
 
 import scalar_reference
-from scalar_reference import chain_states, coupled_states, row_order_sum
+from scalar_reference import chain_states, coupled_states, replica_states, row_order_sum
 from strategies import models
 
 
@@ -73,13 +74,19 @@ def table_entries(m, values, v):
     return np.array([m.heat_bath_table.probs[_keys(m, row)[w]] for row, w in zip(values, v)])
 
 
+def kernel_step(m, values, v, u):
+    """The new spins of one float-kernel step of every row r at v[r] with uniform u[r];
+    the free list passed is every vertex, so the drawn index is the vertex."""
+    [(_, new)] = dynamics._float_steps(m, values.copy(), np.arange(m.n), [(v[None], u[None])])
+    return new
+
+
 def kernel_probability_is(m, values, v, p):
-    """Per row r, whether ``_heat_bath_update``'s P(one) at v[r] is exactly p[r]: by
-    the quantile rule it sets 'one' at u = p[r] and 'zero' at the next float up."""
+    """Per row r, whether the float kernel's P(one) at v[r] is exactly p[r]: by the
+    quantile rule it sets 'one' at u = p[r] and 'zero' at the next float up."""
     one, zero = SPIN_VALUES[m.convention]
-    base = np.arange(len(values)) * m.n
-    at = _heat_bath_update(m, values.copy(), base, v, p)
-    above = _heat_bath_update(m, values.copy(), base, v, np.nextafter(p, 2.0))
+    at = kernel_step(m, values, v, p)
+    above = kernel_step(m, values, v, np.nextafter(p, 2.0))
     return (at == one) & (above == zero)
 
 
@@ -185,6 +192,63 @@ def test_coded_run_equals_the_float_kernel(m, seed, replicas, steps, data):
     assert all(np.array_equal(want[k], got[k]) for k in want)
 
 
+# DRAW_BLOCK from 1 up puts block edges anywhere in a run, also between snapshots
+@pytest.mark.parametrize("convention", ["pm", "01"])
+@settings(max_examples=40, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data(), seed=st.integers(0, 2**31 - 1), replicas=st.integers(1, 6),
+       steps=st.integers(0, 25), block=st.integers(1, 12))
+def test_batch_equals_the_per_replica_reference_across_block_edges(convention, data, seed,
+                                                                  replicas, steps, block):
+    m = data.draw(models(min_pairs=1, convention=convention))
+    values = random_states(m, replicas, seed)
+    snapshot_steps = data.draw(st.lists(st.integers(0, steps), max_size=4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "DRAW_BLOCK", block)
+        want = replica_states(m, values, steps, seed)
+        for fits in (True, False):  # the batch on codes, then on the float kernel
+            patch.setattr(dynamics, "_codes_fit", lambda f, work: fits)
+            final, snapshots = run_chains_batch(m, values, steps, seed, snapshot_steps)
+            assert np.array_equal(final, want[steps])
+            assert snapshots.keys() == set(snapshot_steps)
+            assert all(np.array_equal(snapshots[k], want[k]) for k in snapshots)
+
+
+@pytest.mark.parametrize("convention", ["pm", "01"])
+@settings(max_examples=40, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data(), seed=st.integers(0, 2**31 - 1), runs=st.integers(1, 6),
+       block=st.integers(1, 12))
+def test_coupled_batch_equals_the_per_replica_reference_across_block_edges(convention, data,
+                                                                          seed, runs, block):
+    m = data.draw(models(ferromagnetic=True, convention=convention))
+    steps = 4 * m.n
+    one, zero = SPIN_VALUES[convention]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "DRAW_BLOCK", block)
+        report = monotone_coupled_batch(m, steps, runs, seed)
+        lows, highs = (replica_states(m, np.tile(m.full_values(s), (runs, 1)), steps, seed, ())
+                       for s in (zero, one))
+    met = np.full(runs, -1)
+    for k in range(1, steps + 1):
+        assert (lows[k] <= highs[k]).all()
+        met[(met < 0) & (lows[k] == highs[k]).all(axis=1)] = k
+    assert np.array_equal(report["coalesced_at"], met)
+    assert report["final_disagreements"] == int((lows[steps] != highs[steps]).any(axis=1).sum())
+
+
+def test_long_chain_holds_one_block_of_draws():
+    # all draws held at once, as two Python lists, peaked at 91.5 MiB here
+    m = IsingModel.uniform(grid_graph(3, 4), 0.3, np.linspace(-0.5, 0.5, 12))
+    init = SpinConfiguration(m.full_values(1).astype(np.int8), m.convention)
+    m.heat_bath_table
+    tracemalloc.start()
+    try:
+        run_chain(m, init, 2_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_code_table_build_stays_local():
     # a 14-vertex path among 50,000 vertices: a (2^14, n) array would take 6.5 GB
     n, path = 50_000, np.arange(20_000, 20_014)
@@ -262,7 +326,7 @@ def test_glauber_draw_replays_summed_fields_step_by_step(m, seed, index, steps, 
             stream = partial(TableUniforms, m)
             patch.setattr(dynamics, "substream", stream)
             patch.setattr(scalar_reference, "substream", stream)
-        drawn = dynamics._draw(m, None, "glauber", seed, index, steps, None)
+        drawn = dynamics._draw(m, None, "glauber", seed, (index,), steps, None)
         want = chain_states(m, zeros, steps, seed, index)[-1]
     assert drawn.dtype == np.int8
     assert drawn.tolist() == want
@@ -273,15 +337,15 @@ def test_glauber_draw_replays_summed_fields_step_by_step(m, seed, index, steps, 
 def test_coupled_run_replays_summed_fields_step_by_step(m, seed):
     low, other = random_states(m, 2, seed).astype(np.int8)
     high = np.maximum(low, other)
-    steps = 3 * m.n
-    pairs = coupled_states(m, low, high, steps, seed)
-    met = next((k for k, (lo, hi) in enumerate(pairs) if lo == hi), None)
-    for k, (lo, hi) in enumerate(pairs):
+    for k in range(3 * m.n + 1):  # a run of k steps draws one block of k rows
+        pairs = coupled_states(m, low, high, k, seed)
+        lo, hi = pairs[-1]
         trace = monotone_coupled_run(m, SpinConfiguration(low, m.convention),
                                      SpinConfiguration(high, m.convention), k, seed)
         assert [s.config.values().tolist() for s in trace.states] == [lo, hi]
         assert trace.disagreement_set == {v for v in range(m.n) if lo[v] != hi[v]}
-        assert trace.coalescence_step == (met if met is not None and met <= k else None)
+        assert trace.coalescence_step == next(
+            (i for i, (a, b) in enumerate(pairs) if a == b), None)
 
 
 def test_scalar_steps_evaluate_no_logistic(monkeypatch):
@@ -297,7 +361,7 @@ def test_scalar_steps_evaluate_no_logistic(monkeypatch):
     lo, hi = (SpinConfiguration(m.full_values(s), m.convention) for s in (-1, 1))
     run_chain(m, hi, 500, seed=1)
     monotone_coupled_run(m, lo, hi, 500, seed=1)
-    dynamics._draw(m, None, "glauber", 1, 0, 500, None)
+    dynamics._draw(m, None, "glauber", 1, (0,), 500, None)
 
 
 def star_model(leaves):

@@ -17,12 +17,14 @@ from rfim import (
     entropy_conservation_for_model,
     exact_revealed_posterior,
     gibbs_table,
+    grid_graph,
     marginal_lower_bound,
     marginals,
     path_graph,
     posterior_model,
     sample_field,
     sample_noising_trace,
+    sl_boost,
     theta_star,
     to_zero_one,
     variance_conservation_R,
@@ -332,3 +334,17 @@ def test_posterior_check_caps_before_enumerating(monkeypatch):
     m01 = to_zero_one(uniform_model(path_graph(n), 0.3, np.zeros(n)))
     with pytest.raises(CapacityError):
         verify_posterior_by_simulation(m01, 0.5, traces=10, seed=1)
+
+
+def test_boost_and_noising_trace_run_their_own_glauber_chains():
+    # both start from all 'zero' in the same law; on one chain address they gave
+    # the same configuration at every seed
+    field = sample_field(FieldDistribution.gaussian(0.5), 12, 1).values
+    pm_model = IsingModel.uniform(grid_graph(3, 4), 0.3, field)
+    model01 = to_zero_one(pm_model)
+    equal = 0
+    for seed in range(20):
+        star = sl_boost(pm_model, 0.5, seed, sampler="glauber", burn_steps=2000).sigma_star
+        x = sample_noising_trace(model01, seed, sampler="glauber", burn_steps=2000).x_sample
+        equal += np.array_equal((star.values() + 1) // 2, x.values())
+    assert equal <= 2

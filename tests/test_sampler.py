@@ -27,6 +27,7 @@ from rfim import (
 from rfim import sampler as sampler_module
 from rfim.model import model_to_json_dict
 from rfim.oracle import empirical_tv
+from rfim.rng import PIPELINE, substream
 from rfim.sampler import CONFIG_SCHEMA, STEP_SCHEMAS, _validate_config
 
 from conftest import random_field_model, uniform_model
@@ -261,8 +262,9 @@ def test_run_experiment_sample_step_without_validation():
     config = {"seed": 5, "pipeline": [
         {"kind": "sample", "model": model_to_json_dict(m), "c_star": 1.5, "replicas": 3}]}
     report = run_experiment(config)["reports"][0]
+    seed, ordering_seed = substream(5, PIPELINE, 0).integers(2**63, size=2).tolist()
     values, direct = incremental_sample_batch(
-        m, SamplerConfig(c_star=1.5, seed=5, ordering_seed=12), 3)
+        m, SamplerConfig(c_star=1.5, seed=seed, ordering_seed=ordering_seed), 3)
     assert report["tv_vs_oracle"] is None
     assert report["stage_steps"] == list(direct.stage_steps)
     assert report["final_state"]["first_replica"] == values[0].astype(int).tolist()

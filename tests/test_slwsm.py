@@ -28,6 +28,7 @@ from rfim import (
 )
 from rfim import oracle
 from rfim.graphs import ball, boundary, distances_from, random_regular_graph, torus_grid
+from rfim.rng import SL, substream
 from rfim.slwsm import _ball_deltas, _boosted_prob_blocks
 
 from conftest import random_field_model, uniform_model
@@ -38,7 +39,7 @@ from strategies import models
 def boosted_mean_and_stderr(m, t, realizations, seed):
     """Mean and per-config standard error of ``realizations`` boosted tables, and the
     base table."""
-    blocks, _, table = _boosted_prob_blocks(m, t, realizations, seed)
+    blocks, _, table = _boosted_prob_blocks(m, t, realizations, substream(seed, SL))
     probs = np.concatenate(list(blocks))
     return probs.mean(axis=0), probs.std(axis=0, ddof=1) / math.sqrt(realizations), table
 
@@ -302,13 +303,25 @@ def test_estimate_wsm_equals_a_loop_of_wsm_delta(m, data):
     report = estimate_wsm(g, beta, dist, radii, trials, seed=5, vertices=vertices)
     deltas = np.zeros((trials, len(vertices), len(radii)))
     for t in range(trials):
-        model = IsingModel.uniform(g, beta, sample_field(dist, g.num_vertices, 5 * 99991 + t).values)
+        model = IsingModel.uniform(g, beta, sample_field(dist, g.num_vertices, 5, SL, t).values)
         for i, v in enumerate(vertices):
             for j, r in enumerate(radii):
                 deltas[t, i, j] = wsm_delta(model, v, r)
-    mean = deltas.mean(axis=0)
-    assert np.array_equal(report.mean_delta, mean)
-    assert np.array_equal(report.stderr, np.sqrt(((deltas - mean) ** 2).mean(axis=0) / trials))
+    assert np.array_equal(report.mean_delta, deltas.mean(axis=0))
+    if trials > 1:
+        assert np.array_equal(report.stderr, deltas.std(axis=0, ddof=1) / math.sqrt(trials))
+    else:
+        assert np.isnan(report.stderr).all()
+
+
+def test_estimate_wsm_stderr_is_the_sample_standard_error():
+    g, dist = torus_grid(4, 4), FieldDistribution.gaussian(0.8)
+    deltas = [[wsm_delta(IsingModel.uniform(g, 0.4, sample_field(dist, 16, 9, SL, t).values),
+                         v, 1) for v in (0, 5)] for t in range(3)]
+    report = estimate_wsm(g, 0.4, dist, (1,), 3, seed=9, vertices=(0, 5))
+    assert np.array_equal(report.stderr[:, 0], np.std(deltas, axis=0, ddof=1) / math.sqrt(3))
+    one = estimate_wsm(g, 0.4, dist, (1,), 1, seed=9, vertices=(0, 5))  # warnings are errors
+    assert one.stderr.shape == (2, 1) and np.isnan(one.stderr).all()
 
 
 def test_estimate_wsm_memory_does_not_grow_with_trials():
@@ -468,7 +481,7 @@ def test_boosting_caps_before_enumerating(monkeypatch):
     monkeypatch.setattr(oracle, "_free_energies", enumerate_anyway)
     n = oracle.BOOST_CAP + 1
     m = uniform_model(path_graph(n), 0.3, np.zeros(n))
-    for boost in (lambda: _boosted_prob_blocks(m, 1.0, 10, seed=1),
+    for boost in (lambda: _boosted_prob_blocks(m, 1.0, 10, substream(1, SL)),
                   lambda: trace_moment_probe(m, 2, [0.0, 1.0], realizations=10, seed=1),
                   lambda: weak_poincare_probe(m, 1.0, 0.5, [], realizations=10, seed=1)):
         with pytest.raises(CapacityError):
