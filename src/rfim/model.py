@@ -7,16 +7,16 @@ lives in the model, not in configurations: a conditional measure is just the
 same model with a larger pinning (``with_pinning``).  The grand coupling and
 the revelation posterior ``edge_tilt(m, t).with_pinning(p)`` condition this
 way.  The WSM boundary ring does not: ``slwsm.wsm_delta`` adds the ring's
-pull on the ball as a linear field term, and the model with the ring pinned
-is only the tests' reference for it.  ``_check_spins`` is the one test of
-the spin value set: ``SpinConfiguration`` calls it, and so does
+pull on each ball vertex to its field, a field row per sign, and the model
+with the ring pinned is the tests' reference for it.  ``_check_spins`` is the
+one test of the spin value set: ``SpinConfiguration`` calls it, and so does
 ``IsingModel.check_values``, which every chain start and table lookup goes
 through and which also checks the length and the pins.  A start that breaks
 them is rejected, never repaired.  A model builds two tables once and keeps
 them: ``neighbour_table``, its padded neighbour rows, and ``heat_bath_table``,
 the heat-bath probability of each vertex under each pattern of its neighbour
 spins, which scalar Glauber chains look up.  Models and fields are immutable
-value objects; field sampling takes an explicit seed.  Every heat-bath
+value objects; a field records the seed and path it is drawn at.  Each heat-bath
 probability, table entry, replica kernel or first sampled spin, comes from
 one rule, ``_heat_bath_probability``, so equal spins give equal floats.  The
 rule is a numpy tanh, so this module loads no scipy: ``scipy.special`` is
@@ -223,11 +223,12 @@ class FieldDistribution:
 
 @dataclass(frozen=True)
 class QuenchedField:
-    """A fixed realization of the random external field."""
+    """A fixed realization of the random external field, drawn at (seed, FIELD, *path)."""
 
     values: np.ndarray
     distribution_spec: FieldDistribution
     seed: int
+    path: tuple[int, ...] = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -238,11 +239,13 @@ class QuenchedField:
 
 
 def sample_field(dist: FieldDistribution, n: int, seed: int, *path: int) -> QuenchedField:
-    """n i.i.d. draws from ``dist`` at the substream (seed, FIELD, *path)."""
+    """n i.i.d. draws from ``dist`` at the substream (seed, FIELD, *path), which the
+    field records."""
     if n < 0:
         raise InputError("n must be nonnegative")
     rng = substream(seed, FIELD, *path)
-    return QuenchedField(values=dist.sample(n, rng), distribution_spec=dist, seed=int(seed))
+    return QuenchedField(values=dist.sample(n, rng), distribution_spec=dist, seed=int(seed),
+                         path=tuple(map(int, path)))
 
 
 # ---------------------------------------------------------------------------

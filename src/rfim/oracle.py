@@ -12,27 +12,31 @@ by a vertex's index bit themselves: ``dynamics.grand_coupled_update`` and
 ``slwsm.wsm_delta``.  ``_free_energies`` enumerates a model, or the model
 induced on a region of it, once, doubling at each free vertex; given rows of
 fields, the same pass gives each row the energies of the model with that
-field, float for float, which is how ``slwsm.estimate_wsm`` serves every
-field trial of a ball.  ``_normalise`` alone turns energies into
-probabilities and log Z, for one table (``_table``) or for a batch of them
-along an axis.  The spectral
-routines share one single-flip enumeration, ``_single_flips``, and each
-builds its own weights.
-The single-flip operators are CSR matrices with f+1 nonzeros per row, each
-built in one ``_single_flip_csr`` call with no sparse products; the
-heat-bath move probability is written once, in ``_moves``.  ``scipy.sparse``
-loads on the first ``_single_flip_csr`` call and ``scipy.sparse.linalg`` on
-the first ``glauber_gap`` call, so tables, marginals and the Cor2 sweep load
-no scipy.  ``glauber_gap`` reads the gap two independent ways, both by ARPACK
+field, float for float.  Field rows are the one way the enumeration layer
+varies a model: ``slwsm`` serves every WSM field trial of a ball with them,
+pins the ball's ring to each sign as the rows h + b and h - b (b the ball's
+couplings into the ring), and builds each boosted table as the row h + y of
+its realization.  ``_normalise`` alone turns energies into probabilities and
+log Z, for one table (``_table``) or for a batch of them along an axis.  The
+spectral routines share one single-flip enumeration, ``_single_flips``, and
+each builds its own weights.  The single-flip operators are CSR matrices with
+f+1 nonzeros per row, each built in one ``_single_flip_csr`` call with no
+sparse products; the heat-bath move probability is written once, in
+``_moves``.  ``scipy.sparse`` loads on the first ``_single_flip_csr`` call
+and ``scipy.sparse.linalg`` on the first gap over more than 128
+configurations, so tables, marginals and the Cor2 sweep load no scipy.
+``glauber_gap`` reads the gap two independent ways, both by ARPACK
 (``eigsh``) from the fixed start ``_start_vector``: from the symmetrized
 transition matrix with its known top eigenpair (1, sqrt(mu)) deflated, and
 from the variance-normalised Dirichlet form with sqrt(mu) lifted to 1; up to
-128 configurations both run dense solvers on the same matrices instead.  Its
-report also carries the approximate-tensorization constant, which for
-heat-bath Glauber is exactly 1/(f * gap), so no routine here builds a dense
-2^f x 2^f matrix above that size.  Everything here is deterministic and
-exact up to float arithmetic; sizes are guarded by hard caps.  Tables are
-immutable once built and safe to share.
+128 configurations both run dense solvers on the same matrices instead.  A
+gap whose routes do not agree, or an unchecked one too small to keep three
+digits, is refused, never returned.  Its report also carries the
+approximate-tensorization constant, which for heat-bath Glauber is exactly
+1/(f * gap), so no routine here builds a dense 2^f x 2^f matrix above that
+size.  Everything here is deterministic and exact up to float arithmetic;
+sizes are guarded by hard caps.  Tables are immutable once built and safe to
+share.
 """
 
 from __future__ import annotations
@@ -168,21 +172,10 @@ def _free_energies(model: IsingModel, region=None, fields=None) -> np.ndarray:
         for k, c in earlier:
             runs = local.reshape(len(field), -1, 2, 1 << k)  # runs of 2^k prefixes, bit k at 0, 1
             runs += c * spins[:, None]
-        energy = _extend(energy, spins, local)
+        doubled = spins[:, None] * local[:, None, :]  # the "zero" half, then the "one" half
+        doubled += energy[:, None, :]
+        energy = doubled.reshape(len(field), -1)
     return energy if fields is not None else energy[0]
-
-
-def _extend(energy: np.ndarray, spins: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """``energy`` over 2^j prefixes (last axis), doubled by one more vertex as bit j.
-
-    ``spins`` holds the [zero, one] spin values and ``local`` the vertex's
-    local field per prefix; the "zero" half comes first, then the "one"
-    half, each the prefix's energy plus the spin times its local field.
-    Leading axes of ``energy`` and ``local`` are rows, doubled independently.
-    """
-    doubled = spins[:, None] * local[..., None, :]
-    doubled += energy[..., None, :]
-    return doubled.reshape(*energy.shape[:-1], -1)
 
 
 def _normalise(energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +313,7 @@ class SpectralReport:
     """Spectral quantities of the single-site heat-bath chain for one model."""
 
     gap: float
-    at_variance_constant: float | None = None
+    at_variance_constant: float
     notes: str = ""
 
 
@@ -419,6 +412,24 @@ def _start_vector(size: int) -> np.ndarray:
     return substream(0, PROBE, size).standard_normal(size)
 
 
+def _ritz_vector(matvec, size: int, which: str, ncv: int) -> np.ndarray:
+    """ARPACK's (``eigsh``, k=1) unit Ritz vector for the eigenvalue ``which`` of the
+    symmetric ``matvec``, from ``_start_vector``; an ARPACK error becomes a
+    ValidationFailure that names it."""
+    from scipy.sparse import linalg as splinalg
+
+    op = splinalg.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    try:
+        return splinalg.eigsh(op, k=1, which=which, ncv=ncv, v0=_start_vector(size))[1][:, 0]
+    except splinalg.ArpackError as exc:
+        raise ValidationFailure(f"ARPACK did not resolve the gap: {exc}") from None
+
+
+# 1 - lambda_2 is read next to 1, where doubles lie eps = 2.2e-16 apart, so a
+# gap below 1e3 eps keeps fewer than three digits and is refused.
+GAP_FLOOR = 1e3 * np.finfo(np.float64).eps
+
+
 def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralReport:
     """Spectral gap computed two independent ways and cross-checked.
 
@@ -447,20 +458,25 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     109 / 114 on average; on two n=12 models at beta 1.5 with +-5 fields,
     797 / 199 and 698 / 199 -> 181 / 199 and 181 / 181.  Up to 128
     configurations, where dense is faster, both routes run dense
-    ``eigvalsh`` on the same two matrices.  Raises ValidationFailure if the
-    routes disagree beyond 1e-9 (or either is NaN); pass
-    ``cross_validate=False`` to skip route (b) in bulk certificate scans.
+    ``eigvalsh`` on the same two matrices.
+
+    A gap is returned resolved or not at all.  The cross-checked gap must be
+    positive and the routes must agree within min(1e-9, 1e-6 gap), so that
+    its inverse holds six digits; otherwise ValidationFailure names both
+    values (a NaN fails too).  On K7 with no field the routes agree to 7.7e-7
+    relative at J = 1 (gap 3.1e-10) and differ by 1.4e-4 at J = 1.2 (gap
+    2.6e-12).  ``cross_validate=False`` skips route (b), for bulk certificate
+    scans, and then refuses a gap below ``GAP_FLOOR`` = 1e3 eps, about
+    2.2e-13: route (a) reads 1 - lambda_2 with an absolute error of a few
+    eps, so below the floor it keeps fewer than three digits (at J = 2 it
+    reads 1.3e-15 where route (b) reads 4.3e-18).  An ARPACK error is a
+    ValidationFailure too.
 
     The report also carries the approximate-tensorization constant
     sup_phi Var(phi) / sum_i E[Var(phi | X_{-i})].  Each heat-bath resampling
     E_i is a mu-orthogonal projection, so the Dirichlet form is
-    (1/f) sum_i E[Var_i phi] and the constant is exactly 1/(f * gap); it is
-    None when the computed gap is not positive, or when the cross-checked
-    routes differ by more than 1e-6 relative: a gap near the absolute floor
-    passes the check while its inverse is off by orders of magnitude.
+    (1/f) sum_i E[Var_i phi] and the constant is exactly 1/(f * gap).
     """
-    from scipy.sparse import linalg as splinalg
-
     energy, probs, log_z, partners = _single_flips(model, SPECTRAL_CAP)
     f, size = partners.shape
     root = np.sqrt(probs)
@@ -471,16 +487,15 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
             x = x.ravel()
             return sym @ x - root * (root @ x)
 
-        op = splinalg.LinearOperator(sym.shape, matvec=deflated, dtype=np.float64)
-        _, vecs = splinalg.eigsh(op, k=1, which="LA", ncv=3 * f, v0=_start_vector(size))
-        ritz = vecs[:, 0]  # unit norm; the quotient avoids cancelling in 1 - lambda_2
-        gap = float(ritz @ (ritz - sym @ ritz))
+        ritz = _ritz_vector(deflated, size, "LA", 3 * f)
+        gap = float(ritz @ (ritz - sym @ ritz))  # the quotient avoids cancelling in 1 - lambda_2
     else:
         gap = float(1.0 - np.linalg.eigvalsh(sym.toarray())[-2])
-    at = 1.0 / (f * gap) if gap > 0 else None
     notes = f"eigenvalue={gap:.15g}"
     if not cross_validate:
-        return SpectralReport(gap=gap, at_variance_constant=at, notes=notes)
+        if not gap >= GAP_FLOOR:
+            raise ValidationFailure(f"unchecked gap {gap!r} is below the floor {GAP_FLOOR!r}")
+        return SpectralReport(gap=gap, at_variance_constant=1.0 / (f * gap), notes=notes)
 
     form = _dirichlet_matrix(energy, log_z, partners)
     if iterative:
@@ -488,34 +503,23 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
             x = x.ravel()
             return form @ x + root * (root @ x)
 
-        op = splinalg.LinearOperator(form.shape, matvec=lifted, dtype=np.float64)
-        _, vecs = splinalg.eigsh(op, k=1, which="SA", ncv=3 * f, v0=_start_vector(size))
-        psi = vecs[:, 0]
+        psi = _ritz_vector(lifted, size, "SA", 3 * f)
         gap_rayleigh = float(psi @ (form @ psi))
     else:
         gap_rayleigh = float(np.linalg.eigvalsh(form.toarray())[1])
 
-    if not abs(gap - gap_rayleigh) <= 1e-9:
+    if not (gap > 0 and abs(gap - gap_rayleigh) <= min(1e-9, 1e-6 * gap)):
         raise ValidationFailure(
-            f"gap routes disagree: eigenvalue {gap!r} vs Rayleigh {gap_rayleigh!r}"
+            f"gap routes do not resolve it: eigenvalue {gap!r} vs Rayleigh {gap_rayleigh!r}"
         )
     notes = f"{notes} rayleigh={gap_rayleigh:.15g}"
-    if at is not None and abs(gap - gap_rayleigh) > 1e-6 * gap:
-        at = None
-        notes += " at_variance_constant=None: the routes differ by more than 1e-6 relative"
-    return SpectralReport(gap=gap, at_variance_constant=at, notes=notes)
+    return SpectralReport(gap=gap, at_variance_constant=1.0 / (f * gap), notes=notes)
 
 
 def at_variance_constant(model: IsingModel) -> float:
-    """sup over phi of Var(phi) / sum_i E[Var(phi | X_{-i})], read from ``glauber_gap``.
-
-    Raises ValidationFailure when the report carries none: the gap is
-    numerically not positive or not resolved to 1e-6 relative.
-    """
-    report = glauber_gap(model)
-    if report.at_variance_constant is None:
-        raise ValidationFailure(f"the gap does not resolve the AT constant: {report.notes}")
-    return report.at_variance_constant
+    """sup over phi of Var(phi) / sum_i E[Var(phi | X_{-i})], read from ``glauber_gap``:
+    1/(f * gap), or ValidationFailure when the gap does not resolve."""
+    return glauber_gap(model).at_variance_constant
 
 
 def _entropy(values: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -22,12 +22,10 @@ from .graphs import Graph, ball, boundary, distances_from
 from .model import PM, FieldDistribution, IsingModel, SpinConfiguration, sample_field
 from .oracle import (
     BOOST_CAP,
-    GIBBS_CAP,
     GibbsTable,
     _centred_moments,
     _free_energies,
     _normalise,
-    _table,
     gibbs_table,
     mean_and_covariance,
 )
@@ -70,25 +68,29 @@ def _boosted_prob_blocks(model: IsingModel, t: float, count: int, rng: np.random
     """Boosted Gibbs tables for ``count`` realizations, a block of rows at a time.
 
     Every realization's sigma* and noise are drawn first from ``rng``, as one batch, so
-    the streams do not depend on the blocking.  The tables are then built
-    and normalised about ``BOOST_BLOCK / (configs * f)`` rows at a time, so
-    a caller that reduces each row, also through ``_centred_moments`` on
-    the f spins, holds one block and never a (count, configs) array.
+    the streams do not depend on the blocking.  Realization r's table is
+    that of the model with field h + y_r, y_r added on the free columns: the
+    field rows go to ``_free_energies`` and ``_normalise`` about
+    ``BOOST_BLOCK / (configs * f)`` rows at a time, so row r equals
+    ``gibbs_table(replace(model, field=h + y_r)).probs`` float for float, and
+    a caller that reduces each row, also through ``_centred_moments`` on the
+    f spins, holds one block and never a (count, configs) array.  ``table``
+    is the base model's, built by ``gibbs_table`` when not given.
     Returns (iterator over (rows, configs) probability blocks in realization
     order, free-vertex spins (f, configs), base table).
     """
     _check_boost_size(model)
-    energy = _free_energies(model)  # log(probs) would be -inf where a probability underflows
     if table is None:
-        table = _table(model, energy)
-    f = table.num_free
-    vals = table.rows()[:, list(table.free)].astype(np.float64, order="C")
+        table = gibbs_table(model)
+    free = list(table.free)
+    vals = table.rows()[:, free].astype(np.float64, order="C")
     idx = rng.choice(len(table.probs), p=table.probs, size=count)
     star = vals[idx]  # (count, f) free-vertex spins of sigma*
-    noise = math.sqrt(t) * rng.normal(size=(count, f))
-    y = t * star + noise
-    rows = max(1, BOOST_BLOCK // (len(vals) * max(f, 1)))
-    blocks = (_normalise(energy[None, :] + y[lo:lo + rows] @ vals.T)[0]
+    noise = math.sqrt(t) * rng.normal(size=(count, len(free)))
+    fields = np.repeat(model.field[None, :], count, axis=0)
+    fields[:, free] += t * star + noise
+    rows = max(1, BOOST_BLOCK // (len(vals) * max(len(free), 1)))
+    blocks = (_normalise(_free_energies(model, fields=fields[lo:lo + rows]))[0]
               for lo in range(0, count, rows))
     return blocks, vals.T, table
 
@@ -108,12 +110,11 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
 
     The ball B is the closed radius-ell ball around u and the ring R its
     outer boundary; an empty ring returns 0 by convention.  Pinning R to the
-    sign s adds s * sum_v b_v x_v to the energy of a configuration x of B,
-    where b_v is the sum of v's couplings into R, plus a constant that
-    normalising cancels.  So B is enumerated once, without the ring, by
-    ``_free_energies`` over the region B of the parent model (no induced
-    model is built), the linear term b.x is built by the same doubling, and
-    the two energies E + b.x and E - b.x are normalised to read u's marginal
+    sign s adds s b_v to the field of each free vertex v of B, where b_v is
+    the sum of v's couplings into R, and a constant that normalising
+    cancels.  So B is enumerated by ``_free_energies`` over the region B of
+    the parent model (no induced model is built) with the two field rows
+    h + b and h - b, and the two tables are normalised to read u's marginal
     under each sign.  A one-row call of ``_ball_deltas``.  Raises InputError
     when u is pinned, and when a ring vertex is pinned, since its pin
     conflicts with one of the signs; raises CapacityError, before
@@ -125,11 +126,12 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
 def _ball_deltas(model: IsingModel, u: int, ell: int, fields: np.ndarray) -> np.ndarray:
     """``wsm_delta(replace(model, field=fields[r]), u, ell)`` for each row r of ``fields``.
 
-    The ball, the ring, the pin checks and the ring's linear term are built
-    once; then one ``_free_energies`` pass and one ``_normalise`` over the
-    (2, rows, 2^f) energies serve a block of field rows, about
-    ``BOOST_BLOCK / (2^f * f)`` of them for f free ball vertices (one row from
-    f = 16 up), so memory does not grow with the number of rows.
+    The ball, the ring, the pin checks and the ring's pull b are built once,
+    b_v summed over v's neighbour slots in order; then one ``_free_energies``
+    pass over the field rows F + b and F - b and one ``_normalise`` serve a
+    block F of rows, about ``BOOST_BLOCK / (2 * 2^f * f)`` of them for f free
+    ball vertices (one row from f = 15 up), so memory does not grow with the
+    number of rows.
     """
     if model.convention != PM:
         raise InputError("wsm_delta works in the +-1 convention")
@@ -142,21 +144,19 @@ def _ball_deltas(model: IsingModel, u: int, ell: int, fields: np.ndarray) -> np.
     if ring & model.pinning.keys():
         raise InputError(f"ring vertex {min(ring & model.pinning.keys())} is pinned against a sign")
     free = [v for v in region if v not in model.pinning]  # ascending, as _free_energies doubles
-    if len(free) > GIBBS_CAP:
-        raise CapacityError(f"{len(free)} free vertices exceeds the enumeration cap {GIBBS_CAP}")
-    nbr, cpl = (table[free].tolist() for table in model.neighbour_table)
-    linear = np.zeros(1)  # b.x, doubled as _extend would with spins [-1, 1]
-    for row, cpls in zip(nbr, cpl):
-        into_ring = sum(c for w, c in zip(row, cpls) if w in ring)
-        linear = np.concatenate([linear - into_ring, linear + into_ring])
-    linear = np.stack([linear, -linear])[:, None]  # the all-plus and the all-minus ring
+    nbr, cpl = model.neighbour_table
+    pull = np.zeros(model.n)  # b: each free ball vertex's couplings into the ring
+    for v in free:
+        pull[v] = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
     j = free.index(u)
-    rows = max(1, BOOST_BLOCK // (linear.shape[-1] * len(free)))
+    rows = max(1, BOOST_BLOCK // (2 * (1 << len(free)) * len(free)))
     deltas = []
     for lo in range(0, len(fields), rows):
-        energy = _free_energies(model, region, fields[lo:lo + rows])
-        probs, _ = _normalise(energy + linear)  # E + b.x and E - b.x
-        plus, minus = probs.reshape(2, len(energy), -1, 2, 1 << j)[:, :, :, 1].sum(axis=(2, 3))
+        block = fields[lo:lo + rows]
+        signed = np.concatenate([block + pull, block - pull])  # all-plus ring, then all-minus
+        probs = _normalise(_free_energies(model, region, signed))[0]
+        plus, minus = probs.reshape(2, len(block), -1, 2, 1 << j)[:, :, :, 1].sum(axis=(2, 3))
+        del probs  # free this block's tables before the next is built
         deltas.append(np.abs(plus - minus))
     return np.concatenate(deltas)
 

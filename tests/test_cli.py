@@ -234,6 +234,19 @@ def test_experiment_field_without_its_parameter_exit_code(tmp_path, capsys):
     assert "'sigma'" in capsys.readouterr().err
 
 
+def test_experiment_refuses_an_unresolved_gap(tmp_path, capsys):
+    # At beta 3 with no field the two n=10 gaps read 7.7e-14 and 1.5e-13, and
+    # their routes differ by 4e-3 and 4e-4 relative: no row may be written.
+    step = {"kind": "gap_vs_exact", "count": 2, "n": 10, "beta": 3.0, "degree": 3,
+            "p0": 0.1, "k": 1.0, "field": {"kind": "two_point", "atom": 0.0}}
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"seed": 3, "pipeline": [step]}))
+    outdir = tmp_path / "exp"
+    assert run_cli("sample", "experiment", "--config", str(cpath), "--outdir", str(outdir)) == 2
+    assert "gap routes do not resolve it" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def write_graph(tmp_path, *args, name="g.txt"):
     path = tmp_path / name
     assert run_cli("graph", "gen", *args, "-o", str(path)) == 0

@@ -4,13 +4,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from rfim import (
     CapacityError,
     FieldDistribution,
     InputError,
     IsingModel,
+    ValidationFailure,
+    at_variance_constant,
     build_graph,
     complete_graph,
     entropy_conservation_R,
@@ -25,6 +27,7 @@ from rfim import (
     sample_field,
     sample_noising_trace,
     sl_boost,
+    sup_cor2_over_pinnings,
     theta_star,
     to_zero_one,
     variance_conservation_R,
@@ -36,6 +39,7 @@ from rfim.localization import _group_rows, align_posterior_to_base, default_thet
 from rfim.rng import TRACE, substream
 
 from conftest import random_field_model, uniform_model
+from strategies import models
 
 
 def _k3_01(seed=17, beta=0.3):
@@ -225,6 +229,25 @@ def test_variance_conservation_examples():
     c = 4 * delta * math.log(n) / alpha
     cert2 = variance_conservation_R(c, theta_star(beta))
     assert cert2.log_r == pytest.approx(16 * beta * delta * math.log(n) / alpha, rel=1e-12)
+
+
+@settings(max_examples=25)
+@example(m=uniform_model(path_graph(2), 0.0, [0.0, 0.0]), beta=1.0)  # AT 4.19, R 51.4
+@example(m=uniform_model(build_graph(3, []), 0.0, [0.5, -1.0, 0.0]), beta=0.3)  # AT = R = 1
+@given(m=models(max_n=7, convention="pm"), beta=st.floats(0.0, 1.0))
+def test_poincare_bound_on_exact_models(m, beta):
+    # The paper's Poincare chain: variance conservation up to theta*, where the
+    # posterior is a product measure, then Efron-Stein and the concavity of
+    # E Var_i, bound the AT constant by R(theta*) = (1 - theta*)^-C, with C the
+    # Cor2 operator norm over every pinning and theta in [0, theta*].
+    model = uniform_model(m.graph, beta, m.field)  # no pins, one ferromagnetic beta
+    try:
+        at = at_variance_constant(model)
+    except ValidationFailure:
+        reject()  # an unresolved gap bounds nothing
+    ts = theta_star(beta)
+    c = sup_cor2_over_pinnings(to_zero_one(model), np.linspace(0.0, ts, 6)).max_opnorm
+    assert at <= variance_conservation_R(c, ts).r_value * (1 + 1e-9)
 
 
 def test_variance_conservation_monotone():

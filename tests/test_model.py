@@ -23,6 +23,7 @@ from rfim import (
     to_zero_one,
 )
 from rfim.model import model_from_json_dict, model_to_json_dict
+from rfim.rng import SL
 
 from conftest import random_field_model, uniform_model
 
@@ -45,6 +46,13 @@ def test_sample_field_deterministic():
     assert np.array_equal(a.values, b.values)
     c = sample_field(FieldDistribution.gaussian(1.0), 50, seed=10)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_a_field_replays_from_the_address_it_records():
+    f = sample_field(FieldDistribution.gaussian(1.0), 12, 21, SL, 3)
+    assert (f.seed, f.path) == (21, (SL, 3))
+    assert np.array_equal(sample_field(f.distribution_spec, 12, f.seed, *f.path).values, f.values)
+    assert not np.array_equal(sample_field(f.distribution_spec, 12, f.seed).values, f.values)
 
 
 def test_hamiltonian_single_edge():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from rfim import (
@@ -251,7 +251,15 @@ def test_gap_past_the_dense_reference_cap():
 @settings(max_examples=30)
 @given(models(max_n=8))
 def test_gap_matches_dense_eigenvalues(m):
-    assert abs(glauber_gap(m).gap - dense_reference.dense_gap(m)) <= 1e-12
+    # A gap is returned within 1e-12 of the dense reference or refused, and
+    # only a gap below 1e-8 is ever refused.
+    dense = dense_reference.dense_gap(m)
+    try:
+        gap = glauber_gap(m).gap
+    except ValidationFailure:
+        assert dense < 1e-8
+    else:
+        assert abs(gap - dense) <= 1e-12
 
 
 def test_gap_matches_dense_eigenvalues_on_a_clustered_spectrum():
@@ -335,18 +343,41 @@ def test_at_variance_product_measure():
 
 
 def test_at_variance_needs_a_resolved_gap():
-    # On K7 with no field the gap sinks towards the absolute floor of the
-    # cross-check as J grows; its inverse is kept only while the routes agree
-    # to 1e-6 relative.
-    kept = glauber_gap(uniform_model(complete_graph(7), 1.0, np.zeros(7)))
-    assert kept.at_variance_constant == 1.0 / (7 * kept.gap)
+    # On K7 with no field the gap sinks towards the rounding of 1 - lambda_2
+    # as J grows.  At J = 1 the routes agree to 7.7e-7 relative and the AT
+    # constant is 1/(7 gap); at J = 1.2 they differ by 1.4e-4 relative, so only
+    # the unchecked gap of 2.6e-12, above the floor, is returned; at J = 2
+    # route (a) reads 1.3e-15 against 4.3e-18, and both calls refuse it.
+    kept = uniform_model(complete_graph(7), 1.0, np.zeros(7))
+    report = glauber_gap(kept)
+    assert report.at_variance_constant == 1.0 / (7 * report.gap)
+    assert at_variance_constant(kept) == report.at_variance_constant
+    disagreeing = uniform_model(complete_graph(7), 1.2, np.zeros(7))
+    with pytest.raises(ValidationFailure, match="eigenvalue 2.62"):
+        glauber_gap(disagreeing)
+    assert glauber_gap(disagreeing, cross_validate=False).gap > oracle.GAP_FLOOR
     unresolved = uniform_model(complete_graph(7), 2.0, np.zeros(7))
-    report = glauber_gap(unresolved)
-    assert report.gap > 0.0
-    assert report.at_variance_constant is None
-    assert "differ by more than 1e-6 relative" in report.notes
+    for cross_validate in (True, False):
+        with pytest.raises(ValidationFailure):
+            glauber_gap(unresolved, cross_validate=cross_validate)
     with pytest.raises(ValidationFailure):
         at_variance_constant(unresolved)
+
+
+@pytest.mark.parametrize("which", ["LA", "SA"])
+def test_gap_turns_arpack_errors_into_validation_failures(monkeypatch, which):
+    from scipy.sparse import linalg as splinalg
+
+    eigsh = splinalg.eigsh
+
+    def failing(op, **kwargs):  # fails on one route, route (a) "LA" or route (b) "SA"
+        if kwargs["which"] == which:
+            raise splinalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigsh(op, **kwargs)
+
+    monkeypatch.setattr(splinalg, "eigsh", failing)
+    with pytest.raises(ValidationFailure, match="ARPACK"):
+        glauber_gap(random_field_model(random_regular_graph(8, 3, 9), 0.4, seed=10))
 
 
 def test_at_variance_matches_gap(p2_symmetric):
@@ -378,12 +409,16 @@ def test_at_gap_identity_random_models():
 @settings(max_examples=30)
 @given(models(max_n=8))
 def test_at_variance_matches_dense_reference(m):
-    # Both sides invert an eigenvalue found to about 1e-16 absolute, so they
-    # agree in relative terms only while the gap stays well above that.
-    report = glauber_gap(m)
-    assume(report.gap > 1e-6)
-    assert report.at_variance_constant == pytest.approx(dense_reference.at_variance_constant(m),
-                                                        rel=1e-9)
+    # Both sides invert an eigenvalue found to about 1e-16 absolute, so they are
+    # compared as the gaps they invert: within 1e-12, or the gap is refused, and
+    # only a gap below 1e-8 is ever refused.
+    f = len(m.free_vertices)
+    try:
+        at = at_variance_constant(m)
+    except ValidationFailure:
+        assert dense_reference.dense_gap(m) < 1e-8
+    else:
+        assert abs(1.0 / (f * at) - 1.0 / (f * dense_reference.at_variance_constant(m))) <= 1e-12
 
 
 def test_mlsi_single_vertex_matches_scan():

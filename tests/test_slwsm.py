@@ -26,7 +26,7 @@ from rfim import (
     weak_poincare_probe,
     wsm_delta,
 )
-from rfim import oracle
+from rfim import oracle, slwsm
 from rfim.graphs import ball, boundary, distances_from, random_regular_graph, torus_grid
 from rfim.rng import SL, substream
 from rfim.slwsm import _ball_deltas, _boosted_prob_blocks
@@ -97,6 +97,26 @@ def test_boosted_average_with_an_underflowed_probability():
     assert (table.probs == 0.0).any()
     assert np.isfinite(mean).all() and np.isfinite(stderr).all()
     assert mean.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("pinning", [{}, {1: -1, 4: 1}])
+def test_boosted_tables_are_the_tables_of_the_boosted_fields(monkeypatch, pinning):
+    # Row r is, float for float, the Gibbs table of the model with field h + y_r,
+    # y_r redrawn from the same stream (sigma* first, then the noise) and 0 on
+    # the pins.  A small BOOST_BLOCK splits the rows into blocks of 1 or 4.
+    monkeypatch.setattr(slwsm, "BOOST_BLOCK", 4 * 64 * 6)
+    m = random_field_model(random_regular_graph(8, 3, 4), 0.5, seed=5).with_pinning(pinning)
+    t, count = 0.7, 30
+    blocks, _, table = _boosted_prob_blocks(m, t, count, substream(6, SL))
+    rng = substream(6, SL)
+    free = list(table.free)
+    star = table.rows(rng.choice(len(table.probs), p=table.probs, size=count))[:, free]
+    y = np.zeros((count, m.n))
+    y[:, free] = t * star + math.sqrt(t) * rng.normal(size=(count, len(free)))
+    rows = [row for block in blocks for row in block]
+    assert len(rows) == count
+    for row, y_r in zip(rows, y):
+        assert np.array_equal(row, gibbs_table(replace(m, field=m.field + y_r)).probs)
 
 
 def test_wsm_delta_zero_at_independence():
@@ -171,16 +191,14 @@ def _induced_wsm_delta(model, u, ell):
     if not ring:
         return 0.0
     sub = edge_scan_induced(model, inside)
-    energy = oracle._free_energies(sub)
     region = sorted(inside)
     nbr, cpl = model.neighbour_table
-    spins = np.array([-1.0, 1.0])
-    linear = np.zeros(1)
+    pull = np.zeros(sub.n)  # each free ball vertex's couplings into the ring, in slot order
     for i in sub.free_vertices:
         v = region[i]
-        into_ring = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
-        linear = oracle._extend(linear, spins, np.full(len(linear), into_ring))
-    probs, _ = oracle._normalise(np.stack([energy + linear, energy - linear]))
+        pull[i] = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
+    energy = oracle._free_energies(sub, fields=np.stack([sub.field + pull, sub.field - pull]))
+    probs, _ = oracle._normalise(energy)
     j = sub.free_vertices.index(region.index(u))
     plus, minus = probs.reshape(2, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
     return float(abs(plus - minus))
