@@ -2,14 +2,15 @@
 
 Vertices are dense 0-based indices.  Graphs are immutable after construction
 and safe to share between workers; all operations here are pure functions of
-their inputs.  Distances are computed by BFS on demand (no all-pairs tables).
+their inputs.  ``_layered_bfs`` is the one breadth-first walk: ``bfs``,
+distances, balls, components and growth profiles all read its visit order and
+layer ends, one walk per source on demand (no all-pairs tables).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,17 +94,10 @@ def build_graph(num_vertices: int, edges) -> Graph:
 
 
 def distances_from(g: Graph, v: int) -> np.ndarray:
-    """BFS distances from ``v``; unreachable vertices get -1."""
-    _check_vertex(g, v)
+    """BFS distances from ``v``, read off the layers of ``_layered_bfs``; -1 if unreachable."""
+    order, ends = _layered_bfs(g, [v])
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        for x in g.adjacency[w]:
-            if dist[x] < 0:
-                dist[x] = dist[w] + 1
-                queue.append(x)
+    dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     return dist
 
 
@@ -114,16 +108,15 @@ def graph_distance(g: Graph, u: int, v: int) -> int:
     return int(d)
 
 
-def bfs(g: Graph, sources, allowed=None, depth: int | None = None) -> list[int]:
-    """Breadth-first visit order from ``sources``.
+def _layered_bfs(g: Graph, sources, allowed=None, depth: int | None = None):
+    """``bfs``'s visit order and its layer ends: ``(order, ends)``.
 
-    The sources come first, in the order given (repeats dropped), then every
-    vertex reached, first in first out, neighbours in ascending index.  Past
-    the sources only vertices in ``allowed`` are entered (all when None), and
-    the walk stops after ``depth`` layers (never when None).
+    ``ends[d]`` vertices of ``order`` lie within d steps of the sources, so
+    ``order[ends[d-1]:ends[d]]`` is layer d; the last entry is ``len(order)``
+    and ``len(ends) - 1`` is the depth reached.
     """
-    if depth is not None and depth < 0:
-        raise InputError("depth must be nonnegative")
+    if depth is not None and not (isinstance(depth, (int, np.integer)) and depth >= 0):
+        raise InputError(f"depth {depth!r} must be a nonnegative integer or None")
     order: list[int] = []
     seen: set[int] = set()
     for s in sources:
@@ -133,9 +126,11 @@ def bfs(g: Graph, sources, allowed=None, depth: int | None = None) -> list[int]:
             seen.add(s)
             order.append(s)
     adjacency = g.adjacency
+    ends: list[int] = []
     head, layer_end, level = 0, len(order), 0
     while head < len(order):
         if head == layer_end:
+            ends.append(layer_end)
             level += 1
             layer_end = len(order)
         if level == depth:
@@ -145,13 +140,24 @@ def bfs(g: Graph, sources, allowed=None, depth: int | None = None) -> list[int]:
                 seen.add(x)
                 order.append(x)
         head += 1
-    return order
+    ends.append(len(order))
+    return order, ends
+
+
+def bfs(g: Graph, sources, allowed=None, depth: int | None = None) -> list[int]:
+    """Breadth-first visit order from ``sources``.
+
+    The sources come first, in the order given (repeats dropped), then every
+    vertex reached, first in first out, neighbours in ascending index.  Past
+    the sources only vertices in ``allowed`` are entered (all when None), and
+    the walk stops after ``depth`` layers (never when None).  The walk is
+    ``_layered_bfs``, whose layer ends this order drops.
+    """
+    return _layered_bfs(g, sources, allowed, depth)[0]
 
 
 def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     """All vertices at graph distance <= r from v (closed ball, by a BFS stopped at depth r)."""
-    if r < 0:
-        raise InputError("radius must be nonnegative")
     return frozenset(bfs(g, [v], depth=r))
 
 
@@ -170,10 +176,19 @@ def boundary(g: Graph, a) -> frozenset[int]:
 
 def edge_ball(g: Graph, e, l: int) -> frozenset[int]:
     """Union of the closed balls of radius ``l`` around both endpoints of edge ``e``."""
-    u, v = int(e[0]), int(e[1])
+    u, v = _edge_endpoints(g, e)
+    return ball(g, u, l) | ball(g, v, l)
+
+
+def _edge_endpoints(g: Graph, e) -> tuple[int, int]:
+    """The endpoints ``(u, v)`` of edge ``e`` as ints; raises InputError unless both
+    are vertices of ``g`` and ``e`` is one of its edges."""
+    u, v = e[0], e[1]
+    _check_vertex(g, u)
+    _check_vertex(g, v)
     if not g.has_edge(u, v):
         raise InputError(f"({u}, {v}) is not an edge")
-    return ball(g, u, l) | ball(g, v, l)
+    return int(u), int(v)
 
 
 def is_connected(g: Graph) -> bool:
@@ -205,29 +220,23 @@ class GrowthProfile:
 def growth_profile(g: Graph, alpha: float, c_alpha: float) -> GrowthProfile:
     """Profile max_v |B_r(v)| for r = 1..diameter and check the growth budget.
 
-    Costs one BFS per vertex; intended for profiling-scale graphs.
+    |B_r(v)| is ``ends[r]`` of the walk from v, padded past v's eccentricity
+    with its last entry, v's whole component.  Costs one BFS per vertex and
+    O(n + diameter) memory: only the running maximum over vertices is kept.
     """
     if not (0.0 < alpha < 1.0):
         raise InputError("alpha must lie in (0, 1)")
-    if c_alpha <= 0:
-        raise InputError("c_alpha must be positive")
-    n = g.num_vertices
-    max_ecc = 0
-    all_dists = []
-    for v in range(n):
-        dist = distances_from(g, v)
-        all_dists.append(dist)
-        max_ecc = max(max_ecc, int(dist.max(initial=0)))
-    rows: list[tuple[int, int]] = []
-    ok = True
-    for r in range(1, max_ecc + 1):
-        size = max(int(((d >= 0) & (d <= r)).sum()) for d in all_dists)
-        rows.append((r, size))
-        if size > math.exp(c_alpha * r**alpha):
-            ok = False
-    if n <= 1:
-        ok = True
-    return GrowthProfile(alpha=alpha, c_alpha=c_alpha, per_radius_max_ball=tuple(rows), satisfied=ok)
+    if not (math.isfinite(c_alpha) and c_alpha > 0):
+        raise InputError("c_alpha must be finite and positive")
+    top = [0]
+    for v in range(g.num_vertices):
+        ends = _layered_bfs(g, [v])[1]
+        top += top[-1:] * (len(ends) - len(top))
+        ends += ends[-1:] * (len(top) - len(ends))
+        top = list(map(max, top, ends))
+    rows = tuple((r, top[r]) for r in range(1, len(top)))
+    ok = all(size <= math.exp(c_alpha * r**alpha) for r, size in rows)
+    return GrowthProfile(alpha=alpha, c_alpha=c_alpha, per_radius_max_ball=rows, satisfied=ok)
 
 
 def connected_ordering(g: Graph, seed: int, vertices=None, *path: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, bfs
+from .graphs import Graph, _edge_endpoints, bfs
 from .model import (
     PM,
     FieldDistribution,
@@ -83,9 +83,7 @@ def percolate(g: Graph, field: QuenchedField, k: float, p0: float, seed: int) ->
 def cluster_of_edge(realization: PercolationRealization, e) -> frozenset[int]:
     """Open cluster of the edge's endpoints with both endpoints forced open (BFS)."""
     g = realization.graph
-    u, v = int(e[0]), int(e[1])
-    if not g.has_edge(u, v):
-        raise InputError(f"({u}, {v}) is not an edge")
+    u, v = _edge_endpoints(g, e)
     return frozenset(bfs(g, (u, v), allowed=realization.open_set))
 
 
@@ -216,9 +214,7 @@ def disagreement_experiment(model01: IsingModel, e, theta: float, extra_pinning:
     tests |h| <= K there, not on the shifted 01-field).
     """
     g = model01.graph
-    u, v = int(e[0]), int(e[1])
-    if not g.has_edge(u, v):
-        raise InputError(f"({u}, {v}) is not an edge")
+    u, v = _edge_endpoints(g, e)
     nu = edge_tilt(model01, theta).with_pinning(extra_pinning)
     nu_cond = nu.with_pinning({u: 1, v: 1})
     uniforms = substream(seed, PERCOLATION, 2).random(g.num_vertices)

@@ -259,20 +259,16 @@ def build_separation_plan(g: Graph, points) -> SeparationPlan:
     ell_i = (1/4) min distance to the previous point and the other selected
     points.
     """
-    pts = tuple(int(p) for p in points)
+    pts = tuple(points)
+    if not all(isinstance(x, (int, np.integer)) for x in pts):
+        raise InputError("separation plan points must be integers")
+    pts = tuple(int(x) for x in pts)
     p = len(pts)
     if p == 0:
         raise InputError("need at least one point")
-    dists = {}
-    for v in set(pts):
-        dists[v] = distances_from(g, v)
-    d = np.zeros((p, p), dtype=np.int64)
-    for i in range(p):
-        for jj in range(p):
-            dist = dists[pts[i]][pts[jj]]
-            if dist < 0:
-                raise InputError("separation plans need points in one component")
-            d[i, jj] = dist
+    d = np.array([distances_from(g, a)[list(pts)] for a in pts])
+    if (d < 0).any():
+        raise InputError("separation plans need points in one component")
     r: list[float] = [0.0]
     j_idx: list[int | None] = [None]
     for i in range(1, p):

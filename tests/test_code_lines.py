@@ -1,7 +1,7 @@
 from code_lines import code_lines, package_lines
 
 # Raise it only with the reason stated in CHANGES.md.
-CEILING = 3012
+CEILING = 2996
 
 SNIPPET = '''"""Module docstring."""
 

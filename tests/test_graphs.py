@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfim import (
     InputError,
@@ -21,6 +22,7 @@ from rfim import (
     tree3,
 )
 from rfim.graphs import (
+    bfs,
     connected_components,
     distances_from,
     graph_from_edgelist_text,
@@ -78,6 +80,17 @@ def test_ball_out_of_range():
         ball(path_graph(3), 5, 1)
 
 
+def test_fractional_or_negative_depth_is_rejected():
+    # a depth the layer count never equals would let the walk run to the end
+    g = path_graph(10)
+    for walk in (lambda: ball(g, 0, 1.5), lambda: bfs(g, [0], depth=1.5),
+                 lambda: edge_ball(g, (0, 1), 0.5), lambda: ball(g, 0, -1)):
+        with pytest.raises(InputError):
+            walk()
+    assert ball(g, 0, np.int64(2)) == {0, 1, 2}
+    assert bfs(g, [4], depth=np.int64(1)) == [4, 3, 5]
+
+
 def test_boundary_examples():
     g = path_graph(3)
     assert boundary(g, {1}) == {0, 2}
@@ -91,8 +104,10 @@ def test_edge_ball_examples():
     assert edge_ball(g, (0, 1), 1) == {0, 1, 2}
     k4 = complete_graph(4)
     assert edge_ball(k4, (0, 1), 1) == {0, 1, 2, 3}
-    with pytest.raises(InputError):
-        edge_ball(g, (0, 2), 1)
+    for e in [(0, 2), (0.9, 1.2), (0, 1.0), (-1, 0)]:
+        with pytest.raises(InputError):
+            edge_ball(path_graph(5), e, 1)
+    assert edge_ball(path_graph(5), (np.int64(1), np.int64(0)), 1) == {0, 1, 2}
 
 
 def test_growth_profile_single_vertex():
@@ -120,6 +135,24 @@ def test_growth_profile_tree_fails_small_budget():
 def test_growth_profile_rejects_bad_alpha():
     with pytest.raises(InputError):
         growth_profile(path_graph(3), 1.5, 1.0)
+
+
+@pytest.mark.parametrize("c_alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_growth_profile_rejects_a_budget_that_is_not_finite_and_positive(c_alpha):
+    with pytest.raises(InputError):
+        growth_profile(tree3(6), 0.5, c_alpha)
+
+
+@pytest.mark.parametrize("g", [torus_grid(20, 20), path_graph(400)])
+def test_growth_profile_keeps_no_per_vertex_table(g):
+    # an n x n distance table alone is 1.2 MiB on these graphs
+    tracemalloc.start()
+    try:
+        growth_profile(g, 0.5, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 def test_connected_ordering_path_from_zero():
@@ -229,12 +262,43 @@ def test_ball_monotone_in_radius(g, r):
     assert ball(g, v, r) <= ball(g, v, r + 1)
 
 
-@settings(max_examples=40)
-@given(models().map(lambda m: m.graph), st.integers(min_value=0, max_value=6), st.data())
+def all_pairs_reference(g):
+    """Floyd-Warshall over ``g.edges``, no BFS: d[u, v] is the graph distance, -1 if none."""
+    n = g.num_vertices
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v in g.edges:
+        d[u, v] = d[v, u] = 1.0
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return np.where(np.isinf(d), -1, d).astype(np.int64)
+
+
+any_graphs = st.one_of(small_graphs(), models().map(lambda m: m.graph))
+
+
+@settings(max_examples=60)
+@given(any_graphs, st.integers(min_value=0, max_value=6), st.data())
 def test_ball_is_the_distance_filter(g, r, data):
     v = data.draw(st.integers(0, g.num_vertices - 1))
-    dist = distances_from(g, v)
-    assert ball(g, v, r) == {int(x) for x in np.nonzero((dist >= 0) & (dist <= r))[0]}
+    row = all_pairs_reference(g)[v]
+    assert distances_from(g, v).tolist() == row.tolist()
+    assert ball(g, v, r) == {int(x) for x in np.nonzero((row >= 0) & (row <= r))[0]}
+
+
+@settings(max_examples=60)
+@given(any_graphs, st.sampled_from([0.5, 1.0, 3.0]))
+# paths on 0-2 and 8-11 around K5 on 3-7: for r = 2, 3 the largest ball is K5,
+# past its vertices' eccentricity, walked after a shorter and before a longer path
+@example(build_graph(12, [(0, 1), (1, 2), (8, 9), (9, 10), (10, 11)]
+                     + [(u, w) for u in range(3, 8) for w in range(u + 1, 8)]), 1.0)
+def test_growth_profile_matches_the_all_pairs_reference(g, c_alpha):
+    d = all_pairs_reference(g)
+    radii = range(1, int(d.max(initial=0)) + 1)
+    rows = tuple((r, int(((d >= 0) & (d <= r)).sum(axis=1).max())) for r in radii)
+    profile = growth_profile(g, 0.5, c_alpha)
+    assert profile.per_radius_max_ball == rows
+    assert profile.satisfied == all(size <= math.exp(c_alpha * r**0.5) for r, size in rows)
 
 
 @settings(max_examples=60)

@@ -85,6 +85,17 @@ def test_cluster_forced_endpoints_only():
     assert cluster_of_edge(real, (1, 2)) == {1, 2}
 
 
+def test_edge_callers_take_integer_endpoints_only():
+    g = path_graph(5)
+    real = percolation_from_uniforms(g, np.zeros(5), k=1.0, p0=0.2, uniforms=np.full(5, 0.5))
+    with pytest.raises(InputError):
+        cluster_of_edge(real, (0.9, 1.7))
+    assert cluster_of_edge(real, (np.int64(2), np.int64(1))) == set(range(5))
+    m01 = to_zero_one(random_field_model(g, 0.3, seed=7))
+    with pytest.raises(InputError):
+        disagreement_experiment(m01, (0.9, 1.7), 0.1, {}, np.zeros(5), k=1.0, p0=0.2, seed=0)
+
+
 def test_cluster_all_open_covers_graph():
     g = cycle_graph(6)
     real = percolation_from_uniforms(g, np.zeros(6), k=1.0, p0=0.2,

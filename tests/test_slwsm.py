@@ -377,6 +377,14 @@ def test_separation_plan_duplicates_excluded():
     assert plan.r == (0.0, 0.0, 0.0)
 
 
+def test_separation_plan_rejects_fractional_or_disconnected_points():
+    with pytest.raises(InputError):
+        build_separation_plan(path_graph(10), [0, 9.7])
+    with pytest.raises(InputError):
+        build_separation_plan(build_graph(4, [(0, 1), (2, 3)]), (0, 1, 3))
+    assert build_separation_plan(path_graph(12), np.array([0, 8])).r == (0.0, 2.0)
+
+
 def test_separation_plan_single_point():
     plan = build_separation_plan(path_graph(4), (1,))
     assert plan.a_set == frozenset()
