@@ -3,6 +3,17 @@
 Thin wrappers over the library: subcommand groups graph / model / oracle /
 mix / localize / certify / sl / sample, JSON on stdout or to files.  Exit
 codes: 0 success, 2 validation failure, 3 capacity, 4 input error.
+
+Every input is read by its click parameter type before a command runs, so
+a bad one exits 4 without any work done:
+
+- files: ``MODEL`` (``--model``, a model JSON), ``GRAPH`` (``--graph`` and
+  ``graph info``'s path, JSON when the text starts with ``{``, else an edge
+  list) and ``JSON`` (``--config``, ``--matrix``);
+- lists: ``FLOATS`` and ``INTS`` read comma-separated items, each parsed
+  strictly by ``float`` or ``int``; the empty string is the empty list;
+- field kinds: ``--field-kind`` is one of ``FIELDS``, gaussian, uniform or
+  two_point, each a ``FieldDistribution`` constructor of ``--field-param``.
 """
 
 from __future__ import annotations
@@ -44,25 +55,42 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _load_model(path: str) -> M.IsingModel:
-    return M.model_from_json_text(Path(path).read_text())
+class _File(click.ParamType):
+    """A path option whose value is ``read`` applied to the file's text."""
+
+    def __init__(self, name: str, read):
+        self.name, self.read = name, read
+
+    def convert(self, value, param, ctx):
+        return self.read(Path(value).read_text())
 
 
-def _load_graph(path: str) -> G.Graph:
-    text = Path(path).read_text()
+class _List(_File):
+    """A comma-separated option whose value is ``read`` applied to each item.
+
+    It shares only the constructor of ``_File``: no file is read.  The empty
+    string is the empty list; any other empty item fails ``read``.
+    """
+
+    def convert(self, value, param, ctx):
+        return [self.read(x) for x in value.split(",")] if value else []
+
+
+def _graph_from_text(text: str) -> G.Graph:
     if text.lstrip().startswith("{"):
         return G.graph_from_json_text(text)
     return G.graph_from_edgelist_text(text)
 
 
-def _parse_field(kind: str, param: float) -> M.FieldDistribution:
-    if kind == "gaussian":
-        return M.FieldDistribution.gaussian(param)
-    if kind == "uniform":
-        return M.FieldDistribution.uniform_symmetric(param)
-    if kind == "two_point":
-        return M.FieldDistribution.two_point(param)
-    raise InputError(f"unknown field kind {kind!r} (try gaussian/uniform/two_point)")
+MODEL = _File("model", M.model_from_json_text)
+GRAPH = _File("graph", _graph_from_text)
+JSON = _File("json", json.loads)
+FLOATS, INTS = _List("floats", float), _List("ints", int)
+
+FIELDS = {"gaussian": M.FieldDistribution.gaussian,
+          "uniform": M.FieldDistribution.uniform_symmetric,
+          "two_point": M.FieldDistribution.two_point}
+FIELD_KIND = click.Choice(list(FIELDS))
 
 
 @click.group()
@@ -114,14 +142,13 @@ def graph_gen(kind, n, rows, cols, degree, depth, seed, fmt, output):
 
 
 @graph.command("info")
-@click.argument("path")
-def graph_info(path):
-    g = _load_graph(path)
+@click.argument("path", type=GRAPH)
+def graph_info(path: G.Graph):
     _emit({
-        "n": g.num_vertices,
-        "edges": g.num_edges,
-        "max_degree": g.max_degree(),
-        "connected": G.is_connected(g),
+        "n": path.num_vertices,
+        "edges": path.num_edges,
+        "max_degree": path.max_degree(),
+        "connected": G.is_connected(path),
     }, None)
 
 
@@ -133,16 +160,15 @@ def model():
 
 
 @model.command("make")
-@click.option("--graph", "graph_path", required=True)
+@click.option("--graph", "g", type=GRAPH, required=True)
 @click.option("--beta", type=float, required=True)
-@click.option("--field-kind", default="two_point")
+@click.option("--field-kind", type=FIELD_KIND, default="two_point")
 @click.option("--field-param", type=float, default=1.0)
 @click.option("--seed", type=int, default=0)
 @click.option("--convention", type=click.Choice([M.PM, M.ZERO_ONE]), default=M.PM)
 @click.option("-o", "--output", type=str, default=None)
-def model_make(graph_path, beta, field_kind, field_param, seed, convention, output):
-    g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param)
+def model_make(g, beta, field_kind, field_param, seed, convention, output):
+    dist = FIELDS[field_kind](field_param)
     field = M.sample_field(dist, g.num_vertices, seed)
     m = M.IsingModel.uniform(g, beta, field.values, convention=M.PM)
     if convention == M.ZERO_ONE:
@@ -151,12 +177,11 @@ def model_make(graph_path, beta, field_kind, field_param, seed, convention, outp
 
 
 @model.command("tilt")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--theta", type=float, required=True)
 @click.option("--pin", multiple=True, help="vertex=value, repeatable")
 @click.option("-o", "--output", type=str, default=None)
-def model_tilt(model_path, theta, pin, output):
-    m = _load_model(model_path)
+def model_tilt(m, theta, pin, output):
     pinning = {}
     for item in pin:
         v, s = item.split("=")
@@ -182,52 +207,39 @@ def oracle():
 
 
 @oracle.command("table")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--binary", type=str, default=None, help="also write the binary table here")
 @click.option("-o", "--output", type=str, default=None)
-def oracle_table(model_path, binary, output):
-    table = O.gibbs_table(_load_model(model_path))
+def oracle_table(m, binary, output):
+    table = O.gibbs_table(m)
     if binary:
         Path(binary).write_bytes(O.table_to_binary(table))
     _emit(O.table_to_json_dict(table), output)
 
 
 @oracle.command("gap")
-@click.option("--model", "model_path", required=True)
-def oracle_gap(model_path):
-    m = _load_model(model_path)
+@click.option("--model", "m", type=MODEL, required=True)
+def oracle_gap(m):
     report = O.glauber_gap(m)
     _emit({"gap": report.gap, "at_variance_constant": report.at_variance_constant,
            "free_vertices": len(m.free_vertices), "notes": report.notes}, None)
 
 
 @oracle.command("cor2")
-@click.option("--model", "model_path", required=True)
-def oracle_cor2(model_path):
-    m = _load_model(model_path)
+@click.option("--model", "m", type=MODEL, required=True)
+def oracle_cor2(m):
     table = O.gibbs_table(m)
     _emit({"edges": [list(e) for e in m.graph.edges],
            "cor2": O.cor2_matrix(table)}, None)
 
 
 @oracle.command("sweep")
-@click.option("--model", "model_path", required=True)
-@click.option("--thetas", default="0.0", help="comma-separated tilt grid")
-def oracle_sweep(model_path, thetas):
-    m = _load_model(model_path)
-    grid = [float(x) for x in thetas.split(",")]
-    rep = O.sup_cor2_over_pinnings(m, grid)
-    _emit({
-        "max_row_sum": rep.max_row_sum,
-        "max_col_sum": rep.max_col_sum,
-        "max_opnorm": rep.max_opnorm,
-        "argmax_row": rep.argmax_row,
-        "argmax_col": rep.argmax_col,
-        "argmax_opnorm": rep.argmax_opnorm,
-        "interpolation_ok": rep.interpolation_ok,
-        "matrices_checked": rep.matrices_checked,
-        "mode": rep.mode,
-    }, None)
+@click.option("--model", "m", type=MODEL, required=True)
+@click.option("--thetas", type=FLOATS, default="0.0", help="comma-separated tilt grid")
+def oracle_sweep(m, thetas):
+    rep = O.sup_cor2_over_pinnings(m, thetas)
+    _emit({k: v for k, v in vars(rep).items()
+           if k not in ("per_edge_row_max", "per_edge_col_max")}, None)
 
 
 # ------------------------------------------------------------------- mix ---
@@ -243,13 +255,12 @@ def _start(m, value):
 
 
 @mix.command("run")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--steps", type=int, required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--init", type=click.Choice(["plus", "minus"]), default="plus")
 @click.option("--trace", type=str, default=None, help="CSV of (step, magnetization, energy)")
-def mix_run(model_path, steps, seed, init, trace):
-    m = _load_model(model_path)
+def mix_run(m, steps, seed, init, trace):
     one, zero = M.SPIN_VALUES[m.convention]
     state, trajectory = D.run_chain(
         m, _start(m, one if init == "plus" else zero), steps, seed,
@@ -262,11 +273,10 @@ def mix_run(model_path, steps, seed, init, trace):
 
 
 @mix.command("couple")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--steps", type=int, required=True)
 @click.option("--seed", type=int, default=0)
-def mix_couple(model_path, steps, seed):
-    m = _load_model(model_path)
+def mix_couple(m, steps, seed):
     one, zero = M.SPIN_VALUES[m.convention]
     trace = D.monotone_coupled_run(m, _start(m, zero), _start(m, one), steps, seed)
     _emit({
@@ -276,14 +286,12 @@ def mix_couple(model_path, steps, seed):
 
 
 @mix.command("tvcurve")
-@click.option("--model", "model_path", required=True)
-@click.option("--steps", default="0,10,100", help="comma-separated step grid")
+@click.option("--model", "m", type=MODEL, required=True)
+@click.option("--steps", type=INTS, default="0,10,100", help="comma-separated step grid")
 @click.option("--replicas", type=int, default=1000)
 @click.option("--seed", type=int, default=0)
-def mix_tvcurve(model_path, steps, replicas, seed):
-    m = _load_model(model_path)
-    grid = [int(x) for x in steps.split(",")]
-    rows = D.empirical_tv_curve(m, _start(m, 1), grid, replicas, seed)
+def mix_tvcurve(m, steps, replicas, seed):
+    rows = D.empirical_tv_curve(m, _start(m, 1), steps, replicas, seed)
     _emit(rows, None)
 
 
@@ -295,11 +303,10 @@ def localize():
 
 
 @localize.command("trace")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--t", type=float, required=True)
 @click.option("--seed", type=int, default=0)
-def localize_trace(model_path, t, seed):
-    m = _load_model(model_path)
+def localize_trace(m, t, seed):
     tr = L.sample_noising_trace(m, seed)
     _emit({
         "x": tr.x_sample.values().tolist(),
@@ -309,23 +316,20 @@ def localize_trace(model_path, t, seed):
 
 
 @localize.command("posterior")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--t", type=float, required=True)
-@click.option("--revealed", default="", help="comma-separated edge indices")
+@click.option("--revealed", type=INTS, default="", help="comma-separated edge indices")
 @click.option("-o", "--output", type=str, default=None)
-def localize_posterior(model_path, t, revealed, output):
-    m = _load_model(model_path)
-    edges = [int(x) for x in revealed.split(",") if x.strip() != ""]
-    _emit(M.model_to_json_dict(L.posterior_model(m, t, edges)), output)
+def localize_posterior(m, t, revealed, output):
+    _emit(M.model_to_json_dict(L.posterior_model(m, t, revealed)), output)
 
 
 @localize.command("verify")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--t", type=float, required=True)
 @click.option("--traces", type=int, default=100000)
 @click.option("--seed", type=int, default=0)
-def localize_verify(model_path, t, traces, seed):
-    m = _load_model(model_path)
+def localize_verify(m, t, traces, seed):
     rep = L.verify_posterior_by_simulation(m, t, traces, seed)
     _emit({
         "max_tv": rep.max_tv,
@@ -388,25 +392,21 @@ def certify_mlsi(n, beta, delta, alpha_star, m_bound):
 
 
 @certify.command("tails")
-@click.option("--graph", "graph_path", required=True)
+@click.option("--graph", "g", type=GRAPH, required=True)
 @click.option("--beta", type=float, required=True)
 @click.option("--p0", type=float, required=True)
 @click.option("--k", type=float, required=True)
-@click.option("--field-kind", default="two_point")
+@click.option("--field-kind", type=FIELD_KIND, default="two_point")
 @click.option("--field-param", type=float, default=5.0)
 @click.option("--trials", type=int, default=100)
 @click.option("--seed", type=int, default=0)
-@click.option("--m-grid", default="1,2,4,8")
-@click.option("--thetas", default=None, help="defaults to the theta* grid")
-def certify_tails(graph_path, beta, p0, k, field_kind, field_param, trials, seed, m_grid, thetas):
-    g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param)
+@click.option("--m-grid", type=FLOATS, default="1,2,4,8")
+@click.option("--thetas", type=FLOATS, default=None, help="defaults to the theta* grid")
+def certify_tails(g, beta, p0, k, field_kind, field_param, trials, seed, m_grid, thetas):
+    dist = FIELDS[field_kind](field_param)
     if thetas is None:
-        grid = L.default_theta_grid(M.theta_star(beta))[:-1]
-    else:
-        grid = [float(x) for x in thetas.split(",")]
-    rep = P.row_sum_tail_report(g, beta, grid, dist, k, p0, trials, seed,
-                                [float(x) for x in m_grid.split(",")])
+        thetas = L.default_theta_grid(M.theta_star(beta))[:-1]
+    rep = P.row_sum_tail_report(g, beta, thetas, dist, k, p0, trials, seed, m_grid)
     _emit({
         "mode": rep.mode,
         "trials": rep.trials,
@@ -419,24 +419,22 @@ def certify_tails(graph_path, beta, p0, k, field_kind, field_param, trials, seed
 
 
 @certify.command("norm")
-@click.option("--matrix", "matrix_path", required=True,
+@click.option("--matrix", "a", type=JSON, required=True,
               help="JSON file holding a square matrix as nested lists")
-def certify_norm(matrix_path):
-    a = json.loads(Path(matrix_path).read_text())
+def certify_norm(a):
     _emit(vars(P.norm_interpolation_check(a)), None)
 
 
 @certify.command("percolate")
-@click.option("--graph", "graph_path", required=True)
-@click.option("--field-kind", default="two_point")
+@click.option("--graph", "g", type=GRAPH, required=True)
+@click.option("--field-kind", type=FIELD_KIND, default="two_point")
 @click.option("--field-param", type=float, default=5.0)
 @click.option("--field-seed", type=int, default=0)
 @click.option("--k", type=float, required=True)
 @click.option("--p0", type=float, required=True)
 @click.option("--seed", type=int, default=0)
-def certify_percolate(graph_path, field_kind, field_param, field_seed, k, p0, seed):
-    g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param)
+def certify_percolate(g, field_kind, field_param, field_seed, k, p0, seed):
+    dist = FIELDS[field_kind](field_param)
     field = M.sample_field(dist, g.num_vertices, field_seed)
     real = P.percolate(g, field, k, p0, seed)
     _emit({"open": sorted(real.open_set),
@@ -451,12 +449,12 @@ def sl():
 
 
 @sl.command("boost")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--t", type=float, required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--output", type=str, default=None)
-def sl_boost_cmd(model_path, t, seed, output):
-    real = S.sl_boost(_load_model(model_path), t, seed)
+def sl_boost_cmd(m, t, seed, output):
+    real = S.sl_boost(m, t, seed)
     _emit({
         "sigma_star": real.sigma_star.values().tolist(),
         "y": real.y,
@@ -465,21 +463,18 @@ def sl_boost_cmd(model_path, t, seed, output):
 
 
 @sl.command("wsm")
-@click.option("--graph", "graph_path", required=True)
+@click.option("--graph", "g", type=GRAPH, required=True)
 @click.option("--beta", type=float, required=True)
-@click.option("--field-kind", default="two_point")
+@click.option("--field-kind", type=FIELD_KIND, default="two_point")
 @click.option("--field-param", type=float, default=5.0)
-@click.option("--radii", default="1,2,3")
+@click.option("--radii", type=INTS, default="1,2,3")
 @click.option("--trials", type=int, default=50)
 @click.option("--seed", type=int, default=0)
-@click.option("--vertices", default=None, help="defaults to all vertices")
+@click.option("--vertices", type=INTS, default=None, help="defaults to all vertices")
 @click.option("--csv", "csv_path", default=None)
-def sl_wsm(graph_path, beta, field_kind, field_param, radii, trials, seed, vertices, csv_path):
-    g = _load_graph(graph_path)
-    dist = _parse_field(field_kind, field_param)
-    verts = [int(x) for x in vertices.split(",")] if vertices else None
-    rep = S.estimate_wsm(g, beta, dist, [int(x) for x in radii.split(",")], trials, seed,
-                         vertices=verts)
+def sl_wsm(g, beta, field_kind, field_param, radii, trials, seed, vertices, csv_path):
+    dist = FIELDS[field_kind](field_param)
+    rep = S.estimate_wsm(g, beta, dist, radii, trials, seed, vertices=vertices or None)
     if csv_path:
         lines = ["vertex,radius,mean_delta,stderr"]
         for i, v in enumerate(rep.vertices):
@@ -493,11 +488,10 @@ def sl_wsm(graph_path, beta, field_kind, field_param, radii, trials, seed, verti
 
 
 @sl.command("plan")
-@click.option("--graph", "graph_path", required=True)
-@click.option("--points", required=True, help="comma-separated vertex tuple")
-def sl_plan(graph_path, points):
-    g = _load_graph(graph_path)
-    plan = S.build_separation_plan(g, [int(x) for x in points.split(",")])
+@click.option("--graph", "g", type=GRAPH, required=True)
+@click.option("--points", type=INTS, required=True, help="comma-separated vertex tuple")
+def sl_plan(g, points):
+    plan = S.build_separation_plan(g, points)
     _emit({
         "points": list(plan.points),
         "r": list(plan.r),
@@ -509,14 +503,13 @@ def sl_plan(graph_path, points):
 
 
 @sl.command("probe")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--p", type=int, default=2)
-@click.option("--t-grid", default="0,1,5")
+@click.option("--t-grid", type=FLOATS, default="0,1,5")
 @click.option("--realizations", type=int, default=500)
 @click.option("--seed", type=int, default=0)
-def sl_probe(model_path, p, t_grid, realizations, seed):
-    m = _load_model(model_path)
-    rep = S.trace_moment_probe(m, p, [float(x) for x in t_grid.split(",")], realizations, seed)
+def sl_probe(m, p, t_grid, realizations, seed):
+    rep = S.trace_moment_probe(m, p, t_grid, realizations, seed)
     _emit({"p": rep.p, "rows": list(rep.rows), "sup_mean": rep.sup_mean,
            "c0_fit": rep.c0_fit, "label": "fitted"}, None)
 
@@ -529,7 +522,7 @@ def sample():
 
 
 @sample.command("incremental")
-@click.option("--model", "model_path", required=True)
+@click.option("--model", "m", type=MODEL, required=True)
 @click.option("--cstar", type=float, required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--ordering-seed", type=int, default=0)
@@ -537,8 +530,7 @@ def sample():
 @click.option("--replicas", type=int, default=1, help="replicas for --validate")
 @click.option("--eps", type=float, default=0.05)
 @click.option("--outdir", type=str, default=None)
-def sample_incremental(model_path, cstar, seed, ordering_seed, validate, replicas, eps, outdir):
-    m = _load_model(model_path)
+def sample_incremental(m, cstar, seed, ordering_seed, validate, replicas, eps, outdir):
     config = SA.SamplerConfig(c_star=cstar, seed=seed, ordering_seed=ordering_seed,
                               validate=validate)
     if validate:
@@ -560,10 +552,9 @@ def sample_incremental(model_path, cstar, seed, ordering_seed, validate, replica
 
 
 @sample.command("experiment")
-@click.option("--config", "config_path", required=True)
+@click.option("--config", type=JSON, required=True)
 @click.option("--outdir", type=str, default=None)
-def sample_experiment(config_path, outdir):
-    config = json.loads(Path(config_path).read_text())
+def sample_experiment(config, outdir):
     bundle = SA.run_experiment(config, output_dir=outdir)
     _emit(bundle, None)
 

@@ -223,6 +223,8 @@ def growth_profile(g: Graph, alpha: float, c_alpha: float) -> GrowthProfile:
     |B_r(v)| is ``ends[r]`` of the walk from v, padded past v's eccentricity
     with its last entry, v's whole component.  Costs one BFS per vertex and
     O(n + diameter) memory: only the running maximum over vertices is kept.
+    The budget is compared in logs, log |B_r| <= c_alpha r^alpha, so a large
+    finite c_alpha cannot overflow it.
     """
     if not (0.0 < alpha < 1.0):
         raise InputError("alpha must lie in (0, 1)")
@@ -235,7 +237,7 @@ def growth_profile(g: Graph, alpha: float, c_alpha: float) -> GrowthProfile:
         ends += ends[-1:] * (len(top) - len(ends))
         top = list(map(max, top, ends))
     rows = tuple((r, top[r]) for r in range(1, len(top)))
-    ok = all(size <= math.exp(c_alpha * r**alpha) for r, size in rows)
+    ok = all(math.log(size) <= c_alpha * r**alpha for r, size in rows)
     return GrowthProfile(alpha=alpha, c_alpha=c_alpha, per_radius_max_ball=rows, satisfied=ok)
 
 

@@ -442,14 +442,13 @@ def to_zero_one(model: IsingModel) -> IsingModel:
 
     Couplings quadruple and the field at u becomes 2 h_u - 2 sum_{v~u} c_uv;
     the shift is deterministic per vertex, so independence of the quenched
-    field survives.  Pinned values map through s -> (s+1)/2.
+    field survives.  Each vertex's couplings are summed in edge order.
+    Pinned values map through s -> (s+1)/2.
     """
     if model.convention != PM:
         raise InputError("to_zero_one expects a pm-convention model")
-    coupling_sum = np.zeros(model.n)
-    for (u, v), c in zip(model.graph.edges, model.couplings):
-        coupling_sum[u] += c
-        coupling_sum[v] += c
+    coupling_sum = np.bincount(model.graph.endpoints.ravel(), np.repeat(model.couplings, 2),
+                               minlength=model.n)
     return IsingModel(
         graph=model.graph,
         couplings=4.0 * model.couplings,

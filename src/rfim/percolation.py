@@ -262,10 +262,12 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
     Above ``SAMPLED_SWEEP_CAP`` vertices it raises CapacityError before
     drawing any field or pinning.
     Graphs of maximal degree below 3 are covered a fortiori by the
-    degree-3 constants, so delta is floored at 3.
+    degree-3 constants, so delta is floored at 3.  Raises InputError with
+    no field trial or an empty m grid, before drawing.
     """
-    if trials < 1:
-        raise InputError("a tail report needs at least one field trial")
+    m_grid = tuple(m_grid)
+    if trials < 1 or not m_grid:
+        raise InputError("a tail report needs a field trial and an m")
     delta = max(3, g.max_degree())
     n = g.num_vertices
     mode = "exact" if n <= PINNING_SWEEP_CAP else "sampled"

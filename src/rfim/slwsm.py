@@ -337,11 +337,14 @@ def trace_moment_probe(model: IsingModel, p: int, t_grid, realizations: int,
 
     Covariances are enumerated exactly per realization; only the field draw
     is Monte Carlo.  The fitted scale satisfies sup_t E[Tr] <= (C0 p)^p n at
-    equality for the worst measured t.
+    equality for the worst measured t.  Raises InputError on an empty time
+    grid, before any draw.
     """
     if p < 1:
         raise InputError("moment order must be >= 1")
     t_grid = tuple(t_grid)
+    if not t_grid:
+        raise InputError("the time grid is empty")
     if any(t != 0 for t in t_grid):
         _check_boost_size(model)
         if realizations < 1:

@@ -123,6 +123,11 @@ def test_growth_profile_path100():
         assert size == min(2 * r + 1, 100)
 
 
+def test_growth_profile_takes_a_budget_past_exp_overflow():
+    # exp(1000 r^0.5) overflows a float at every r >= 1
+    assert growth_profile(path_graph(5), 0.5, 1000.0).satisfied
+
+
 def test_growth_profile_tree_fails_small_budget():
     g = tree3(6)
     profile = growth_profile(g, 0.5, 1.0)

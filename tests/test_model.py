@@ -26,6 +26,7 @@ from rfim.model import model_from_json_dict, model_to_json_dict
 from rfim.rng import SL
 
 from conftest import random_field_model, uniform_model
+from strategies import models
 
 
 def test_sample_field_degenerate_two_point():
@@ -101,6 +102,22 @@ def test_to_zero_one_preserves_gibbs_measure(seed):
     t_01 = gibbs_table(to_zero_one(m))
     assert np.array_equal((t_pm.rows() + 1) // 2, t_01.rows())
     assert t_01.probs == pytest.approx(t_pm.probs, abs=1e-12)
+
+
+def loop_coupling_sums(model):
+    """Each vertex's coupling sum by a loop over the edges in order."""
+    sums = np.zeros(model.n)
+    for (u, v), c in zip(model.graph.edges, model.couplings):
+        sums[u] += c
+        sums[v] += c
+    return sums
+
+
+@settings(max_examples=60)
+@given(models(convention="pm"))
+def test_to_zero_one_field_matches_the_edge_loop(m):
+    want = 2.0 * m.field - 2.0 * loop_coupling_sums(m)
+    assert np.array_equal(to_zero_one(m).field.view(np.int64), want.view(np.int64))
 
 
 def test_to_zero_one_maps_pinning():

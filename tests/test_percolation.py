@@ -325,6 +325,17 @@ def test_row_sum_tail_report_needs_a_trial():
                             m_grid=[0.5])
 
 
+def test_row_sum_tail_report_needs_an_m_before_drawing(monkeypatch):
+    def draw_anyway(*args, **kw):
+        raise AssertionError("drew a field before checking the m grid")
+
+    monkeypatch.setattr(percolation, "sample_field", draw_anyway)
+    with pytest.raises(InputError):
+        row_sum_tail_report(cycle_graph(4), beta=0.3, theta_grid=[0.0], k=4.5, p0=0.05,
+                            field_dist=FieldDistribution.two_point(5.0), trials=1, seed=1,
+                            m_grid=[])
+
+
 def test_norm_interpolation_examples():
     res = norm_interpolation_check(np.eye(3))
     assert res.opnorm == pytest.approx(1.0)

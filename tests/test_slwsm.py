@@ -441,6 +441,15 @@ def test_boosted_probes_need_a_realization():
         weak_poincare_probe(m, 1.0, 0.5, [("m", np.ones(8))], realizations=0, seed=4, c0=1.0)
 
 
+def test_trace_probe_needs_a_time(monkeypatch):
+    def enumerate_anyway(*args, **kw):
+        raise AssertionError("enumerated before checking the time grid")
+
+    monkeypatch.setattr(slwsm, "gibbs_table", enumerate_anyway)
+    with pytest.raises(InputError):
+        trace_moment_probe(random_field_model(path_graph(3), 0.5, seed=7), 2, [], 10, seed=4)
+
+
 def test_boosted_probes_hold_one_block_of_tables():
     # A 14-vertex model: one (realizations, 2^14) float table is 25 MiB at 200
     # realizations and 62.5 MiB at 500.
