@@ -103,7 +103,7 @@ from .model import (
     _heat_bath_probability,
     array_energy,
 )
-from .oracle import GibbsTable, _decode, _encode, empirical_tv, gibbs_table
+from .oracle import _decode, _encode, empirical_tv, gibbs_table
 from .rng import CHAIN, COUPLING, substream
 
 
@@ -288,17 +288,16 @@ def run_chain(model: IsingModel, init: SpinConfiguration, steps: int, seed: int,
 
 
 def _draw(model: IsingModel, rng: np.random.Generator, sampler: str, seed: int, path: tuple,
-          burn_steps: int | None, table: GibbsTable | None) -> np.ndarray:
+          burn_steps: int | None) -> np.ndarray:
     """One configuration of ``model`` as a spin vector.
 
-    "oracle" draws it exactly from ``table`` (enumerated when None) with
+    "oracle" draws it exactly from the model's enumerated Gibbs table with
     ``rng``.  "glauber" runs the chain at substream (seed, CHAIN, *path) for
     ``burn_steps`` updates from the all-'zero' start and leaves ``rng``
     untouched; each caller passes its own ``path``.
     """
     if sampler == "oracle":
-        if table is None:
-            table = gibbs_table(model)
+        table = gibbs_table(model)
         return table.rows(rng.choice(len(table.probs), p=table.probs))[0]
     if sampler == "glauber":
         if not burn_steps:

@@ -42,12 +42,8 @@ class Graph:
             return 0
         return max(len(nbrs) for nbrs in self.adjacency)
 
-    @cached_property
-    def _edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
+        return 0 <= u < self.num_vertices and v in self.adjacency[u]
 
     @cached_property
     def endpoints(self) -> np.ndarray:

@@ -53,18 +53,16 @@ class DenoisingTrace:
 
 
 def sample_noising_trace(model01: IsingModel, seed: int, sampler: str = "oracle",
-                         burn_steps: int | None = None, trace_index: int = 0,
-                         table: GibbsTable | None = None) -> DenoisingTrace:
+                         burn_steps: int | None = None, trace_index: int = 0) -> DenoisingTrace:
     """Draw X and the per-edge uniforms for one trace.
 
     ``sampler`` is "oracle" (exact draw from the enumerated table) or
     "glauber" (a long burn-in chain of ``burn_steps`` updates from all-zero).
-    Pass a precomputed ``table`` to avoid re-enumerating across many traces.
     """
     if model01.convention != ZERO_ONE:
         raise InputError("noising traces need a 01-convention model")
     rng = substream(seed, TRACE, trace_index)
-    x = _draw(model01, rng, sampler, seed, (TRACE, trace_index), burn_steps, table)
+    x = _draw(model01, rng, sampler, seed, (TRACE, trace_index), burn_steps)
     uniforms = rng.random(model01.graph.num_edges)
     return DenoisingTrace(base_model=model01, x_sample=SpinConfiguration(x, ZERO_ONE),
                           edge_uniforms=uniforms)

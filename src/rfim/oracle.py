@@ -13,12 +13,14 @@ by a vertex's index bit themselves: ``dynamics.grand_coupled_update`` and
 induced on a region of it, once, doubling at each free vertex; given rows of
 fields, the same pass gives each row the energies of the model with that
 field, float for float.  Field rows are the one way the enumeration layer
-varies a model: ``slwsm`` serves every WSM field trial of a ball with them,
-pins the ball's ring to each sign as the rows h + b and h - b (b the ball's
-couplings into the ring), and builds each boosted table as the row h + y of
-its realization.  ``_normalise`` alone turns energies into probabilities and
-log Z, for one table (``_table``) or for a batch of them along an axis.  The
-spectral routines share one single-flip enumeration, ``_single_flips``, and
+varies a model, and ``_field_tables`` is the one pass over them: it
+normalises their tables a block of rows at a time, each block held under
+``TABLE_BLOCK``.  ``slwsm`` reads it for every WSM field trial of a ball,
+pinning the ball's ring to each sign as the rows h + b and h - b (b the
+ball's couplings into the ring), and for each boosted table, the row h + y
+of its realization.  ``_normalise`` alone turns energies into probabilities
+and log Z, for one table (``_table``) or for a batch of them along an axis.
+The spectral routines share one single-flip enumeration, ``_single_flips``, and
 each builds its own weights.  The single-flip operators are CSR matrices with
 f+1 nonzeros per row, each built in one ``_single_flip_csr`` call with no
 sparse products; the heat-bath move probability is written once, in
@@ -65,6 +67,8 @@ PINNING_SWEEP_CAP = 10
 # The sampled sweep holds the (2^n, E) edge events: a 22 MiB peak at n=14 on
 # 3-regular graphs with 1000 codes, most of it per-block Cor2 statistics.
 SAMPLED_SWEEP_CAP = 14
+SWEEP_BLOCK = 2048  # pinning codes whose Cor2 sums one block of the sweep holds
+TABLE_BLOCK = 1 << 20  # rows x configs x free vertices held by one block of field tables
 
 _MAGIC = b"RFIMTBL1"
 
@@ -199,6 +203,23 @@ def _normalise(energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probs = np.subtract(energy, log_z, out=terms)
     np.exp(probs, out=probs)
     return probs, np.squeeze(log_z, axis=-1)
+
+
+def _field_tables(model: IsingModel, fields: np.ndarray, region=None):
+    """The normalised tables of ``model``, or of the model induced on ``region``,
+    under each row of ``fields``, as (rows, configs) probability blocks in row order.
+
+    A block holds about ``TABLE_BLOCK / (configs * f)`` rows for f free
+    vertices, and at least one, so the tables held at once do not grow with
+    the number of rows.  Each row is normalised on its own, so row r equals
+    the probabilities of ``_free_energies(model, region, fields[r:r + 1])``
+    float for float, whatever the blocking.  Lazy: nothing is enumerated, and
+    no cap is checked, before the first block is asked for.
+    """
+    f = sum(v not in model.pinning for v in (range(model.n) if region is None else region))
+    rows = max(1, TABLE_BLOCK // ((1 << f) * max(f, 1)))
+    for lo in range(0, len(fields), rows):
+        yield _normalise(_free_energies(model, region, fields[lo:lo + rows]))[0]
 
 
 def _table(model: IsingModel, energy: np.ndarray) -> GibbsTable:
@@ -640,17 +661,17 @@ def _event_sums(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.concatenate([w.sum(keepdims=True), w @ z, (z.T @ (w[:, None] * z)).ravel()])
 
 
-def _sliced_sums(weights: np.ndarray, z: np.ndarray, n: int, codes: np.ndarray, chunk: int):
+def _sliced_sums(weights: np.ndarray, z: np.ndarray, n: int, codes: np.ndarray):
     """The same sums, by ``_event_sums``, for explicit ``codes``.
 
     Each code fixes its pinned axes of the (2,)^n views of the weights and of
     the (2^n, E) edge events ``z``, axis 0 the highest vertex, and sums the
-    2^free rows left; ``chunk`` codes go to a block.
+    2^free rows left; ``SWEEP_BLOCK`` codes go to a block.
     """
     w = weights.reshape((2,) * n)
     cube = z.reshape((2,) * n + (-1,))
-    for start in range(0, len(codes), chunk):
-        digits = (codes[start:start + chunk, None] // 3 ** np.arange(n - 1, -1, -1)) % 3  # (B, n)
+    for start in range(0, len(codes), SWEEP_BLOCK):
+        digits = (codes[start:start + SWEEP_BLOCK, None] // 3 ** np.arange(n - 1, -1, -1)) % 3
         picks = [tuple(d - 1 if d else slice(None) for d in row) for row in digits.tolist()]
         yield np.array([_event_sums(w[p].reshape(-1), cube[p].reshape(w[p].size, -1))
                         for p in picks])
@@ -689,8 +710,16 @@ def _live_opnorms(cor: np.ndarray, live: np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
-                           chunk: int = 2048) -> Cor2SweepReport:
+def _theta_grid(theta_grid) -> list[float]:
+    """The thetas of a Cor2 sweep as floats; InputError unless non-empty and in [0, 1)."""
+    thetas = [float(t) for t in theta_grid]
+    if not thetas or not all(0.0 <= t < 1.0 for t in thetas):
+        raise InputError("the theta grid must be non-empty, with values in [0, 1)")
+    return thetas
+
+
+def sup_cor2_over_pinnings(model01: IsingModel, theta_grid,
+                           pinning_codes=None) -> Cor2SweepReport:
     """Maximize Cor2 row sums, column sums and operator norm over all pinnings.
 
     Pinnings are ternary codes over the vertices (``_pinning_from_code``),
@@ -705,7 +734,7 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
     Exhaustive mode builds the weighted columns w [1, z, z (x) z] for each
     theta and takes the sums of all codes by the ternary zeta transform
     ``_ternary_sums``, O(3^n (1 + E + E^2)) per theta, in blocks of at most
-    ``chunk`` codes.  Explicit codes slice their pinned axes off w and off
+    ``SWEEP_BLOCK`` codes.  Explicit codes slice their pinned axes off w and off
     the (2^n, E) events z and sum each slice by ``_event_sums``
     (``_sliced_sums``), O(sum of 2^free E^2) per theta; run on
     ``np.arange(3**n)`` it is the independent check on the transform.  Both
@@ -725,19 +754,15 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
         raise InputError("the sweep expects a 01-convention model")
     if model01.pinning:
         raise InputError("the sweep expects a fully free model")
-    thetas = [float(t) for t in theta_grid]
-    if not thetas or not all(0.0 <= t < 1.0 for t in thetas):
-        raise InputError("the theta grid must be non-empty, with values in [0, 1)")
-    if chunk < 1:
-        raise InputError("chunk must be at least 1")
+    thetas = _theta_grid(theta_grid)
     n = model01.n
     exhaustive = pinning_codes is None
     if exhaustive:
         if n > PINNING_SWEEP_CAP:
             raise CapacityError(f"{n} vertices exceeds the 3^n sweep cap {PINNING_SWEEP_CAP}")
         num_codes = 3**n
-        digits = 0  # trailing digits per block: at most chunk codes
-        while digits < n and 3 ** (digits + 1) <= chunk:
+        digits = 0  # trailing digits per block: at most SWEEP_BLOCK codes
+        while digits < n and 3 ** (digits + 1) <= SWEEP_BLOCK:
             digits += 1
     else:
         if n > SAMPLED_SWEEP_CAP:
@@ -766,7 +791,7 @@ def sup_cor2_over_pinnings(model01: IsingModel, theta_grid, pinning_codes=None,
             weighted = np.hstack([w[:, None], wz, wzz]).reshape((2,) * lead + (1 << digits, -1))
             blocks = _ternary_sums(weighted, lead)
         else:
-            blocks = _sliced_sums(w, z, n, codes, chunk)
+            blocks = _sliced_sums(w, z, n, codes)
         start = 0
         for sums in blocks:
             if not (sums[:, 0] > 0).all():

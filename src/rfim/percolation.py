@@ -36,7 +36,7 @@ from .model import (
 )
 from .dynamics import grand_coupled_update
 from .localization import bounded_field_k_constant
-from .oracle import PINNING_SWEEP_CAP, SAMPLED_SWEEP_CAP, sup_cor2_over_pinnings
+from .oracle import PINNING_SWEEP_CAP, SAMPLED_SWEEP_CAP, _theta_grid, sup_cor2_over_pinnings
 from .rng import PERCOLATION, substream
 
 CLOSED, FIELD_OPEN, UNIFORM_OPEN = 0, 1, 2
@@ -263,8 +263,10 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
     drawing any field or pinning.
     Graphs of maximal degree below 3 are covered a fortiori by the
     degree-3 constants, so delta is floored at 3.  Raises InputError with
-    no field trial or an empty m grid, before drawing.
+    no field trial, an empty m grid or a theta grid that the sweep refuses,
+    before drawing.
     """
+    thetas = _theta_grid(theta_grid)
     m_grid = tuple(m_grid)
     if trials < 1 or not m_grid:
         raise InputError("a tail report needs a field trial and an m")
@@ -285,7 +287,7 @@ def row_sum_tail_report(g: Graph, beta: float, theta_grid, field_dist: FieldDist
         if mode == "sampled":
             rng = substream(seed, PERCOLATION, 3, tr)
             codes = rng.integers(0, 3**n, size=sampled_pinnings)
-        sweep = sup_cor2_over_pinnings(model01, theta_grid, pinning_codes=codes)
+        sweep = sup_cor2_over_pinnings(model01, thetas, pinning_codes=codes)
         row_sups[tr] = sweep.per_edge_row_max
         col_sups[tr] = sweep.per_edge_col_max
         interpolation_ok &= sweep.interpolation_ok

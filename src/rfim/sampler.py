@@ -293,7 +293,7 @@ def run_experiment(config: dict, output_dir=None) -> dict:
         csv_rows = [r for rep in reports for r in rep.get("csv_rows", [])]
         if csv_rows:
             buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=sorted(csv_rows[0]))
+            writer = csv.DictWriter(buf, fieldnames=sorted({k for r in csv_rows for k in r}))
             writer.writeheader()
             writer.writerows(csv_rows)
             (out / "report.csv").write_text(buf.getvalue())

@@ -24,8 +24,7 @@ from .oracle import (
     BOOST_CAP,
     GibbsTable,
     _centred_moments,
-    _free_energies,
-    _normalise,
+    _field_tables,
     gibbs_table,
     mean_and_covariance,
 )
@@ -44,23 +43,19 @@ class SlRealization:
 
 
 def sl_boost(model: IsingModel, t: float, seed: int, sampler: str = "oracle",
-             burn_steps: int | None = None, index: int = 0,
-             table: GibbsTable | None = None) -> SlRealization:
+             burn_steps: int | None = None, index: int = 0) -> SlRealization:
     """Draw one localization realization and the boosted model (field h + y)."""
     if model.convention != PM:
         raise InputError("field boosting works in the +-1 convention")
     if t < 0:
         raise InputError("t must be nonnegative")
     rng = substream(seed, SL, index)
-    star = _draw(model, rng, sampler, seed, (SL, index), burn_steps, table)
+    star = _draw(model, rng, sampler, seed, (SL, index), burn_steps)
     noise = math.sqrt(t) * rng.normal(size=model.n)
     y = t * star.astype(np.float64) + noise
     boosted = replace(model, field=model.field + y)
     return SlRealization(t=float(t), sigma_star=SpinConfiguration(star, PM),
                          noise=noise, y=y, boosted_model=boosted)
-
-
-BOOST_BLOCK = 1 << 20  # rows x configs x free vertices held by one block of boosted tables
 
 
 def _boosted_prob_blocks(model: IsingModel, t: float, count: int, rng: np.random.Generator,
@@ -70,8 +65,7 @@ def _boosted_prob_blocks(model: IsingModel, t: float, count: int, rng: np.random
     Every realization's sigma* and noise are drawn first from ``rng``, as one batch, so
     the streams do not depend on the blocking.  Realization r's table is
     that of the model with field h + y_r, y_r added on the free columns: the
-    field rows go to ``_free_energies`` and ``_normalise`` about
-    ``BOOST_BLOCK / (configs * f)`` rows at a time, so row r equals
+    field rows go to ``_field_tables``, so row r equals
     ``gibbs_table(replace(model, field=h + y_r)).probs`` float for float, and
     a caller that reduces each row, also through ``_centred_moments`` on the
     f spins, holds one block and never a (count, configs) array.  ``table``
@@ -89,10 +83,7 @@ def _boosted_prob_blocks(model: IsingModel, t: float, count: int, rng: np.random
     noise = math.sqrt(t) * rng.normal(size=(count, len(free)))
     fields = np.repeat(model.field[None, :], count, axis=0)
     fields[:, free] += t * star + noise
-    rows = max(1, BOOST_BLOCK // (len(vals) * max(len(free), 1)))
-    blocks = (_normalise(_free_energies(model, fields=fields[lo:lo + rows]))[0]
-              for lo in range(0, count, rows))
-    return blocks, vals.T, table
+    return _field_tables(model, fields), vals.T, table
 
 
 def _check_boost_size(model: IsingModel) -> None:
@@ -112,7 +103,7 @@ def wsm_delta(model: IsingModel, u: int, ell: int) -> float:
     outer boundary; an empty ring returns 0 by convention.  Pinning R to the
     sign s adds s b_v to the field of each free vertex v of B, where b_v is
     the sum of v's couplings into R, and a constant that normalising
-    cancels.  So B is enumerated by ``_free_energies`` over the region B of
+    cancels.  So B is enumerated by ``_field_tables`` over the region B of
     the parent model (no induced model is built) with the two field rows
     h + b and h - b, and the two tables are normalised to read u's marginal
     under each sign.  A one-row call of ``_ball_deltas``.  Raises InputError
@@ -127,11 +118,10 @@ def _ball_deltas(model: IsingModel, u: int, ell: int, fields: np.ndarray) -> np.
     """``wsm_delta(replace(model, field=fields[r]), u, ell)`` for each row r of ``fields``.
 
     The ball, the ring, the pin checks and the ring's pull b are built once,
-    b_v summed over v's neighbour slots in order; then one ``_free_energies``
-    pass over the field rows F + b and F - b and one ``_normalise`` serve a
-    block F of rows, about ``BOOST_BLOCK / (2 * 2^f * f)`` of them for f free
-    ball vertices (one row from f = 15 up), so memory does not grow with the
-    number of rows.
+    b_v summed over v's neighbour slots in order; then one ``_field_tables``
+    pass over the 2T signed rows, F + b and then F - b, reads u's marginal off
+    each table, and rows r and T + r pair up afterwards, so the tables held
+    at once do not grow with the number T of rows.
     """
     if model.convention != PM:
         raise InputError("wsm_delta works in the +-1 convention")
@@ -143,22 +133,16 @@ def _ball_deltas(model: IsingModel, u: int, ell: int, fields: np.ndarray) -> np.
         return np.zeros(len(fields))
     if ring & model.pinning.keys():
         raise InputError(f"ring vertex {min(ring & model.pinning.keys())} is pinned against a sign")
-    free = [v for v in region if v not in model.pinning]  # ascending, as _free_energies doubles
+    free = [v for v in region if v not in model.pinning]  # ascending, as tables index them
     nbr, cpl = model.neighbour_table
     pull = np.zeros(model.n)  # b: each free ball vertex's couplings into the ring
     for v in free:
         pull[v] = sum(c for w, c in zip(nbr[v].tolist(), cpl[v].tolist()) if w in ring)
     j = free.index(u)
-    rows = max(1, BOOST_BLOCK // (2 * (1 << len(free)) * len(free)))
-    deltas = []
-    for lo in range(0, len(fields), rows):
-        block = fields[lo:lo + rows]
-        signed = np.concatenate([block + pull, block - pull])  # all-plus ring, then all-minus
-        probs = _normalise(_free_energies(model, region, signed))[0]
-        plus, minus = probs.reshape(2, len(block), -1, 2, 1 << j)[:, :, :, 1].sum(axis=(2, 3))
-        del probs  # free this block's tables before the next is built
-        deltas.append(np.abs(plus - minus))
-    return np.concatenate(deltas)
+    signed = np.concatenate([fields + pull, fields - pull])  # all-plus ring, then all-minus
+    ones = np.concatenate([probs.reshape(len(probs), -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
+                           for probs in _field_tables(model, signed, region)])  # P(u is +1)
+    return np.abs(ones[:len(fields)] - ones[len(fields):])
 
 
 @dataclass(frozen=True)

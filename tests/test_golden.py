@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -71,6 +72,7 @@ from rfim import (
     vertex_tilt_table,
     weak_poincare_probe,
 )
+from rfim import oracle
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
 from rfim.rng import SL, substream
@@ -383,7 +385,8 @@ def gap_01_pinned_f9():
 
 def cor2_sweep_chunked():
     m01 = _model(random_regular_graph(6, 3, 58), 0.4, 59, "01")
-    report = sup_cor2_over_pinnings(m01, [0.0, 0.3], chunk=100)  # 3^6 = 729 codes, 8 chunks
+    with mock.patch.object(oracle, "SWEEP_BLOCK", 100):  # 3^6 = 729 codes, 8 blocks
+        report = sup_cor2_over_pinnings(m01, [0.0, 0.3])
     return (report.max_row_sum, report.max_col_sum, report.max_opnorm,
             report.per_edge_row_max, report.per_edge_col_max, report.argmax_row,
             report.argmax_col, report.argmax_opnorm, report.interpolation_ok,
@@ -393,7 +396,8 @@ def cor2_sweep_chunked():
 def cor2_sweep_sampled():
     m01 = _model(random_regular_graph(12, 3, 61), 0.4, 62, "01")
     codes = substream(63, 0).integers(0, 3**12, size=200)
-    report = sup_cor2_over_pinnings(m01, [0.0, 0.3], pinning_codes=codes, chunk=64)  # 4 chunks
+    with mock.patch.object(oracle, "SWEEP_BLOCK", 64):  # 4 blocks
+        report = sup_cor2_over_pinnings(m01, [0.0, 0.3], pinning_codes=codes)
     return (report.max_row_sum, report.max_col_sum, report.max_opnorm,
             report.per_edge_row_max, report.per_edge_col_max, report.argmax_row,
             report.argmax_col, report.argmax_opnorm, report.interpolation_ok,

@@ -327,3 +327,11 @@ def test_has_edge_agrees_with_edges(g):
     for u in range(g.num_vertices):
         for v in range(g.num_vertices):
             assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
+def test_has_edge_is_false_off_the_vertex_range():
+    # adjacency[-1] is the last vertex's row, which holds 0 on a cycle
+    g = cycle_graph(5)
+    assert g.has_edge(4, 0) and g.has_edge(0, 4)
+    for u, v in ((-1, 0), (0, -1), (5, 4), (4, 5), (-1, 3)):
+        assert not g.has_edge(u, v)

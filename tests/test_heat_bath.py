@@ -326,7 +326,7 @@ def test_glauber_draw_replays_summed_fields_step_by_step(m, seed, index, steps, 
             stream = partial(TableUniforms, m)
             patch.setattr(dynamics, "substream", stream)
             patch.setattr(scalar_reference, "substream", stream)
-        drawn = dynamics._draw(m, None, "glauber", seed, (index,), steps, None)
+        drawn = dynamics._draw(m, None, "glauber", seed, (index,), steps)
         want = chain_states(m, zeros, steps, seed, index)[-1]
     assert drawn.dtype == np.int8
     assert drawn.tolist() == want
@@ -361,7 +361,7 @@ def test_scalar_steps_evaluate_no_logistic(monkeypatch):
     lo, hi = (SpinConfiguration(m.full_values(s), m.convention) for s in (-1, 1))
     run_chain(m, hi, 500, seed=1)
     monotone_coupled_run(m, lo, hi, 500, seed=1)
-    dynamics._draw(m, None, "glauber", 1, (0,), 500, None)
+    dynamics._draw(m, None, "glauber", 1, (0,), 500)
 
 
 def star_model(leaves):

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,7 +487,7 @@ def test_sweep_checks_inputs_before_enumerating(monkeypatch):
         raise AssertionError("enumerated before checking the inputs")
 
     monkeypatch.setattr(oracle, "_free_energies", enumerate_anyway)
-    for grid, kwargs in (([0.2, 1.0], {}), ([], {}), ([-0.1], {}), ([0.2], {"chunk": 0}),
+    for grid, kwargs in (([0.2, 1.0], {}), ([], {}), ([-0.1], {}),
                          ([0.2], {"pinning_codes": []}), ([0.2], {"pinning_codes": [27]}),
                          ([0.2], {"pinning_codes": [-1]})):
         with pytest.raises(InputError):
@@ -506,12 +507,13 @@ def _free_zero_one(m):
 @settings(max_examples=40)
 @given(models(max_n=7).map(_free_zero_one),
        st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2), st.integers(1, 3000), st.data())
-def test_sweep_routes_agree(m01, grid, chunk, data):
+def test_sweep_routes_agree(m01, grid, block, data):
     # Exhaustive mode sums the weighted columns by the ternary transform;
     # explicit codes sum slices of the weights and edge events.  Both run the
-    # SVD on live edges.
-    exact = sup_cor2_over_pinnings(m01, grid, chunk=chunk)
-    sliced = sup_cor2_over_pinnings(m01, grid, pinning_codes=np.arange(3**m01.n), chunk=chunk)
+    # SVD on live edges, in blocks of any size.
+    with mock.patch.object(oracle, "SWEEP_BLOCK", block):
+        exact = sup_cor2_over_pinnings(m01, grid)
+        sliced = sup_cor2_over_pinnings(m01, grid, pinning_codes=np.arange(3**m01.n))
     for key in ("max_row_sum", "max_col_sum", "max_opnorm"):
         assert getattr(exact, key) == pytest.approx(getattr(sliced, key), rel=1e-12, abs=1e-12)
     for key in ("per_edge_row_max", "per_edge_col_max"):

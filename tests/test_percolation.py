@@ -336,6 +336,18 @@ def test_row_sum_tail_report_needs_an_m_before_drawing(monkeypatch):
                             m_grid=[])
 
 
+@pytest.mark.parametrize("thetas", [[], [1.0], [0.2, -0.1]])
+def test_row_sum_tail_report_checks_the_thetas_before_drawing(monkeypatch, thetas):
+    draws = []
+    draw = percolation.sample_field
+    monkeypatch.setattr(percolation, "sample_field", lambda *a: draws.append(a) or draw(*a))
+    with pytest.raises(InputError, match="theta grid"):
+        row_sum_tail_report(cycle_graph(4), beta=0.3, theta_grid=thetas, k=4.5, p0=0.05,
+                            field_dist=FieldDistribution.two_point(5.0), trials=1, seed=1,
+                            m_grid=[0.5])
+    assert draws == []
+
+
 def test_norm_interpolation_examples():
     res = norm_interpolation_check(np.eye(3))
     assert res.opnorm == pytest.approx(1.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -255,6 +256,24 @@ def test_run_experiment_sample_step_and_determinism(tmp_path):
     assert (tmp_path / "a" / "report.csv").read_text() == (tmp_path / "b" / "report.csv").read_text()
     assert (tmp_path / "a" / "final_state.json").exists()
     assert a["reports"][0]["tv_vs_oracle"] <= 0.05
+
+
+def test_run_experiment_writes_one_csv_over_mixed_steps(tmp_path):
+    # gap_vs_exact rows and sample rows share no field: the csv holds the
+    # union of the fields, each row blank where its step has none
+    m = random_field_model(path_graph(3), 0.5, seed=21)
+    config = {"seed": 4, "pipeline": [
+        {"kind": "gap_vs_exact", "count": 2, "n": 6, "beta": 0.5, "degree": 3,
+         "p0": 0.05, "k": 4.5, "field": {"kind": "two_point", "atom": 5.0}},
+        {"kind": "sample", "model": model_to_json_dict(m), "c_star": 1.5, "replicas": 3}]}
+    reports = run_experiment(config, output_dir=tmp_path)["reports"]
+    with open(tmp_path / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    want = [r for rep in reports for r in rep["csv_rows"]]
+    assert list(rows[0]) == sorted({k for r in want for k in r})
+    assert len(rows) == len(want) == 2 + len(reports[1]["stage_steps"])
+    for got, row in zip(rows, want):
+        assert got == {k: str(row[k]) if k in row else "" for k in got}
 
 
 def test_run_experiment_sample_step_without_validation():

@@ -72,12 +72,11 @@ def test_sl_boost_consistency():
 
 def test_sl_boost_large_t_overwhelms_field():
     m = random_field_model(path_graph(4), 0.5, seed=4)
-    table = gibbs_table(m)
     t = 50.0
     hits = 0
     draws = 10_000
     for i in range(draws):
-        real = sl_boost(m, t, seed=5, index=i, table=table)
+        real = sl_boost(m, t, seed=5, index=i)
         if (np.abs(real.boosted_model.field) > 1.0).all():
             hits += 1
     assert hits / draws >= 0.999
@@ -103,8 +102,8 @@ def test_boosted_average_with_an_underflowed_probability():
 def test_boosted_tables_are_the_tables_of_the_boosted_fields(monkeypatch, pinning):
     # Row r is, float for float, the Gibbs table of the model with field h + y_r,
     # y_r redrawn from the same stream (sigma* first, then the noise) and 0 on
-    # the pins.  A small BOOST_BLOCK splits the rows into blocks of 1 or 4.
-    monkeypatch.setattr(slwsm, "BOOST_BLOCK", 4 * 64 * 6)
+    # the pins.  A small TABLE_BLOCK splits the rows into blocks of 1 or 4.
+    monkeypatch.setattr(oracle, "TABLE_BLOCK", 4 * 64 * 6)
     m = random_field_model(random_regular_graph(8, 3, 4), 0.5, seed=5).with_pinning(pinning)
     t, count = 0.7, 30
     blocks, _, table = _boosted_prob_blocks(m, t, count, substream(6, SL))
@@ -307,6 +306,24 @@ def test_ball_delta_rows_equal_the_induced_model_route(m, data):
     assert deltas.shape == (rows,)
     for delta, field in zip(deltas, fields):
         assert delta == _induced_wsm_delta(replace(m, field=field), u, ell)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_ball_deltas_do_not_move_with_the_table_blocks(monkeypatch, rows):
+    # Three field rows make six signed tables over a ball of 5 free vertices:
+    # blocks of 3 hold the + rows and then the - rows, blocks of 2 and 4 split
+    # a sign, and blocks of 1 hold each table alone.
+    m = random_field_model(torus_grid(6, 6), 0.6, seed=8)
+    fields = np.array([sample_field(FieldDistribution.gaussian(0.8), m.n, 9, t).values
+                       for t in range(3)])
+    whole = _ball_deltas(m, 0, 1, fields)  # one block
+    sizes = []
+    enumerate_rows = oracle._free_energies
+    monkeypatch.setattr(oracle, "_free_energies",
+                        lambda *a: sizes.append(len(a[2])) or enumerate_rows(*a))
+    monkeypatch.setattr(oracle, "TABLE_BLOCK", rows * 2**5 * 5)
+    assert np.array_equal(_ball_deltas(m, 0, 1, fields), whole)
+    assert sizes == [rows] * (6 // rows) + [6 % rows] * (6 % rows > 0)
 
 
 @settings(max_examples=30, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
