@@ -13,7 +13,9 @@ a bad one exits 4 without any work done:
 - lists: ``FLOATS`` and ``INTS`` read comma-separated items, each parsed
   strictly by ``float`` or ``int``; the empty string is the empty list;
 - field kinds: ``--field-kind`` is one of ``FIELDS``, gaussian, uniform or
-  two_point, each a ``FieldDistribution`` constructor of ``--field-param``.
+  two_point, each a ``FieldDistribution`` constructor of ``--field-param``;
+- pins: ``PIN`` reads each ``--pin vertex=value`` of ``model tilt`` as a
+  pair of ints.
 """
 
 from __future__ import annotations
@@ -76,6 +78,19 @@ class _List(_File):
         return [self.read(x) for x in value.split(",")] if value else []
 
 
+class _Pin(click.ParamType):
+    """A ``vertex=value`` option whose value is the pair ``(vertex, value)`` of ints."""
+
+    name = "pin"
+
+    def convert(self, value, param, ctx):
+        v, _, s = value.partition("=")
+        try:
+            return int(v), int(s)
+        except ValueError:
+            raise InputError(f"pin {value!r} is not of the form vertex=value") from None
+
+
 def _graph_from_text(text: str) -> G.Graph:
     if text.lstrip().startswith("{"):
         return G.graph_from_json_text(text)
@@ -86,6 +101,7 @@ MODEL = _File("model", M.model_from_json_text)
 GRAPH = _File("graph", _graph_from_text)
 JSON = _File("json", json.loads)
 FLOATS, INTS = _List("floats", float), _List("ints", int)
+PIN = _Pin()
 
 FIELDS = {"gaussian": M.FieldDistribution.gaussian,
           "uniform": M.FieldDistribution.uniform_symmetric,
@@ -179,14 +195,10 @@ def model_make(g, beta, field_kind, field_param, seed, convention, output):
 @model.command("tilt")
 @click.option("--model", "m", type=MODEL, required=True)
 @click.option("--theta", type=float, required=True)
-@click.option("--pin", multiple=True, help="vertex=value, repeatable")
+@click.option("--pin", type=PIN, multiple=True, help="vertex=value, repeatable")
 @click.option("-o", "--output", type=str, default=None)
 def model_tilt(m, theta, pin, output):
-    pinning = {}
-    for item in pin:
-        v, s = item.split("=")
-        pinning[int(v)] = int(s)
-    _emit(M.model_to_json_dict(M.edge_tilt(m, theta).with_pinning(pinning)), output)
+    _emit(M.model_to_json_dict(M.edge_tilt(m, theta).with_pinning(dict(pin))), output)
 
 
 @model.command("assume")

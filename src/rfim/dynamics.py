@@ -117,12 +117,11 @@ class ChainState:
 
 @dataclass(frozen=True)
 class CouplingTrace:
-    """Outcome of a coupled run: final states, where they differ, and logs."""
+    """Outcome of a coupled run: final states, where they differ, and when they met."""
 
     states: tuple[ChainState, ...]
     disagreement_set: frozenset[int]
     coalescence_step: int | None = None
-    shared_uniform_log: tuple | None = None
 
 
 def _free_vertices(model: IsingModel) -> np.ndarray:
@@ -355,7 +354,7 @@ def run_chains_batch(model: IsingModel, init_values: np.ndarray, steps: int, see
 # ---------------------------------------------------------------------------
 
 def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinConfiguration,
-                         steps: int, seed: int, log_uniforms: bool = False) -> CouplingTrace:
+                         steps: int, seed: int) -> CouplingTrace:
     """Two chains sharing vertex choices and uniforms under the quantile rule.
 
     Requires a ferromagnetic model, low <= high pointwise and ``steps`` >= 0;
@@ -379,7 +378,6 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
     chains = (lo, _keys(model, lo)), (hi, _keys(model, hi))
     draws = chain.from_iterable(zip(free.take(j).ravel().tolist(), u.ravel().tolist())
                                 for j, u in _draws(substream(seed, COUPLING), len(free), 1, steps))
-    log = [] if log_uniforms else None
     apart = sum(a != b for a, b in zip(lo, hi))  # sites where the chains disagree
     coalescence = 0 if apart == 0 else None
     for k, (v, u) in enumerate(draws):
@@ -393,14 +391,11 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
         if lo[v] > hi[v]:
             raise AssertionError(f"monotone coupling violated order at vertex {v}, step {k + 1}")
         apart += (lo[v] != hi[v]) - was_apart
-        if log is not None:
-            log.append((k + 1, v, u))
         if coalescence is None and apart == 0:
             coalescence = k + 1
     states = tuple(ChainState(SpinConfiguration(x, model.convention), steps) for x in (lo, hi))
     disagree = frozenset(i for i, (a, b) in enumerate(zip(lo, hi)) if a != b)
-    return CouplingTrace(states=states, disagreement_set=disagree, coalescence_step=coalescence,
-                         shared_uniform_log=tuple(log) if log is not None else None)
+    return CouplingTrace(states=states, disagreement_set=disagree, coalescence_step=coalescence)
 
 
 def monotone_coupled_batch(model: IsingModel, steps: int, runs: int, seed: int) -> dict:

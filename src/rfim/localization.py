@@ -89,7 +89,9 @@ def exact_revealed_posterior(model01: IsingModel, t: float, revealed) -> np.ndar
 
     P(revealed = S | X = x) factorizes as t^{|S|} (1-t)^{|Z(x) \\ S|} on
     {S subset of Z(x)}, which is exactly computable; no Monte Carlo enters.
-    Returns probabilities aligned with the base model's table indexing.
+    Returns probabilities aligned with the base model's table indexing.  At
+    t = 0 an empty S gives the likelihood 1 everywhere, and a nonempty S the
+    likelihood 0, which raises InputError.
     """
     if not 0.0 <= t < 1.0:
         raise InputError("t must lie in [0, 1)")
@@ -98,14 +100,9 @@ def exact_revealed_posterior(model01: IsingModel, t: float, revealed) -> np.ndar
     s_mask = np.zeros(z.shape[1], dtype=bool)
     for e in revealed:
         s_mask[int(e)] = True
-    contains_s = (z[:, s_mask] == 1.0).all(axis=1) if s_mask.any() else np.ones(len(z), dtype=bool)
+    contains_s = (z[:, s_mask] == 1.0).all(axis=1)
     extra = z[:, ~s_mask].sum(axis=1)  # satisfied but unrevealed events
-    if t == 0.0:
-        if s_mask.any():
-            raise InputError("a nonempty revealed set has probability zero at t = 0")
-        like = np.ones(len(z))
-    else:
-        like = contains_s * t ** s_mask.sum() * (1.0 - t) ** extra
+    like = contains_s * t ** s_mask.sum() * (1.0 - t) ** extra
     weights = table.probs * like
     total = weights.sum()
     if total <= 0:

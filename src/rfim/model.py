@@ -129,14 +129,13 @@ def _finite(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class FieldDistribution:
-    """One of: gaussian(sigma), uniform_symmetric(M), two_point(a), shifted(base, offsets)."""
+    """The law of each vertex's field, drawn i.i.d.: gaussian(sigma), uniform_symmetric(M)
+    or two_point(a)."""
 
     kind: str
     sigma: float = 0.0
     half_width: float = 0.0
     atom: float = 0.0
-    base: "FieldDistribution | None" = None
-    offsets: tuple[float, ...] = ()
 
     @classmethod
     def gaussian(cls, sigma: float) -> "FieldDistribution":
@@ -156,16 +155,6 @@ class FieldDistribution:
             raise InputError("two_point atom must be nonnegative")
         return cls(kind="two_point", atom=float(a))
 
-    @classmethod
-    def shifted(cls, base: "FieldDistribution", offsets) -> "FieldDistribution":
-        if base.kind == "shifted":
-            raise InputError("shifted base must be a simple distribution")
-        try:
-            offsets = tuple(_finite("shifted offset", x) for x in offsets)
-        except TypeError:
-            raise InputError(f"shifted offsets must be a list, got {offsets!r}") from None
-        return cls(kind="shifted", base=base, offsets=offsets)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, size=n)
@@ -174,32 +163,20 @@ class FieldDistribution:
         if self.kind == "two_point":
             signs = rng.integers(0, 2, size=n) * 2 - 1
             return signs * self.atom
-        if self.kind == "shifted":
-            if len(self.offsets) != n:
-                raise InputError("shifted offsets length must equal n")
-            return self.base.sample(n, rng) + np.asarray(self.offsets)
         raise InputError(f"unknown field kind {self.kind!r}")
 
     def mass_within(self, k: float) -> float:
-        """P(|h| <= k); for the shifted kind, the worst (largest) per-vertex mass."""
+        """P(|h| <= k) for one vertex's field h."""
         if _finite("threshold", k) < 0:
             raise InputError("threshold must be nonnegative")
-        if self.kind == "shifted":
-            return max(self.base._mass_shifted(k, c) for c in self.offsets)
-        return self._mass_shifted(k, 0.0)
-
-    def _mass_shifted(self, k: float, c: float) -> float:
-        # P(|X + c| <= k) for X from this simple kind.
-        lo, hi = -k - c, k - c
         if self.kind == "gaussian":
             from scipy import special
 
-            return float(special.ndtr(hi / self.sigma) - special.ndtr(lo / self.sigma))
+            return float(special.ndtr(k / self.sigma) - special.ndtr(-k / self.sigma))
         if self.kind == "uniform_symmetric":
-            m = self.half_width
-            return float(max(0.0, min(hi, m) - max(lo, -m)) / (2 * m))
+            return float(min(k, self.half_width) / self.half_width)
         if self.kind == "two_point":
-            return 0.5 * (float(lo <= self.atom <= hi) + float(lo <= -self.atom <= hi))
+            return float(self.atom <= k)
         raise InputError(f"unsupported field kind {self.kind!r}")
 
     @classmethod
@@ -214,8 +191,6 @@ class FieldDistribution:
                 return cls.uniform_symmetric(d["half_width"])
             if kind == "two_point":
                 return cls.two_point(d["atom"])
-            if kind == "shifted":
-                return cls.shifted(cls.from_json_dict(d["base"]), d["offsets"])
         except KeyError as exc:
             raise InputError(f"a {kind} field needs {exc}") from None
         raise InputError(f"unknown field kind {kind!r}")

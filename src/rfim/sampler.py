@@ -260,7 +260,9 @@ def run_experiment(config: dict, output_dir=None) -> dict:
     The manifest records seeds, versions and per-step outputs; report payloads
     are deterministic given the config, the manifest timestamp aside.  Step i
     reads its randomness below the address (seed, PIPELINE, i), as the table
-    in ``rfim.rng`` lists.
+    in ``rfim.rng`` lists.  ``output_dir`` receives ``manifest.json``,
+    ``reports.json``, ``report.csv`` when some step has rows, and
+    ``final_state_<i>.json`` for each sample step i.
     """
     from pathlib import Path
 
@@ -297,9 +299,9 @@ def run_experiment(config: dict, output_dir=None) -> dict:
             writer.writeheader()
             writer.writerows(csv_rows)
             (out / "report.csv").write_text(buf.getvalue())
-        for rep in reports:
+        for i, rep in enumerate(reports):
             if "final_state" in rep:
-                (out / "final_state.json").write_text(json.dumps(rep["final_state"]))
+                (out / f"final_state_{i}.json").write_text(json.dumps(rep["final_state"]))
     return bundle
 
 

@@ -381,8 +381,11 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
     For each test function phi (a vector over the model's table configs),
     compares Var_base(phi) against
     (e^{-c0} n / delta)^{1/q} E[Var_boosted(phi)]^{1/p} osc(phi)^{2/q} with
-    p = exp(2 T / c0).  c0 is fitted from the p = 2 trace-moment probe when
-    not given, so the verdicts are consistency diagnostics, not certificates.
+    p = exp(2 T / c0) and 1/q = (p - 1) / p, so at T = 0 the bound is Var_base(phi)
+    itself.  c0 is fitted from the p = 2 trace-moment probe when not given, so
+    the verdicts are consistency diagnostics, not certificates.  A given c0
+    must be positive, and each phi needs one value per table configuration;
+    both are checked before anything is drawn or enumerated.
     """
     if not 0.0 < delta < 1.0:
         raise InputError("delta must lie in (0, 1)")
@@ -392,17 +395,21 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         _check_boost_size(model)
         if realizations < 1:
             raise InputError("a boosted time needs at least one realization")
+    if c0 is not None and not c0 > 0:
+        raise InputError(f"c0 must be positive, got {c0!r}")
+    size = 1 << len(model.free_vertices)  # the table's configurations
+    phis = [(name, np.asarray(phi, dtype=np.float64)[None, :]) for name, phi in test_functions]
+    for name, phi in phis:
+        if phi.shape != (1, size):
+            raise InputError(f"test function {name!r} needs {size} values, one per configuration")
     table = gibbs_table(model)
     if c0 is None:
         fit = trace_moment_probe(model, 2, (0.0, t_value / 2, t_value),
                                  max(realizations // 2, 100), seed)
         c0 = fit.small_c0
     n = model.n
-    if t_value == 0:
-        p_exp = 1.0
-    else:
-        p_exp = math.exp(2.0 * t_value / c0)
-    phis = [(name, np.asarray(phi, dtype=np.float64)[None, :]) for name, phi in test_functions]
+    p_exp = math.exp(2.0 * t_value / c0)
+    inv_q = (p_exp - 1.0) / p_exp  # 1 / q, exactly 0 at T = 0
     if t_value > 0:  # each function's variance per realization, one block of tables at a time
         blocks, _, _ = _boosted_prob_blocks(model, t_value, realizations, substream(seed, SL),
                                             table=table)
@@ -414,12 +421,7 @@ def weak_poincare_probe(model: IsingModel, t_value: float, delta: float, test_fu
         lhs = float(_centred_moments(table.probs, phi)[1][0, 0])
         osc = float(phi.max() - phi.min())
         e_var = boosted_vars[i] if t_value > 0 else lhs
-        if p_exp == 1.0:
-            rhs = e_var
-        else:
-            q_exp = p_exp / (p_exp - 1.0)
-            rhs = ((math.exp(-c0) * n / delta) ** (1.0 / q_exp)
-                   * e_var ** (1.0 / p_exp) * osc ** (2.0 / q_exp))
+        rhs = (math.exp(-c0) * n / delta) ** inv_q * e_var ** (1.0 / p_exp) * osc ** (2.0 * inv_q)
         rows.append(WeakPoincareRow(name=name, lhs_variance=lhs, rhs_bound=rhs,
                                     ok=lhs <= rhs * (1 + 1e-12)))
     return WeakPoincareReport(t_value=float(t_value), delta=float(delta), c0=float(c0),

@@ -40,6 +40,8 @@ def files(tmp_path):
       "--m-grid", ""), "a field trial and an m"),
     (("model", "make", "--graph", "{graph}", "--beta", "0.5", "--field-kind", "cauchy"),
      "'cauchy' is not one of 'gaussian', 'uniform', 'two_point'"),
+    (("model", "tilt", "--model", "{m01}", "--theta", "0.5", "--pin", "0=1", "--pin", "3"),
+     "pin '3' is not of the form vertex=value"),
 ])
 def test_bad_inputs_exit_4(files, capsys, args, message):
     assert main([a.format(**files) for a in args]) == 4

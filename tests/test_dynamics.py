@@ -28,10 +28,11 @@ from rfim import (
 from rfim import dynamics
 from rfim.dynamics import _keys, empirical_tv_curve, mixing_time_bound
 from rfim.model import SPIN_VALUES
-from rfim.rng import CHAIN, substream
+from rfim.rng import CHAIN, COUPLING, substream
 
 from conftest import random_field_model, uniform_model
 from dense_reference import transition_matrix
+from scalar_reference import block_draws
 from strategies import models
 
 
@@ -181,8 +182,9 @@ def test_monotone_beta_zero_coalesces_on_first_update():
     m = random_field_model(path_graph(4), 0.0, seed=6)
     lo = SpinConfiguration([-1] * 4, "pm")
     hi = SpinConfiguration([1] * 4, "pm")
-    trace = monotone_coupled_run(m, lo, hi, 25, seed=8, log_uniforms=True)
-    touched = {v for _, v, _ in trace.shared_uniform_log}
+    trace = monotone_coupled_run(m, lo, hi, 25, seed=8)
+    index, _ = block_draws(substream(8, COUPLING), 4, 1, 25)
+    touched = set(index.ravel().tolist())
     # without interactions the chains agree at a vertex from its first update on
     assert trace.disagreement_set == frozenset(range(4)) - touched
 

@@ -75,10 +75,11 @@ from rfim import (
 from rfim import oracle
 from rfim.dynamics import empirical_tv_curve
 from rfim.localization import align_posterior_to_base
-from rfim.rng import SL, substream
+from rfim.rng import COUPLING, SL, substream
 from rfim.slwsm import _boosted_prob_blocks
 
 from dense_reference import transition_matrix
+from scalar_reference import block_draws
 
 
 def _model(graph, beta, seed, convention="pm", pinning=None):
@@ -166,10 +167,10 @@ def batch_pm_pinned():
 def coupled_run_pm():
     m = _model(torus_grid(4, 4), 0.4, 8)
     trace = monotone_coupled_run(m, SpinConfiguration(_start(m, -1), "pm"),
-                                 SpinConfiguration(_start(m, 1), "pm"), 400, 10,
-                                 log_uniforms=True)
-    return ([s.config for s in trace.states], trace.disagreement_set,
-            trace.coalescence_step, trace.shared_uniform_log)
+                                 SpinConfiguration(_start(m, 1), "pm"), 400, 10)
+    index, uniform = block_draws(substream(10, COUPLING), 16, 1, 400)
+    draws = tuple((k + 1, v, u) for k, (v, u) in enumerate(zip(index.ravel(), uniform.ravel())))
+    return ([s.config for s in trace.states], trace.disagreement_set, trace.coalescence_step, draws)
 
 
 def coupled_run_01_pinned():

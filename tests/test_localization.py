@@ -128,6 +128,16 @@ def test_exact_bayes_posterior_matches_posterior_model():
                 assert np.abs(bayes - aligned).max() <= 1e-12
 
 
+def test_exact_bayes_posterior_at_t_zero():
+    # t = 0 reveals nothing: the likelihood is 1 on every configuration for
+    # an empty S, and 0 for any other S
+    m01 = _k3_01(seed=23)
+    base = gibbs_table(m01)
+    assert np.array_equal(exact_revealed_posterior(m01, 0.0, []), base.probs / base.probs.sum())
+    with pytest.raises(InputError, match="probability zero"):
+        exact_revealed_posterior(m01, 0.0, [1])
+
+
 def test_verify_posterior_at_product_point():
     beta = 0.3
     m01 = _k3_01(beta=beta)

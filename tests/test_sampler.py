@@ -254,8 +254,19 @@ def test_run_experiment_sample_step_and_determinism(tmp_path):
     m_a.pop("created_at"), m_b.pop("created_at")
     assert m_a == m_b
     assert (tmp_path / "a" / "report.csv").read_text() == (tmp_path / "b" / "report.csv").read_text()
-    assert (tmp_path / "a" / "final_state.json").exists()
+    assert (tmp_path / "a" / "final_state_0.json").exists()
     assert a["reports"][0]["tv_vs_oracle"] <= 0.05
+
+
+def test_run_experiment_keeps_each_sample_steps_final_state(tmp_path):
+    models = [random_field_model(path_graph(n), 0.5, seed=n) for n in (3, 4)]
+    config = {"seed": 6, "pipeline": [
+        {"kind": "sample", "model": model_to_json_dict(m), "c_star": 1.5, "replicas": 2}
+        for m in models]}
+    reports = run_experiment(config, output_dir=tmp_path)["reports"]
+    states = [json.loads((tmp_path / f"final_state_{i}.json").read_text()) for i in (0, 1)]
+    assert states == [rep["final_state"] for rep in reports]
+    assert [len(s["first_replica"]) for s in states] == [3, 4]
 
 
 def test_run_experiment_writes_one_csv_over_mixed_steps(tmp_path):

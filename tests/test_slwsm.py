@@ -500,8 +500,23 @@ def test_weak_poincare_t_zero_equality():
     phi = table.rows()[:, 1].astype(np.float64)
     rep = weak_poincare_probe(m, 0.0, 0.5, [("site", phi)], realizations=100, seed=18)
     assert rep.p_exponent == 1.0
-    assert rep.rows[0].rhs_bound == pytest.approx(rep.rows[0].lhs_variance, rel=1e-12)
+    assert rep.rows[0].rhs_bound == rep.rows[0].lhs_variance
     assert rep.rows[0].ok
+
+
+@pytest.mark.parametrize("c0, phi, message", [
+    (0.0, np.ones(8), "c0 must be positive"), (-1.0, np.ones(8), "c0 must be positive"),
+    (math.nan, np.ones(8), "c0 must be positive"), (1.0, np.ones(5), "'phi' needs 8 values")])
+def test_weak_poincare_checks_its_inputs_before_enumerating(monkeypatch, c0, phi, message):
+    def enumerate_anyway(model):
+        raise AssertionError("enumerated before checking the inputs")
+
+    monkeypatch.setattr(slwsm, "gibbs_table", enumerate_anyway)
+    m = random_field_model(path_graph(3), 0.5, seed=7)
+    for t_value in (0.0, 1.0):
+        with pytest.raises(InputError, match=message):
+            weak_poincare_probe(m, t_value, 0.5, [("m", np.ones(8)), ("phi", phi)],
+                                realizations=10, seed=4, c0=c0)
 
 
 def test_weak_poincare_magnetization_frequency():
