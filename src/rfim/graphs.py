@@ -59,6 +59,13 @@ def _check_vertex(g_or_n, v: int) -> None:
         raise InputError(f"vertex {v!r} out of range [0, {n})")
 
 
+def _edge_index(g: Graph, e) -> int:
+    """Edge index ``e`` as an int; raises InputError unless it is an integer in [0, E)."""
+    if not (isinstance(e, (int, np.integer)) and 0 <= e < g.num_edges):
+        raise InputError(f"edge {e!r} out of range [0, {g.num_edges})")
+    return int(e)
+
+
 def build_graph(num_vertices: int, edges) -> Graph:
     """Build a simple graph, deduplicating edges and deriving adjacency.
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, InputError
+from .graphs import _edge_index
 from .model import ZERO_ONE, IsingModel, SpinConfiguration, edge_tilt, theta_star
 from .oracle import BINNING_CAP, GibbsTable, _edge_event_columns, gibbs_table
 from .rng import TRACE, substream
@@ -80,7 +81,8 @@ def posterior_model(model01: IsingModel, t: float, revealed) -> IsingModel:
         raise InputError("posterior_model needs a 01-convention model")
     if not 0.0 <= t < 1.0:
         raise InputError("t must lie in [0, 1)")
-    pin = {w: 1 for e in revealed for w in model01.graph.edges[int(e)]}
+    g = model01.graph
+    pin = {w: 1 for e in revealed for w in g.edges[_edge_index(g, e)]}
     return edge_tilt(model01, t).with_pinning(pin)
 
 
@@ -95,11 +97,11 @@ def exact_revealed_posterior(model01: IsingModel, t: float, revealed) -> np.ndar
     """
     if not 0.0 <= t < 1.0:
         raise InputError("t must lie in [0, 1)")
+    s_mask = np.zeros(model01.graph.num_edges, dtype=bool)
+    for e in revealed:
+        s_mask[_edge_index(model01.graph, e)] = True
     table = gibbs_table(model01)
     z = _edge_event_columns(table)  # (configs, E)
-    s_mask = np.zeros(z.shape[1], dtype=bool)
-    for e in revealed:
-        s_mask[int(e)] = True
     contains_s = (z[:, s_mask] == 1.0).all(axis=1)
     extra = z[:, ~s_mask].sum(axis=1)  # satisfied but unrevealed events
     like = contains_s * t ** s_mask.sum() * (1.0 - t) ** extra
@@ -238,7 +240,7 @@ def variance_conservation_R(c: float, theta: float) -> ConservationCertificate:
 
     At theta* = 1 - exp(-4 beta) this is exp(4 beta C).
     """
-    if c < 0:
+    if not c >= 0:  # NaN fails too
         raise InputError("rate C must be nonnegative")
     if not 0.0 <= theta < 1.0:
         raise InputError("theta must lie in [0, 1)")
@@ -254,7 +256,7 @@ def entropy_conservation_R(eta_op: float, k_low: float, theta: float) -> Conserv
     ES = L / (1 - (1-theta)^L) and R = 1 + ES / (L (1-theta)^L); computed in
     log space since R overflows quickly.
     """
-    if eta_op < 1.0 or k_low < 1.0:
+    if not (eta_op >= 1.0 and k_low >= 1.0):  # NaN fails too
         raise InputError("need eta_op >= 1 and K_low >= 1")
     if not 0.0 < theta < 1.0:
         raise InputError("theta must lie in (0, 1)")

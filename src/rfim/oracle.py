@@ -27,18 +27,18 @@ sparse products; the heat-bath move probability is written once, in
 ``_moves``.  ``scipy.sparse`` loads on the first ``_single_flip_csr`` call
 and ``scipy.sparse.linalg`` on the first gap over more than 128
 configurations, so tables, marginals and the Cor2 sweep load no scipy.
-``glauber_gap`` reads the gap two independent ways, both by ARPACK
-(``eigsh``) from the fixed start ``_start_vector``: from the symmetrized
-transition matrix with its known top eigenpair (1, sqrt(mu)) deflated, and
-from the variance-normalised Dirichlet form with sqrt(mu) lifted to 1; up to
-128 configurations both run dense solvers on the same matrices instead.  A
-gap whose routes do not agree, or an unchecked one too small to keep three
-digits, is refused, never returned.  Its report also carries the
-approximate-tensorization constant, which for heat-bath Glauber is exactly
-1/(f * gap), so no routine here builds a dense 2^f x 2^f matrix above that
-size.  Everything here is deterministic and exact up to float arithmetic;
-sizes are guarded by hard caps.  Tables are immutable once built and safe to
-share.
+``glauber_gap`` reads the gap two independent ways from one ARPACK
+(``eigsh``) run: from the fixed start ``_start_vector``, on the symmetrized
+transition matrix with its known top eigenpair (1, sqrt(mu)) deflated, it
+reads both that matrix and the variance-normalised Dirichlet form at the one
+Ritz vector; up to 128 configurations both run dense solvers on the same
+matrices instead.  A gap whose routes do not agree, or an unchecked one too
+small to keep three digits, is refused, never returned.  Its report also
+carries the approximate-tensorization constant, which for heat-bath Glauber
+is exactly 1/(f * gap), so no routine here builds a dense 2^f x 2^f matrix
+above that size.  Everything here is deterministic and exact up to float
+arithmetic; sizes are guarded by hard caps.  Tables are immutable once built
+and safe to share.
 """
 
 from __future__ import annotations
@@ -424,7 +424,7 @@ def _dirichlet_matrix(energy: np.ndarray, log_z: float, partners: np.ndarray) ->
 
 
 def _start_vector(size: int) -> np.ndarray:
-    """Fixed Gaussian start for the iterative eigensolvers, so their bits repeat.
+    """Fixed Gaussian start for the iterative eigensolver, so its bits repeat.
 
     ARPACK's own start is random; a Gaussian has, almost surely, a component
     along every eigenvector, which a structured vector such as all-ones can
@@ -433,15 +433,15 @@ def _start_vector(size: int) -> np.ndarray:
     return substream(0, PROBE, size).standard_normal(size)
 
 
-def _ritz_vector(matvec, size: int, which: str, ncv: int) -> np.ndarray:
-    """ARPACK's (``eigsh``, k=1) unit Ritz vector for the eigenvalue ``which`` of the
+def _ritz_vector(matvec, size: int, ncv: int) -> np.ndarray:
+    """ARPACK's (``eigsh``, k=1) unit Ritz vector for the largest eigenvalue of the
     symmetric ``matvec``, from ``_start_vector``; an ARPACK error becomes a
     ValidationFailure that names it."""
     from scipy.sparse import linalg as splinalg
 
     op = splinalg.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
     try:
-        return splinalg.eigsh(op, k=1, which=which, ncv=ncv, v0=_start_vector(size))[1][:, 0]
+        return splinalg.eigsh(op, k=1, which="LA", ncv=ncv, v0=_start_vector(size))[1][:, 0]
     except splinalg.ArpackError as exc:
         raise ValidationFailure(f"ARPACK did not resolve the gap: {exc}") from None
 
@@ -460,26 +460,28 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
     sqrt(mu), so ARPACK (``eigsh``, k=1, largest algebraic) runs on the
     deflated x -> S x - sqrt(mu) (sqrt(mu) . x), whose largest eigenvalue is
     lambda_2; the gap is the Rayleigh quotient of I - S at its Ritz vector.
-    (b) The smallest value of the Dirichlet form against the variance over
-    non-constant functions, i.e. the lowest eigenvalue of D^-1/2 A D^-1/2
-    (``_dirichlet_matrix``, D = diag(mu)) orthogonal to sqrt(mu), by ARPACK
-    (k=1, smallest algebraic) with sqrt(mu) lifted from 0 to 1, read off as
-    the quotient at the Ritz vector.  Heat-bath P is an average of
-    mu-orthogonal projections, so it is positive semidefinite and the
-    spectrum of I - S lies in [0, 1]: a lift to 1 keeps sqrt(mu) off the
-    bottom, and unlike a lift to 2 it does not double the spread Lanczos
-    must cover.  Both matrices are built directly in CSR, and the routes
-    share none.  (Single-vector LOBPCG stalls on the clustered spectra of
-    strong fields, f eigenvalues within 2e-4 of the gap at fields of +-5,
-    and then misses the cross-check.)  Both solvers start from the fixed
+    (b) The Dirichlet form against the variance, i.e. the quotient of
+    D^-1/2 A D^-1/2 (``_dirichlet_matrix``, D = diag(mu)), read at the same
+    Ritz vector.  Both matrices are built directly in CSR from the energies,
+    neither from the other.  One Lanczos run serves both: in exact
+    arithmetic D^-1/2 A D^-1/2 = I - S, and a shift leaves the Krylov space
+    unchanged, so an ARPACK solve for route (b)'s lowest eigenvalue from the
+    same start would repeat route (a)'s recurrence and return its vector
+    (on 60 models at n = 10 and 12 the two vectors agreed to 2.6e-15 and the
+    two values to 7.3e-15 relative).  ARPACK starts from the fixed
     ``_start_vector`` with 3f Lanczos vectors, so repeated calls return the
-    same bits and such clusters do not stall the restarts.  Matvecs per gap,
-    before the deflation and the lower lift -> now, route (a) / route (b):
-    on the pipeline's n=10 models with +-5 fields (20 models), 235 / 121 ->
-    109 / 114 on average; on two n=12 models at beta 1.5 with +-5 fields,
-    797 / 199 and 698 / 199 -> 181 / 199 and 181 / 181.  Up to 128
-    configurations, where dense is faster, both routes run dense
-    ``eigvalsh`` on the same two matrices.
+    same bits and clustered spectra do not stall the restarts.  (Single-vector
+    LOBPCG stalls on the clustered spectra of strong fields, f eigenvalues
+    within 2e-4 of the gap at fields of +-5.)  Route (a) takes 112 matvecs
+    on average (106-121) on 20 of the pipeline's n=10 models with +-5 fields,
+    and 181 on each of two n=12 models at beta 1.5 with +-5 fields; route (b)
+    takes one.  Up to 128 configurations, where dense is faster, both routes
+    run dense ``eigvalsh``, each on its own matrix.
+
+    The cross-check therefore checks how each matrix is assembled: a second
+    matrix scaled by 1.01 fails it.  It does not check that ARPACK found
+    lambda_2 rather than lambda_3, as both routes read one vector; the
+    dense-reference tests check that.
 
     A gap is returned resolved or not at all.  The cross-checked gap must be
     positive and the routes must agree within min(1e-9, 1e-6 gap), so that
@@ -508,7 +510,7 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
             x = x.ravel()
             return sym @ x - root * (root @ x)
 
-        ritz = _ritz_vector(deflated, size, "LA", 3 * f)
+        ritz = _ritz_vector(deflated, size, 3 * f)
         gap = float(ritz @ (ritz - sym @ ritz))  # the quotient avoids cancelling in 1 - lambda_2
     else:
         gap = float(1.0 - np.linalg.eigvalsh(sym.toarray())[-2])
@@ -520,12 +522,7 @@ def glauber_gap(model: IsingModel, cross_validate: bool = True) -> SpectralRepor
 
     form = _dirichlet_matrix(energy, log_z, partners)
     if iterative:
-        def lifted(x):  # the spectrum lies in [0, 1], so the gap becomes the lowest eigenvalue
-            x = x.ravel()
-            return form @ x + root * (root @ x)
-
-        psi = _ritz_vector(lifted, size, "SA", 3 * f)
-        gap_rayleigh = float(psi @ (form @ psi))
+        gap_rayleigh = float(ritz @ (form @ ritz))
     else:
         gap_rayleigh = float(np.linalg.eigvalsh(form.toarray())[1])
 

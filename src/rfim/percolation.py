@@ -354,7 +354,7 @@ class GapCertificate:
 
 
 def gap_certificate(n: int, beta: float, delta: int, alpha_star: float) -> GapCertificate:
-    if n < 1 or beta <= 0 or delta <= 0 or alpha_star <= 0:
+    if not (n >= 1 and beta > 0 and delta > 0 and alpha_star > 0):  # NaN fails too
         raise InputError("all certificate inputs must be positive")
     log_gap = -math.log(n) - 16.0 * beta * delta * math.log(n) / alpha_star
     note = ("holds with quenched probability 1 - c/n, "
@@ -390,7 +390,7 @@ class MlsiCertificate:
 
 def mlsi_certificate(n: int, beta: float, delta: int, alpha_star: float,
                      m_bound: float) -> MlsiCertificate:
-    if n < 1 or beta <= 0 or delta <= 0 or alpha_star <= 0 or m_bound < 0:
+    if not (n >= 1 and beta > 0 and delta > 0 and alpha_star > 0 and m_bound >= 0):
         raise InputError("bad certificate inputs")
     k_const = bounded_field_k_constant(delta, m_bound, beta)
     log_rho = -math.log(3.0 * n) - 4.0 * beta * (

@@ -64,11 +64,14 @@ class SamplerConfig:
     validate: bool = False
 
     def __post_init__(self):
-        if self.c_star <= 0:
-            raise InputError("c_star must be positive")
+        if not 0 < self.c_star < math.inf:  # NaN fails too
+            raise InputError(f"c_star must be positive and finite, not {self.c_star!r}")
 
     def k_star(self, n: int) -> int:
-        return int(math.ceil(n**self.c_star))
+        try:
+            return int(math.ceil(n**self.c_star))
+        except OverflowError:
+            raise InputError(f"k* = ceil(n^c*) overflows at n={n}, c*={self.c_star!r}") from None
 
 
 @dataclass(frozen=True)

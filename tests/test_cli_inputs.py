@@ -42,6 +42,11 @@ def files(tmp_path):
      "'cauchy' is not one of 'gaussian', 'uniform', 'two_point'"),
     (("model", "tilt", "--model", "{m01}", "--theta", "0.5", "--pin", "0=1", "--pin", "3"),
      "pin '3' is not of the form vertex=value"),
+    (("localize", "posterior", "--model", "{m01}", "--t", "0.4", "--revealed", "7"),
+     "edge 7 out of range [0, 2)"),
+    (("sample", "incremental", "--model", "{model}", "--cstar", "inf"),
+     "c_star must be positive and finite"),
+    (("sample", "incremental", "--model", "{model}", "--cstar", "1e300"), "overflows at n=3"),
 ])
 def test_bad_inputs_exit_4(files, capsys, args, message):
     assert main([a.format(**files) for a in args]) == 4

@@ -115,6 +115,15 @@ def test_posterior_rejects_t_one():
         posterior_model(_k3_01(), 1.0, [])
 
 
+@pytest.mark.parametrize("posterior", [posterior_model, exact_revealed_posterior])
+@pytest.mark.parametrize("edge", [7, -1, 1.5])
+def test_posteriors_reject_edges_outside_the_graph(posterior, edge):
+    # K3 has edges 0-2: 7 used to raise IndexError, -1 pinned the last edge
+    # and 1.5 truncated to edge 1.
+    with pytest.raises(InputError, match="out of range"):
+        posterior(_k3_01(), 0.5, [edge])
+
+
 def test_exact_bayes_posterior_matches_posterior_model():
     m01 = _k3_01(seed=23)
     base = gibbs_table(m01)
@@ -226,6 +235,15 @@ def test_theta_star_posterior_is_product():
     ones = post.rows()[:, list(post.free)] == 1
     product = np.where(ones, marg, 1 - marg).prod(axis=1)
     assert np.abs(post.probs - product).max() <= 1e-12
+
+
+def test_conservation_certificates_reject_nan():
+    # c < 0 and eta_op < 1 are false for NaN, so both used to return NaN
+    with pytest.raises(InputError, match="rate C"):
+        variance_conservation_R(math.nan, 0.5)
+    for eta_op, k_low in ((math.nan, 2.0), (2.0, math.nan)):
+        with pytest.raises(InputError, match="eta_op"):
+            entropy_conservation_R(eta_op, k_low, 0.5)
 
 
 def test_variance_conservation_examples():

@@ -377,6 +377,20 @@ def test_gap_certificate_values():
     assert cert.tmix_upper(0.01, 5.0) > 0
 
 
+@pytest.mark.parametrize("args", [(10, math.nan, 3, 1.0), (10, 0.5, 3, math.nan)])
+def test_gap_certificate_rejects_nan(args):
+    # beta <= 0 is false for NaN, so the certificate used to read NaN
+    with pytest.raises(InputError):
+        gap_certificate(*args)
+
+
+@pytest.mark.parametrize("args", [(10, math.nan, 3, 0.8, 1.0), (10, 0.5, 3, math.nan, 1.0),
+                                  (10, 0.5, 3, 0.8, math.nan)])
+def test_mlsi_certificate_rejects_nan(args):
+    with pytest.raises(InputError):
+        mlsi_certificate(*args)
+
+
 def test_gap_certificate_monotone():
     base = gap_certificate(20, 0.5, 3, 1.0).log_gap_lower
     assert gap_certificate(20, 0.8, 3, 1.0).log_gap_lower < base

@@ -41,6 +41,19 @@ def test_sampler_config_validation():
     assert SamplerConfig(c_star=2.0, seed=1).k_star(8) == 64
 
 
+@pytest.mark.parametrize("c_star", [math.nan, math.inf])
+def test_sampler_config_rejects_a_non_finite_c_star(c_star):
+    # Both passed c_star <= 0; k_star then raised ValueError (NaN) or
+    # OverflowError (inf).
+    with pytest.raises(InputError, match="finite"):
+        SamplerConfig(c_star=c_star, seed=1)
+
+
+def test_k_star_overflow_names_n_and_c_star():
+    with pytest.raises(InputError, match=r"n=12, c\*=1e\+300"):
+        SamplerConfig(c_star=1e300, seed=1).k_star(12)
+
+
 def test_single_vertex_is_exact():
     h = 0.6
     m = uniform_model(build_graph(1, []), 0.0, [h])
