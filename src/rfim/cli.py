@@ -40,7 +40,7 @@ from . import sampler as SA
 
 
 def _emit(payload, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_jsonify)
+    text = json.dumps(payload, indent=2, default=_jsonify, allow_nan=False)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -135,18 +135,10 @@ def graph():
 @click.option("-o", "--output", type=str, default=None)
 def graph_gen(kind, n, rows, cols, degree, depth, seed, fmt, output):
     """Generate a named graph family member."""
-    if kind == "path":
-        g = G.path_graph(n)
-    elif kind == "cycle":
-        g = G.cycle_graph(n)
-    elif kind == "torus":
-        g = G.torus_grid(rows, cols)
-    elif kind == "grid":
-        g = G.grid_graph(rows, cols)
-    elif kind == "regular":
-        g = G.random_regular_graph(n, degree, seed)
-    else:
-        g = G.tree3(depth)
+    g = {"path": lambda: G.path_graph(n), "cycle": lambda: G.cycle_graph(n),
+         "torus": lambda: G.torus_grid(rows, cols), "grid": lambda: G.grid_graph(rows, cols),
+         "regular": lambda: G.random_regular_graph(n, degree, seed),
+         "tree3": lambda: G.tree3(depth)}[kind]()
     if fmt == "edgelist":
         text = G.graph_to_edgelist_text(g)
         if output:

@@ -11,15 +11,17 @@ advances all of its chains in lockstep.
 Every kernel reads its random choices from ``_draws``.  A run of ``steps``
 updates of R replicas (R = 1 for a scalar chain and for the coupled pair)
 is drawn in blocks of b = max(1, DRAW_BLOCK // R) steps, the last block
-shorter: per block, the (b, R) indices into the free list, then the (b, R)
-uniforms, so a kernel makes two RNG calls per block, and row k of a block is
-step k's.  The layout depends only on (steps, R), never on snapshots or
-segments, so a run is a fixed function of its substream address.  DRAW_BLOCK
-= 2^13 replica-steps keeps a block's (b, max degree, R) gathers near 0.25 MB
-at degree 4, and each block's arrays are freed before the next is drawn: on
-the 50x50 torus batches the bench's peak RSS read 77.1-77.25 MB at 2^14,
-the parent's level, and 75.5-75.6 MB at 2^13.  The staged sampler at R = 64
-draws each stage's k* updates in one block either way.
+shorter: per block, one (b, R) array of doubles U, each split into both of
+its update's choices, the index floor(count * U) into the free list of count
+vertices and the uniform count * U minus that index.  So a kernel makes one
+RNG call per block, and row k of a block is step k's.  The layout depends
+only on (steps, R), never on snapshots or segments, so a run is a fixed
+function of its substream address.  ``_draws`` gives what the split costs.
+DRAW_BLOCK = 2^13 replica-steps keeps a block's (b, max degree, R) gathers
+near 0.25 MB at degree 4, and each block's arrays are freed before the next
+is drawn: on the 50x50 torus batches the bench's peak RSS read 77.1-77.25 MB
+at 2^14, the parent's level, and 75.5-75.6 MB at 2^13.  The staged sampler
+at R = 64 draws each stage's k* updates in one block either way.
 
 Local fields come from the model's padded neighbour table: (n, max degree)
 neighbour indices and couplings, padding slots having coupling 0, so an
@@ -143,12 +145,26 @@ DRAW_BLOCK = 1 << 13  # replica-steps drawn at once; the module docstring gives 
 
 def _draws(rng: np.random.Generator, count: int, replicas: int, steps: int):
     """The (indices into ``count`` vertices, uniforms) of ``steps`` updates of
-    ``replicas`` replicas, in blocks of shape (b, replicas), each drawing all its
-    indices, then all its uniforms; b = max(1, DRAW_BLOCK // replicas)."""
+    ``replicas`` replicas, in blocks of shape (b, replicas), b = max(1, DRAW_BLOCK
+    // replicas), each one block of doubles U split into both: x = count * U, the
+    index j = min(floor(x), count - 1) and the uniform u = x - j.
+
+    One RNG call per block, not two, at a cost to exactness: U is a multiple of
+    2^-53, so j is uniform to within count * 2^-52 relative and u has
+    resolution count * 2^-53 (7e-12 at count = 65,536).  u = x - j is exact
+    (Sterbenz).  For an integer count below 2^53, count * U rounds to at most
+    the largest double below count for every double U < 1, so u < 1 and the
+    clip never moves j; it keeps j in range should U be 1.0, which would give
+    j = count - 1 and u = 1.0, an update that sets 'zero' unless P(one) = 1.
+    """
     rows = max(1, DRAW_BLOCK // max(replicas, 1))
     for done in range(0, steps, rows):
-        size = (min(rows, steps - done), replicas)
-        yield rng.integers(count, size=size), rng.random(size)
+        x = rng.random((min(rows, steps - done), replicas))
+        x *= count
+        j = x.astype(np.int64)
+        np.minimum(j, count - 1, out=j)
+        x -= j
+        yield j, x
 
 
 def _float_steps(model: IsingModel, values: np.ndarray, free: np.ndarray, blocks):
@@ -230,6 +246,14 @@ def _coded_steps(table: np.ndarray, codes: np.ndarray, blocks):
             yield
 
 
+def _scalar_draws(rng: np.random.Generator, free: np.ndarray, steps: int):
+    """The (vertex, uniform) of each of ``steps`` updates of one replica, as Python
+    scalars: the ``_draws`` blocks of ``rng`` over the vertices ``free``, flattened
+    for the written-out loops of ``_scalar_run`` and ``monotone_coupled_run``."""
+    return chain.from_iterable(zip(free.take(j).ravel().tolist(), u.ravel().tolist())
+                               for j, u in _draws(rng, len(free), 1, steps))
+
+
 def _scalar_run(model: IsingModel, values: list, steps: int, rng: np.random.Generator,
                 record_every: int | None = None) -> list | None:
     """Advance the spin list ``values`` in place by ``steps`` updates drawn from
@@ -238,12 +262,10 @@ def _scalar_run(model: IsingModel, values: list, steps: int, rng: np.random.Gene
     else None.  Raises InputError, before drawing, when either count is negative."""
     if steps < 0 or (record_every or 0) < 0:
         raise InputError("steps and record_every must be nonnegative")
-    free = _free_vertices(model)
+    draws = _scalar_draws(rng, _free_vertices(model), steps)
     probs, flips = memoryview(model.heat_bath_table.probs), model.heat_bath_table.flips
     one, zero = SPIN_VALUES[model.convention]
     keys = _keys(model, values)
-    draws = chain.from_iterable(zip(free.take(j).ravel().tolist(), u.ravel().tolist())
-                                for j, u in _draws(rng, len(free), 1, steps))
 
     def observables(step):
         vals = np.array(values, dtype=np.float64)
@@ -372,12 +394,10 @@ def monotone_coupled_run(model: IsingModel, low: SpinConfiguration, high: SpinCo
     lo, hi = (_config_values(model, x).tolist() for x in (low, high))
     if any(a > b for a, b in zip(lo, hi)):
         raise InputError("initial states must satisfy low <= high pointwise")
-    free = _free_vertices(model)
+    draws = _scalar_draws(substream(seed, COUPLING), _free_vertices(model), steps)
     probs, flips = memoryview(model.heat_bath_table.probs), model.heat_bath_table.flips
     one, zero = SPIN_VALUES[model.convention]
     chains = (lo, _keys(model, lo)), (hi, _keys(model, hi))
-    draws = chain.from_iterable(zip(free.take(j).ravel().tolist(), u.ravel().tolist())
-                                for j, u in _draws(substream(seed, COUPLING), len(free), 1, steps))
     apart = sum(a != b for a, b in zip(lo, hi))  # sites where the chains disagree
     coalescence = 0 if apart == 0 else None
     for k, (v, u) in enumerate(draws):

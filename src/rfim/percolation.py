@@ -343,14 +343,18 @@ class GapCertificate:
     failure_probability_note: str
 
     def tmix_upper(self, eps: float, field_l1: float) -> float:
-        """Mixing-time form n^(1 + 16 beta delta / alpha*) (beta delta n + |h|_1 + log(1/eps)).
+        """Mixing-time form n^(1 + 16 beta delta / alpha*) (beta delta n + |h|_1 + log(1/eps)),
+        taken through its log, so that it may overflow to inf but never raises.
 
         The absorbed constant is reported as 1.
         """
-        if not 0.0 < eps < 1.0:
-            raise InputError("eps must lie in (0, 1)")
-        expo = 1.0 + 16.0 * self.beta * self.delta / self.alpha_star
-        return self.n**expo * (self.beta * self.delta * self.n + field_l1 + math.log(1.0 / eps))
+        if not (0.0 < eps < 1.0 and field_l1 >= 0.0):  # NaN fails too
+            raise InputError("need eps in (0, 1) and field_l1 >= 0")
+        # log n first, so that n = 1 gives 0 and not 0 * inf
+        log_mix = math.log(self.n) * 16.0 * self.beta * self.delta / self.alpha_star + math.log(
+            self.n * (self.beta * self.delta * self.n + field_l1 - math.log(eps)))
+        with np.errstate(over="ignore"):
+            return float(np.exp(log_mix))
 
 
 def gap_certificate(n: int, beta: float, delta: int, alpha_star: float) -> GapCertificate:

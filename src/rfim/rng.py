@@ -44,7 +44,8 @@ Every Glauber kernel reads its updates in one block layout
 (``dynamics._draws``): a run of ``steps`` updates of R replicas, R = 1 for
 a scalar chain and for the coupled pair, is drawn in blocks of
 b = max(1, ``DRAW_BLOCK`` // R) steps, the last block shorter, each block
-drawing its (b, R) vertex indices and then its (b, R) uniforms.  With
+drawing one (b, R) array of doubles, each of which is split into its
+update's vertex index and uniform.  With
 ``DRAW_BLOCK`` = 2^13 a scalar chain draws 8,192 updates at a time and
 the staged sampler at R = 64 a stage's k* updates at once.
 """

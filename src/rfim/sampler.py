@@ -11,7 +11,8 @@ other stage is a chain from a warm start.  Disconnected graphs are staged one
 component at a time in the same matrix; no edge joins two components.
 Component ci reads one substream, (seed, SAMPLER, ci): each stage draws its
 new vertex's R uniforms from it, then its k* updates in the blocks of
-``dynamics._draws``, so a stage makes two RNG calls per block of updates.
+``dynamics._draws``, so a stage makes one RNG call for the new vertex and
+one per block of updates.
 
 While a component's prefix is small for the stage's work (``_codes_fit``),
 its stages keep each replica's prefix spins as one int64 code, bit i the

@@ -22,14 +22,21 @@ from rfim.rng import CHAIN, COUPLING, substream
 def block_draws(rng, count: int, replicas: int, steps: int):
     """The (steps, replicas) indices into ``count`` vertices and uniforms of a run:
     blocks of b = max(1, DRAW_BLOCK // replicas) rows, the last one shorter, each
-    drawing all its indices and then all its uniforms."""
+    one block of doubles U, read element by element as the index
+    min(floor(count * U), count - 1) and the uniform count * U minus that index."""
     rows = max(1, dynamics.DRAW_BLOCK // max(replicas, 1))
-    index, uniform = [np.zeros((0, replicas), dtype=np.int64)], [np.zeros((0, replicas))]
+    blocks = [np.zeros((0, replicas))]
     for done in range(0, steps, rows):
-        size = (min(rows, steps - done), replicas)
-        index.append(rng.integers(count, size=size))
-        uniform.append(rng.random(size))
-    return np.concatenate(index), np.concatenate(uniform)
+        blocks.append(rng.random((min(rows, steps - done), replicas)))
+    index, uniform = [], []
+    for x in np.concatenate(blocks).ravel().tolist():
+        x *= count
+        j = min(int(x), count - 1)
+        index.append(j)
+        uniform.append(x - j)
+    shape = (steps, replicas)
+    return (np.array(index, dtype=np.int64).reshape(shape),
+            np.array(uniform, dtype=np.float64).reshape(shape))
 
 
 def summed_update(model: IsingModel):

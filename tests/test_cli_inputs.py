@@ -55,6 +55,21 @@ def test_bad_inputs_exit_4(files, capsys, args, message):
     assert captured.err.startswith("input error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ("certify", "gap", "--n", "10", "--beta", "1e300", "--delta", "3", "--alpha-star", "0.5"),
+    ("certify", "gap", "--n", "10", "--beta", "inf", "--delta", "3", "--alpha-star", "0.5"),
+    ("certify", "mlsi", "--n", "10", "--beta", "inf", "--delta", "3", "--alpha-star", "0.5",
+     "--m-bound", "1"),
+    ("localize", "certificate", "--kind", "variance", "--theta", "0.5", "--rate-c", "inf"),
+])
+def test_non_finite_outputs_exit_4(capsys, args):
+    # JSON (RFC 8259) has no NaN or Infinity, so such a result is refused, not printed
+    assert main(list(args)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: Out of range float values are not JSON")
+
+
 def test_posterior_without_revealed_edges_pins_nothing(files, capsys):
     assert main(["localize", "posterior", "--model", files["m01"], "--t", "0.4"]) == 0
     payload = json.loads(capsys.readouterr().out)

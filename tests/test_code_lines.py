@@ -1,7 +1,7 @@
 from code_lines import code_lines, package_lines
 
 # Raise it only with the reason stated in CHANGES.md.
-CEILING = 2933
+CEILING = 2930
 
 SNIPPET = '''"""Module docstring."""
 

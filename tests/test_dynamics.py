@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,45 @@ def one_probability(m, values, v):
     """Heat-bath P(spin v = 'one' | the rest): v's ``heat_bath_table`` entry, which
     every kernel's probability equals (``test_heat_bath``)."""
     return float(m.heat_bath_table.probs[_keys(m, values)[v]])
+
+
+class FixedDoubles:
+    """A generator stub whose ``random(shape)`` returns the given doubles, in order."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+
+    def random(self, shape):
+        size = math.prod(shape)
+        out, self.doubles = self.doubles[:size], self.doubles[size:]
+        return np.array(out, dtype=np.float64).reshape(shape)
+
+
+SPLIT_COUNTS = [1, 3, 12, 2500, 65536]
+
+
+@given(st.floats(0.0, 1.0), st.sampled_from(SPLIT_COUNTS))
+def test_draws_split_each_double_into_an_index_and_a_uniform(x, count):
+    (j, u), = dynamics._draws(FixedDoubles([x]), count, 1, 1)
+    j, u = int(j[0, 0]), float(u[0, 0])
+    assert 0 <= j < count and 0.0 <= u <= 1.0
+    scaled = x * count
+    if x < 1.0:  # then count * x < count: the clip never fires
+        assert scaled < count and j == math.floor(scaled)
+        assert Fraction(u) == Fraction(scaled) - j  # x - j is exact
+        assert j + u == scaled
+    else:  # the clipped top edge, which Generator.random never reaches
+        assert (j, u) == (count - 1, 1.0)
+
+
+@pytest.mark.parametrize("count", SPLIT_COUNTS)
+def test_draws_split_the_edge_doubles(count):
+    top = 1.0 - 2.0**-53  # the largest double below 1
+    (j, u), = dynamics._draws(FixedDoubles([top, 0.0, 1.0]), count, 3, 1)
+    assert j.dtype == np.int64 and j.tolist() == [[count - 1, 0, count - 1]]
+    # count * top rounds to the largest double below count, never up to count
+    below = float(np.nextafter(float(count), 0.0))
+    assert u.tolist() == [[below - (count - 1), 0.0, 1.0]]
 
 
 def test_update_probability_symmetric():

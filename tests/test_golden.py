@@ -426,20 +426,20 @@ CASES = {f.__name__: f for f in (
 )}
 
 GOLDEN = {
-    "run_chain_pm": "eabb6169573cff215e529b4b20fdbfd3591f38bc351fe930f8ade7fea5a84ac1",
-    "run_chain_01_pinned": "d2a5391a0d93ddf2063839d9d887b530229c9d36d771fbe1822e957d419f6d57",
-    "batch_pm": "dd019ef6b5162e33b648bda737b391755ec161ba74cf2981a5b925a505735bbe",
-    "batch_01": "2638cee985350b822c64a8b0d58e6461be51ce03615ca34f9577b85cd8bde28b",
-    "batch_pm_pinned": "a4b24dcaf8db2d6e54dfb4ad284327b46beeb0e2990f22d54df5055305323376",
-    "coupled_run_pm": "a8ede63f3503b75e5683fed3b0e3533003be9fdc314dfb3f0cc7043a0bb5f7da",
-    "coupled_run_01_pinned": "fa486e06792a20adfb4f6b852919c4d0af067d5f2d223094c21de408c62a5a92",
-    "coupled_batch_pm": "397fc95ac627e22844443795dcb7aafce4f7cc0b15093dc36c8ed12b1c5b0bbe",
-    "coupled_batch_01_pinned": "c86e6e63bf98f487159166a94ff787a038008b68a19e4551a23a07931a585dc1",
-    "sampler_grid": "cda872fb6b4403f4e30e0b3d10da5872832ff638f950a1b668381bc5d04f419b",
-    "sampler_disconnected_01": "fa05b498a825325b3a0ff4337314a264245d8312dcedb1e5c25abca20080c179",
-    "tv_curve": "751d9e5e19765fa965d2aec0dde8d7b536e2e6e093feee225e9dca5cafa437f0",
-    "noising_traces_glauber": "e15cfb4b8755abed004680465388fb3916ac471e88b2525bc541923c103e427b",
-    "sl_boost_glauber": "eb5deadae0769d38c5ae2c5d3c4005d6078c5fe562d48790dbcd9fba71436cc2",
+    "run_chain_pm": "daeddeba0c45be39e0dd6dd496db946c4d179598f2b48f13873e91c6e99f0a49",
+    "run_chain_01_pinned": "4700c22a1f658a8bdd99cbd25e99bafd01c805b064583d2bea0ffacb60254f84",
+    "batch_pm": "3d5a166334765c45d2745aa1e321e3750f8da0ee0be15c71213915fd956b5f53",
+    "batch_01": "0324d5d5f0ab7b27d94c9b64c8bb795c2ceabc6782a365972db1850e7a5ca99b",
+    "batch_pm_pinned": "62ccddb1cba15c0ee95aa145caefa9aa79f6118cfe3ddff3a3968d17c68f1cfb",
+    "coupled_run_pm": "82a780a7637d3503ef4e5a8a03e79a8a04ce4117fbce6a154d8c5ccd67666954",
+    "coupled_run_01_pinned": "729c6548de3872397329babd60c815aba0e301b03f57944622c42702cdce3918",
+    "coupled_batch_pm": "edc507b657ddacb31634831929ef2ede444f463bd6a77b00db39b24b557023d1",
+    "coupled_batch_01_pinned": "5466a53b73e58e490af12a4c063a9900ea626ed6ac2d838555527d9f22d0f535",
+    "sampler_grid": "bd30ff8f9ca55ccaffd67a3b7b7f1625dd1e6d61546469bfb4d7907310187959",
+    "sampler_disconnected_01": "bef8afa13220bb21012b6d64085a9a20fb7c3d50dd49d982caf8cec779486840",
+    "tv_curve": "3d15b84d1d1021d05e5684d91b8a1f87a921578a6bf38ea1d0c8495ed4902d96",
+    "noising_traces_glauber": "c873cd8d267164f40793cfcadb83a1ac78fec5c99bcf566caa743e120b30386b",
+    "sl_boost_glauber": "cf704eb84f0866a3a5f6945037cf98a13281959b93725f884a04b55fa44259a2",
     "grand_coupled_pm_pinned": "885a3633272d2d3aad355eb29015cf639caf4f092cb2963a9bcdd84e556f40a3",
     "grand_coupled_01": "6eadaf104eaaf09c2b40e4c5df91ec1a030ce69fbb54f7935db35d8a4df7b00a",
     "disagreement_bfs": "863ead5f823d1c40d3efec5a95d9f0c1bf875008e89af3720b0299c41d97fd27",

@@ -34,7 +34,13 @@ from rfim.oracle import _encode
 from rfim.rng import COUPLING, substream
 
 import scalar_reference
-from scalar_reference import chain_states, coupled_states, replica_states, row_order_sum
+from scalar_reference import (
+    block_draws,
+    chain_states,
+    coupled_states,
+    replica_states,
+    row_order_sum,
+)
 from strategies import models
 
 
@@ -115,9 +121,8 @@ def test_kernel_matches_conditional_probability(m, seed):
     replicas = 16
     values = random_states(m, replicas, seed)
     free = np.array(m.free_vertices)
-    rng = substream(seed, COUPLING, 5)
-    v = free[rng.integers(len(free), size=replicas)]
-    u = rng.random(replicas)
+    choice, uniform = block_draws(substream(seed, COUPLING, 5), len(free), replicas, 1)
+    v, u = free[choice[0]], uniform[0]
     p_one = table_entries(m, values, v)
     for r in range(replicas):
         want = _heat_bath_probability(m.convention, edge_scan_field(m, values[r], v[r]))
@@ -302,16 +307,15 @@ def test_run_chain_replays_summed_fields_step_by_step(m, seed, record_every):
 
 
 class TableUniforms:
-    """A chain's substream whose uniforms are replaced by entries of the model's
-    heat-bath table, so that some land exactly on their step's probability;
-    on a table of one entry, such as a lone free vertex's, every one does."""
+    """A chain's substream whose doubles are replaced by entries of the model's
+    heat-bath table.  ``_draws`` reads a double p as index floor(count * p) and
+    uniform count * p minus it, which is p itself when one vertex is free: on
+    such models every uniform is a table entry and some land exactly on their
+    step's probability."""
 
     def __init__(self, model, *key):
         self.rng = substream(*key)
         self.probs = model.heat_bath_table.probs
-
-    def integers(self, *args, **kwargs):
-        return self.rng.integers(*args, **kwargs)
 
     def random(self, size=None):
         return self.probs[self.rng.integers(len(self.probs), size=size)]

@@ -377,6 +377,19 @@ def test_gap_certificate_values():
     assert cert.tmix_upper(0.01, 5.0) > 0
 
 
+def test_gap_tmix_upper_is_taken_through_its_log():
+    cert = gap_certificate(10, 0.5, 3, 0.8304)
+    want = 10 ** (1.0 + 24.0 / 0.8304) * (0.5 * 3 * 10 + 5.0 + math.log(100.0))
+    assert cert.tmix_upper(0.01, 5.0) == pytest.approx(want, rel=1e-12)
+    # n^(1 + 16 beta delta / alpha*) overflows a float; the bound is then inf
+    assert gap_certificate(10, 1e300, 3, 0.5).tmix_upper(0.01, 0.0) == math.inf
+    one = gap_certificate(1, 1e300, 3, 0.5).tmix_upper(0.01, 0.0)
+    assert one == pytest.approx(3e300 + math.log(100.0), rel=1e-12)
+    for eps, field_l1 in [(1.0, 0.0), (0.01, -1.0), (0.01, math.nan)]:
+        with pytest.raises(InputError):
+            cert.tmix_upper(eps, field_l1)
+
+
 @pytest.mark.parametrize("args", [(10, math.nan, 3, 1.0), (10, 0.5, 3, math.nan)])
 def test_gap_certificate_rejects_nan(args):
     # beta <= 0 is false for NaN, so the certificate used to read NaN
